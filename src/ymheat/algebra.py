@@ -25,6 +25,10 @@ _PAULI = np.array(
 class LieAlgebraSpec:
     """A compact gauge algebra: basis matrices, bracket and inner product.
 
+    The commutator constant c = max |[xi, eta]| over unit xi, eta is
+    c = 1 for SU2, since [xi_i, xi_j] = -eps_ijk xi_k in the basis
+    i*sigma_k/2 makes |[x, y]| = |x cross y|, and c = 0 for the abelian U1.
+
     Parameters
     ----------
     group_id : str
@@ -48,16 +52,7 @@ class LieAlgebraSpec:
         )
         if not np.allclose(gram, np.eye(self.dim), atol=1e-13):
             raise ValueError("basis is not orthonormal under the inner product")
-        self.gram = gram
-
-        # f[i, j, k]: [xi_i, xi_j] = sum_k f[i, j, k] xi_k
-        f = np.zeros((self.dim, self.dim, self.dim))
-        for i in range(self.dim):
-            for j in range(self.dim):
-                comm = self.basis[i] @ self.basis[j] - self.basis[j] @ self.basis[i]
-                f[i, j] = self.to_coeffs(comm)
-        self.structure = f
-        self.c = self._commutator_constant()
+        self.c = {"SU2": 1.0, "U1": 0.0}[group_id]
 
     # -- coefficient/matrix conversions ------------------------------------
 
@@ -76,7 +71,10 @@ class LieAlgebraSpec:
 
     def bracket(self, x, y):
         """Pointwise commutator on coefficient arrays (..., dim)."""
-        return np.einsum("...i,...j,ijk->...k", x, y, self.structure)
+        if self.group_id == "SU2":
+            # [x, y]_k = -eps_ijk x_i y_j
+            return np.cross(y, x)
+        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
 
     def norm(self, coeffs):
         """Pointwise algebra norm of a coefficient array, shape (...,)."""
@@ -106,59 +104,11 @@ class LieAlgebraSpec:
             )
         raise ValueError(f"unknown group {self.group_id!r}")
 
-    # -- commutator constant -------------------------------------------------
-
-    def _ad_operator(self, xi):
-        """Matrix of ad(xi) acting on coefficient vectors."""
-        return np.einsum("i,ijk->kj", xi, self.structure)
-
-    def _commutator_constant(self, n_samples: int = 2048, seed: int = 0) -> float:
-        if self.dim == 1:
-            return 0.0
-        rng = np.random.default_rng(seed)
-        best = 0.0
-        best_xi = None
-        for _ in range(n_samples):
-            xi = rng.standard_normal(self.dim)
-            xi /= np.linalg.norm(xi)
-            s = np.linalg.norm(self._ad_operator(xi), 2)
-            if s > best:
-                best, best_xi = s, xi
-        # local polish: power-iteration style ascent on the sphere
-        xi = best_xi
-        for _ in range(200):
-            T = self._ad_operator(xi)
-            _, _, vh = np.linalg.svd(T)
-            eta = vh[0]
-            # gradient of |[xi,eta]|^2 in xi at fixed maximizing eta
-            grad = np.einsum("j,ijk,k->i", eta, self.structure,
-                             np.einsum("i,j,ijk->k", xi, eta, self.structure))
-            nrm = np.linalg.norm(grad)
-            if nrm < 1e-15:
-                break
-            xi_new = grad / nrm
-            s_new = np.linalg.norm(self._ad_operator(xi_new), 2)
-            if s_new <= best + 1e-15:
-                break
-            best, xi = s_new, xi_new
-        return float(best)
-
-    def maximizing_pair(self, seed: int = 0):
-        """A pair of unit elements approaching |[xi, eta]| = c."""
-        if self.dim == 1:
-            e = np.zeros(self.dim)
-            e[0] = 1.0
-            return e, e
-        rng = np.random.default_rng(seed)
-        best = (0.0, None, None)
-        for _ in range(4096):
-            xi = rng.standard_normal(self.dim)
-            xi /= np.linalg.norm(xi)
-            T = self._ad_operator(xi)
-            u, s, vh = np.linalg.svd(T)
-            if s[0] > best[0]:
-                best = (s[0], xi, vh[0])
-        return best[1], best[2]
+    def maximizing_pair(self):
+        """Unit elements xi, eta with |[xi, eta]| = c: basis vectors e0, e1
+        for SU2 (their bracket is -e2), and (e0, e0) for the abelian U1."""
+        e = np.eye(self.dim)
+        return (e[0], e[1]) if self.group_id == "SU2" else (e[0], e[0])
 
     def __repr__(self):
         return f"LieAlgebraSpec({self.group_id}, dim={self.dim}, c={self.c:.6g})"

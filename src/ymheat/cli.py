@@ -199,8 +199,6 @@ CONFIG_SCHEMA = {
             "properties": {
                 "u_max": {"type": "number", "exclusiveMinimum": 0},
                 "n_u": {"type": "integer", "minimum": 8},
-                "n_theta": {"type": "integer", "minimum": 8},
-                "tol": {"type": "number", "exclusiveMinimum": 0},
             },
             "additionalProperties": False,
         },
@@ -306,10 +304,7 @@ def _flow_config(cfg: dict, bc: BoundarySpec) -> FlowConfig:
 
 def _washer_config(cfg: dict) -> WasherConfig:
     w = cfg.get("washer", {})
-    return WasherConfig(
-        u_max=w.get("u_max", 40.0), n_u=w.get("n_u", 128),
-        n_theta=w.get("n_theta", 64), tol=w.get("tol", 1e-8),
-    )
+    return WasherConfig(u_max=w.get("u_max", 40.0), n_u=w.get("n_u", 128))
 
 
 def _monitor_csv(monitors, path) -> None:

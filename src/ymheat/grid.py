@@ -158,10 +158,6 @@ class KForm:
 
     # -- construction helpers -------------------------------------------------
 
-    @classmethod
-    def zeros(cls, degree, grid, algebra):
-        return cls(degree, grid, algebra)
-
     def copy(self):
         return KForm(self.degree, self.grid, self.algebra, self.values.copy(), self.bc)
 

@@ -221,12 +221,12 @@ def _omega_series(traj: FlowTrajectory, omega_kind: str):
     omegas, sources = [], []
     for A in traj.fields:
         Af = apply_boundary(A, bc)
-        B = apply_boundary(curvature(Af), bc)
         if omega_kind == "B":
-            w = B
-            h = weitzenbock_defect(Af, B)
+            w = apply_boundary(curvature(Af), bc)
+            h = weitzenbock_defect(Af, w)
         elif omega_kind == "A'":
-            w = apply_boundary(rhs(Af, bc), bc)
+            Ap, B = rhs(Af, bc)
+            w = apply_boundary(Ap, bc)
             h = weitzenbock_defect(Af, w) + contraction_bracket(w, B)
         else:
             raise ValueError("omega_kind must be 'B' or \"A'\"")

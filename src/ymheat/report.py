@@ -35,16 +35,6 @@ def all_passed(rows) -> bool:
     return all(r.get("verdict", "pass") == "pass" for r in rows)
 
 
-def _stringify(obj):
-    if isinstance(obj, float):
-        return float(format_float(obj))
-    if isinstance(obj, dict):
-        return {k: _stringify(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_stringify(v) for v in obj]
-    return obj
-
-
 def emit_json(results: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(results, f, indent=2, sort_keys=True,

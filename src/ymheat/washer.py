@@ -56,8 +56,6 @@ class WasherConfig:
 
     u_max: float = 40.0
     n_u: int = 128
-    n_theta: int = 64
-    tol: float = 1e-8
 
     def __post_init__(self):
         if self.u_max <= U_MIN:

@@ -49,13 +49,14 @@ def test_jacobi_identity(x, y, z):
 
 
 def test_bracket_matches_matrix_commutator(su2_alg, rng):
-    x = rng.standard_normal(3)
-    y = rng.standard_normal(3)
-    mx, my = su2_alg.to_matrices(x), su2_alg.to_matrices(y)
-    comm = mx @ my - my @ mx
-    assert np.allclose(
-        su2_alg.to_matrices(su2_alg.bracket(x, y)), comm, atol=1e-13
-    )
+    for shape in [(3,), (4, 5, 3)]:
+        x = rng.standard_normal(shape)
+        y = rng.standard_normal(shape)
+        mx, my = su2_alg.to_matrices(x), su2_alg.to_matrices(y)
+        comm = mx @ my - my @ mx
+        assert np.allclose(
+            su2_alg.to_matrices(su2_alg.bracket(x, y)), comm, atol=1e-13
+        )
 
 
 def test_u1_bracket_vanishes(u1_alg, rng):
@@ -81,15 +82,21 @@ def test_exp_small_angle_linearization(su2_alg):
 
 
 def test_commutator_constants():
-    assert abs(su2().c - 1.0) < 1e-9
+    assert su2().c == 1.0
     assert u1().c == 0.0
 
 
-def test_commutator_bound_is_sharp_on_maximizer(su2_alg):
-    x, y = su2_alg.maximizing_pair()
-    nb = np.linalg.norm(su2_alg.bracket(x, y))
-    assert nb <= su2_alg.c * np.linalg.norm(x) * np.linalg.norm(y) + 1e-12
-    assert nb >= (su2_alg.c - 1e-6) * np.linalg.norm(x) * np.linalg.norm(y)
+def test_commutator_bound_is_sharp_on_maximizer(su2_alg, u1_alg, rng):
+    for alg in (su2_alg, u1_alg):
+        x, y = alg.maximizing_pair()
+        assert np.linalg.norm(x) == 1.0 and np.linalg.norm(y) == 1.0
+        if alg.dim > 1:
+            assert x @ y == 0.0
+        assert np.linalg.norm(alg.bracket(x, y)) == alg.c
+        # and c bounds the bracket of every pair
+        x, y = rng.standard_normal((2, 200, alg.dim))
+        nb = alg.norm(alg.bracket(x, y))
+        assert np.all(nb <= alg.c * alg.norm(x) * alg.norm(y) * (1 + 1e-12))
 
 
 def test_norm_matches_matrix_inner(su2_alg, rng):

@@ -126,9 +126,29 @@ def test_zds_and_ym_agree_in_coulomb_gauge(unit_grid):
     # the gauge-fixing term d(d*A) vanishes on discretely divergence-free
     # data, so both right sides coincide there
     A0 = apply_boundary(coulomb_cosine(unit_grid), NEUMANN)
-    r1 = ym_rhs(A0, NEUMANN)
-    r2 = zds_rhs(A0, NEUMANN)
+    r1 = ym_rhs(A0, NEUMANN)[0]
+    r2 = zds_rhs(A0, NEUMANN)[0]
     assert (r1 + (-1.0) * r2).max_interior_norm(1) < 1e-11
+
+
+def test_integrate_evaluates_curvature_once_per_stage(monkeypatch, su2_alg):
+    # 1 curvature at t = 0, then stages 2-4 and the end state of each step
+    import ymheat.flow
+
+    grid = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
+    calls = []
+    real = ymheat.flow.curvature
+
+    def counting(A):
+        calls.append(1)
+        return real(A)
+
+    monkeypatch.setattr(ymheat.flow, "curvature", counting)
+    A0 = random_smooth(grid, su2_alg, seed=29, amplitude=0.05)
+    dt = 0.9 * _dt_max(grid)
+    traj = integrate(A0, FlowConfig(NEUMANN, dt, 5 * dt))
+    assert len(traj.monitors) - 1 == 5
+    assert len(calls) == 1 + 4 * 5
 
 
 def test_identities_hold_along_flow(unit_grid, su2_alg):
