@@ -111,7 +111,7 @@ CONFIG_SCHEMA = {
                             {"type": "number", "exclusiveMinimum": 0},
                             "minItems": 3, "maxItems": 3},
                 "shape": {"type": "array", "items":
-                          {"type": "integer", "minimum": 2},
+                          {"type": "integer", "minimum": 8},
                           "minItems": 3, "maxItems": 3},
             },
             "required": ["extents", "shape"],
@@ -476,10 +476,13 @@ def _cmd_verify_bounds(cfg, out, tol_scale, seed):
 
 
 def _cmd_verify_domination(cfg, out, tol_scale, seed):
-    grid, bc, A0, fc, traj = _run_flow(cfg, seed)
-    if bc.kind != "neumann":
+    if _boundary_from(cfg).kind != "neumann":
         raise ConfigError("heat-kernel domination is a Neumann check")
+    if len(set(cfg.get("flow", {}).get("snapshot_times", ()))) < 3:
+        raise ConfigError("domination needs >= 3 snapshot times")
+    grid, bc, A0, fc, traj = _run_flow(cfg, seed)
     if len(traj.times) < 3:
+        # a time within the 1e-12 slack past t_end is never reached
         raise ConfigError("domination needs >= 3 snapshot times")
     _monitor_csv(traj.monitors, out / "monitors.csv")
     sg = NeumannSemigroup(grid)

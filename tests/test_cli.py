@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ymheat import cli
 from ymheat.cli import load_config, main, ConfigError
 
 BASE_FLOW = {
@@ -170,3 +171,31 @@ def test_load_config_rejects_bad_boundary(tmp_path):
     p.write_text(json.dumps({"boundary": "periodic"}))
     with pytest.raises(ConfigError):
         load_config(p)
+
+
+def test_grid_below_library_minimum_is_config_error(tmp_path, capsys):
+    cfg = json.loads(json.dumps(BASE_FLOW))
+    cfg["grid"]["shape"] = [4, 4, 4]
+    assert _run(["flow", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("change", [
+    {"boundary": "dirichlet"},
+    {"flow": {"dt": 0.0008, "t_end": 0.004,
+              "snapshot_times": [0.0, 0.004, 0.004]}},
+    {"flow": {"dt": 0.0008, "t_end": 0.004}},
+])
+def test_verify_domination_rejects_before_flowing(tmp_path, capsys,
+                                                  monkeypatch, change):
+    def no_flow(*args, **kwargs):
+        raise AssertionError("integrate called")
+
+    monkeypatch.setattr(cli, "integrate", no_flow)
+    cfg = dict(BASE_FLOW, **change)
+    del cfg["oracle"]
+    assert _run(["verify-domination", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err

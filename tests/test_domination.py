@@ -2,9 +2,16 @@ import numpy as np
 import pytest
 
 from ymheat.fields import coulomb_cosine, random_smooth
-from ymheat.flow import FlowConfig, integrate
+from ymheat.flow import FlowConfig, FlowTrajectory, integrate
 from ymheat.grid import DIRICHLET, NEUMANN, GridSpec, apply_boundary
-from ymheat.neumann import NeumannSemigroup, diamagnetic_check, domination_check
+from ymheat import neumann
+from ymheat.neumann import (
+    NeumannSemigroup,
+    _omega_series,
+    compose_lemma_check,
+    diamagnetic_check,
+    domination_check,
+)
 from ymheat.tolerances import margin_tol
 
 
@@ -40,6 +47,75 @@ def test_domination_su2_both_kinds(grid, sg, su2_alg):
     for kind in ("B", "A'"):
         res = domination_check(sg, traj, omega_kind=kind)
         assert res["min_margin"] >= -tol, kind
+
+
+def _domination_by_heat_apply(sg, traj, omega_kind):
+    """The per-pair algorithm: every term transforms its field afresh."""
+    ts = np.asarray(traj.times)
+    omegas, sources = _omega_series(traj, omega_kind)
+    margins = []
+    for i in range(1, len(ts)):
+        t = ts[i]
+        bound = sg.heat_apply(t - ts[0], omegas[0])
+        evals = [sg.heat_apply(t - s, g)
+                 for s, g in zip(ts[: i + 1], sources[: i + 1])]
+        for j in range(i):
+            bound += 0.5 * (ts[j + 1] - ts[j]) * (evals[j] + evals[j + 1])
+        margins.append(float(np.min(bound - omegas[i])))
+    return margins
+
+
+@pytest.fixture(scope="module")
+def small_su2_traj(su2_alg):
+    small = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
+    A0 = random_smooth(small, su2_alg, seed=37, amplitude=0.3)
+    traj, _ = _flow(small, A0, t_end=0.004, n_snap=5)
+    return NeumannSemigroup(small), traj
+
+
+@pytest.mark.parametrize("kind", ["B", "A'"])
+def test_domination_equals_per_pair_heat_apply(small_su2_traj, kind):
+    sg, traj = small_su2_traj
+    res = domination_check(sg, traj, omega_kind=kind)
+    margins = _domination_by_heat_apply(sg, traj, kind)
+    assert res["per_time_margin"] == margins
+    assert res["min_margin"] == min(margins)
+
+
+@pytest.fixture()
+def dct_counts(monkeypatch):
+    counts = {"forward": 0, "inverse": 0}
+
+    def counted(fn, key):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(neumann, "dctn", counted(neumann.dctn, "forward"))
+    monkeypatch.setattr(neumann, "idctn", counted(neumann.idctn, "inverse"))
+    return counts
+
+
+@pytest.mark.parametrize("n_snap", [2, 5])
+def test_domination_transforms_each_snapshot_once(small_su2_traj, dct_counts,
+                                                  n_snap):
+    sg, traj = small_su2_traj
+    traj = FlowTrajectory(traj.times[:n_snap], traj.fields[:n_snap],
+                          traj.monitors, traj.config)
+    domination_check(sg, traj, omega_kind="A'")
+    assert dct_counts == {"forward": n_snap + 1,
+                          "inverse": (n_snap - 1) * (n_snap + 4) // 2}
+
+
+def test_compose_lemma_evaluates_each_duhamel_term_once(sg, dct_counts):
+    times = np.linspace(0.0, 0.08, 9)  # m = 8 steps
+    u = [np.ones(sg.grid.shape)] * len(times)
+    g = [np.full(sg.grid.shape, 0.1)] * len(times)
+    compose_lemma_check(sg, times, u, g, [0, 3, 5, 8])  # n = 3 subintervals
+    # g: m + 1 spectra; u and the composed bound: one heat_apply each per
+    # subinterval; the Duhamel terms: m + n evolutions in all
+    assert dct_counts == {"forward": 9 + 2 * 3, "inverse": 8 + 3 * 3}
 
 
 def test_domination_rejects_single_snapshot(grid, sg):
