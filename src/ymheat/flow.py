@@ -42,6 +42,7 @@ __all__ = [
 
 ENERGY_SLACK = 1e-12  # relative increase of ||B||_2 tolerated per step
 DT_FLOOR = 1e-12
+TIME_TOL = 1e-14  # times closer than this count as reached
 
 
 class FlowInstabilityError(RuntimeError):
@@ -80,8 +81,15 @@ class FlowConfig:
                 f"dt = {self.dt:g} exceeds the stability ceiling h^2/8 = "
                 f"{hmin * hmin / 8:g}"
             )
-        if any(t < 0 or t > self.t_end + 1e-12 for t in self.snapshot_times):
+        if any(t < 0 or t > self.t_end + TIME_TOL
+               for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, t_end]")
+
+    def snapshot_schedule(self) -> list:
+        """The distinct snapshot times `integrate` records, in order; a
+        time within TIME_TOL past t_end is recorded at t_end."""
+        return sorted(set(min(float(s), self.t_end)
+                          for s in self.snapshot_times))
 
 
 class MonitorSeries:
@@ -193,7 +201,7 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
     bc = cfg.bc
 
     A = apply_boundary(A0, bc)
-    snap_queue = sorted(set(float(s) for s in cfg.snapshot_times))
+    snap_queue = cfg.snapshot_schedule()
     times, fields = [], []
     monitors = MonitorSeries(A.algebra.c)
 
@@ -202,12 +210,13 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
     step = 0
     k1, B = rhs(A, bc)
     _record(monitors, t, A, k1, B, bc)
-    if snap_queue and abs(snap_queue[0] - t) < 1e-14:
+    if snap_queue and abs(snap_queue[0] - t) < TIME_TOL:
         times.append(t)
         fields.append(A.copy())
         snap_queue.pop(0)
 
-    while t < cfg.t_end - 1e-14:
+    # a snapshot within TIME_TOL of the last one still gets its own step
+    while t < cfg.t_end - TIME_TOL or snap_queue:
         target = cfg.t_end
         if snap_queue:
             target = min(target, snap_queue[0])
@@ -230,7 +239,7 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
         t += dt_step
         step += 1
         _record(monitors, t, A, k1, B, bc)
-        if snap_queue and t >= snap_queue[0] - 1e-14:
+        if snap_queue and t >= snap_queue[0] - TIME_TOL:
             times.append(t)
             fields.append(A.copy())
             snap_queue.pop(0)

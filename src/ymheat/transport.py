@@ -2,9 +2,12 @@
 
 Transport solves g^{-1} g' = A<gamma'(s)> with g(0) = I along piecewise-C1
 paths, interpolating A trilinearly off the grid and re-projecting g to the
-group after every step (polar decomposition).  Wilson traces, the
-loop-to-path extension by radial homotopies, the perturbation-derivative
-bound, and the flow-time convergence probe build on it.
+group after every RK4 step (polar decomposition).  One kernel,
+`transport_many`, advances every (path, field) pair of a run as one
+stacked array of group elements; `transport` is that kernel on a single
+pair.  Wilson traces, the loop-to-path extension by radial homotopies,
+the perturbation-derivative bound, and the flow-time convergence probe
+build on it.
 """
 
 from __future__ import annotations
@@ -27,7 +30,11 @@ __all__ = [
     "arc_segment",
     "segment_from_json",
     "line_integral",
+    "check_band",
+    "check_paths",
+    "check_ladder",
     "transport",
+    "transport_many",
     "wilson_trace",
     "loops_to_paths",
     "deriv_bound_check",
@@ -220,10 +227,8 @@ class Homotopy:
 class _FieldInterpolator:
     """Trilinear interpolation of a 1-form's coefficients off the grid."""
 
-    def __init__(self, A: KForm, band: float | None = None):
+    def __init__(self, A: KForm):
         grid = A.grid
-        self.grid = grid
-        self.band = min(grid.spacing) if band is None else band
         axes = [grid.axis_coords(a) for a in range(3)]
         # stack (component, algebra-coefficient) into one trailing axis
         vals = np.moveaxis(A.interior, 0, -2)  # (n1,n2,n3, 3, dim)
@@ -231,32 +236,45 @@ class _FieldInterpolator:
         self._interp = RegularGridInterpolator(axes, flat, method="linear")
         self.dim = A.algebra.dim
 
-    def check_band(self, points):
-        lo = np.min(points, axis=0)
-        hi = np.max(points, axis=0)
-        for a, L in enumerate(self.grid.extents):
-            if lo[a] < self.band * (1 - 1e-9) or hi[a] > L - self.band * (1 - 1e-9):
-                raise ValueError(
-                    "path exits the safe interior band "
-                    f"(axis {a}: range [{lo[a]:.4g}, {hi[a]:.4g}])"
-                )
-
     def along(self, points, velocities):
         """Coefficients of A<gamma'(s)> at the given points, shape (n, dim)."""
         vals = self._interp(points).reshape(len(points), 3, self.dim)
         return np.einsum("njd,nj->nd", vals, velocities)
 
 
+def check_band(grid: GridSpec, points) -> None:
+    """Raise ValueError if a point leaves the interior band: the box
+    shrunk by one (smallest) grid spacing, where interpolation is safe."""
+    band = min(grid.spacing)
+    lo = np.min(points, axis=0)
+    hi = np.max(points, axis=0)
+    for a, L in enumerate(grid.extents):
+        if lo[a] < band * (1 - 1e-9) or hi[a] > L - band * (1 - 1e-9):
+            raise ValueError(
+                "path exits the safe interior band "
+                f"(axis {a}: range [{lo[a]:.4g}, {hi[a]:.4g}])"
+            )
+
+
+def check_paths(grid: GridSpec, paths, n_steps: int) -> None:
+    """`check_band` on the RK4 sample points of every segment of every path."""
+    s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+    for path in paths:
+        for seg in path.segments:
+            check_band(grid, np.asarray(seg.position(s), dtype=float))
+
+
 def _project_group(g: np.ndarray) -> np.ndarray:
-    """Nearest unitary via polar decomposition."""
-    if g.shape == (1, 1):
-        return g / abs(g[0, 0])
+    """Nearest unitary to each matrix of a (P, r, r) stack, by polar
+    decomposition; SU(2) elements are also scaled to unit determinant."""
+    if g.shape[-1] == 1:
+        # hypot rounds as abs of one complex scalar does; np.abs of a
+        # complex array may differ in the last bit
+        return g / np.hypot(g.real, g.imag)
     u, _, vh = np.linalg.svd(g)
     p = u @ vh
-    if g.shape == (2, 2):
-        # restore unit determinant lost to rounding
-        p = p / np.sqrt(np.linalg.det(p))
-    return p
+    # restore unit determinant lost to rounding
+    return p / np.sqrt(np.linalg.det(p))[:, None, None]
 
 
 def line_integral(A: KForm, path: Path, n_nodes: int = 1025) -> np.ndarray:
@@ -271,43 +289,79 @@ def line_integral(A: KForm, path: Path, n_nodes: int = 1025) -> np.ndarray:
     for seg in path.segments:
         pts = np.asarray(seg.position(s), dtype=float)
         vels = np.asarray(seg.velocity(s), dtype=float)
-        interp.check_band(pts)
+        check_band(A.grid, pts)
         total += np.trapezoid(interp.along(pts, vels), s, axis=0)
     return total
 
 
-def transport(A: KForm, path: Path, n_steps: int = 256,
-              interp: _FieldInterpolator | None = None) -> np.ndarray:
-    """Holonomy g(1) of the ODE g' = g A<gamma'> along a path.
+# RK4 steps whose generator matrices are built at once: bounds the memory
+# of the stacked matrices, which for all steps of a run would be megabytes
+CHUNK_STEPS = 128
 
-    RK4 with `n_steps` stages per segment; the group element is
-    re-projected by polar decomposition after every step so the
-    unitarity deviation stays below 1e-10.
+
+def transport_many(fields, paths, n_steps: int = 256) -> np.ndarray:
+    """Holonomies of every (path, field) pair, shape (n_paths, n_fields, r, r).
+
+    Solves g' = g A<gamma'> with g(0) = I by RK4 with `n_steps` steps per
+    segment, re-projecting g to the group by polar decomposition after
+    every step so the unitarity deviation stays below 1e-10.  All pairs
+    advance as one stacked (P, r, r) array through the same arithmetic a
+    single pair would see, so each holonomy has the bits it has alone.
+    Segment slot j advances the pairs whose path has more than j segments;
+    rows are ordered longest path first, so those pairs are a leading
+    slice of the stack.  The fields share one grid and algebra (snapshots
+    of one run); every segment passes `check_band` before the first step.
     """
-    alg = A.algebra
-    if interp is None:
-        interp = _FieldInterpolator(A)
-    g = np.eye(alg.rep_dim, dtype=complex)
-    for seg in path.segments:
-        s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-        pts = np.asarray(seg.position(s), dtype=float)
-        vels = np.asarray(seg.velocity(s), dtype=float)
-        interp.check_band(pts)
-        coeffs = interp.along(pts, vels)
-        mats = alg.to_matrices(coeffs)  # (2n+1, rep, rep)
-        ds = 1.0 / n_steps
-        for i in range(n_steps):
-            a0, am, a1 = mats[2 * i], mats[2 * i + 1], mats[2 * i + 2]
-            k1 = g @ a0
-            k2 = (g + 0.5 * ds * k1) @ am
-            k3 = (g + 0.5 * ds * k2) @ am
-            k4 = (g + ds * k3) @ a1
-            g = g + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            g = _project_group(g)
-    dev = np.max(np.abs(np.conj(g.T) @ g - np.eye(alg.rep_dim)))
+    alg = fields[0].algebra
+    check_paths(fields[0].grid, paths, n_steps)
+    interps = [_FieldInterpolator(A) for A in fields]
+
+    order = sorted(range(len(paths)), key=lambda p: -len(paths[p].segments))
+    n_fields, r = len(fields), alg.rep_dim
+    g = np.broadcast_to(np.eye(r, dtype=complex),
+                        (len(paths) * n_fields, r, r)).copy()
+    s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+    ds = 1.0 / n_steps
+    mats = np.empty((len(g), 2 * CHUNK_STEPS + 1, r, r), dtype=complex)
+    for j in range(len(paths[order[0]].segments)):
+        active = [p for p in order if len(paths[p].segments) > j]
+        rows = len(active) * n_fields
+        for i0 in range(0, n_steps, CHUNK_STEPS):
+            i1 = min(i0 + CHUNK_STEPS, n_steps)
+            # a slice of the segment's linspace: the same sample points
+            sc = s[2 * i0:2 * i1 + 1]
+            for k, p in enumerate(active):
+                seg = paths[p].segments[j]
+                pts = np.asarray(seg.position(sc), dtype=float)
+                vels = np.asarray(seg.velocity(sc), dtype=float)
+                for f, interp in enumerate(interps):
+                    mats[k * n_fields + f, :len(sc)] = alg.to_matrices(
+                        interp.along(pts, vels))
+            G = g[:rows]
+            for i in range(i1 - i0):
+                a0 = mats[:rows, 2 * i]
+                am = mats[:rows, 2 * i + 1]
+                a1 = mats[:rows, 2 * i + 2]
+                k1 = G @ a0
+                k2 = (G + 0.5 * ds * k1) @ am
+                k3 = (G + 0.5 * ds * k2) @ am
+                k4 = (G + ds * k3) @ a1
+                G = G + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                G = _project_group(G)
+            g[:rows] = G
+
+    dev = np.max(np.abs(np.conj(np.swapaxes(g, -1, -2)) @ g - np.eye(r)))
     if dev > UNITARITY_TOL:
         raise RuntimeError(f"transport left the group (deviation {dev:.3e})")
-    return g
+    out = np.empty((len(paths), n_fields, r, r), dtype=complex)
+    out[order] = g.reshape(len(paths), n_fields, r, r)
+    return out
+
+
+def transport(A: KForm, path: Path, n_steps: int = 256) -> np.ndarray:
+    """Holonomy g(1) of g' = g A<gamma'> along one path (`transport_many`
+    on a single pair)."""
+    return transport_many([A], [path], n_steps)[0, 0]
 
 
 def wilson_trace(A: KForm, loop: Loop, n_steps: int = 256) -> complex:
@@ -347,9 +401,8 @@ def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation,
     """
     gamma = loop.as_single_segment()
     diam = max(A.grid.extents)
-    interp = _FieldInterpolator(A)
 
-    def holonomy(eps):
+    def perturbed(eps):
         def pos(s):
             s = np.asarray(s, dtype=float)
             return gamma.position(s) + eps * np.asarray(
@@ -362,18 +415,19 @@ def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation,
                 [u.u_prime(x) for x in np.atleast_1d(s)]
             ).reshape(s.shape + (3,))
 
-        return transport(A, Path([Segment(pos, vel)]),
-                         n_steps=4 * n_steps, interp=interp)
+        return Path([Segment(pos, vel)])
 
     if u.sup_u == 0.0:
         deriv_norm = 0.0
         richardson_dev = 0.0
     else:
-        derivs = []
-        for es in eps_scale:
-            eps = es * diam
-            d = (holonomy(eps) - holonomy(-eps)) / (2 * eps)
-            derivs.append(d)
+        epss = [es * diam for es in eps_scale]
+        hols = transport_many(
+            [A], [perturbed(sign * eps) for eps in epss for sign in (1, -1)],
+            n_steps=4 * n_steps,
+        )[:, 0]
+        derivs = [(hols[2 * i] - hols[2 * i + 1]) / (2 * eps)
+                  for i, eps in enumerate(epss)]
         scale = max(np.linalg.norm(d, 2) for d in derivs)
         richardson_dev = 0.0
         if scale > 0:
@@ -401,33 +455,36 @@ def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation,
     }
 
 
-def convergence_probe(traj, loops, n_steps: int = 256) -> dict:
-    """Wilson traces of flowed fields along a dyadic time ladder.
-
-    For each loop, records trace(t_j) and successive absolute differences
-    (expected nonincreasing as the flow smooths the field), and checks the
-    transport equicontinuity estimate ||//_g - //_e|| <= 2 b L sup|g - e|
-    across loop pairs at the final time, with b the max of ||B(t)||_inf
-    over the ladder from the monitors.
-    """
-    ts = list(traj.times)
+def check_ladder(times) -> None:
+    """Raise ValueError unless the times form a dyadic ladder of >= 4 rungs."""
+    ts = list(times)
     if len(ts) < 4:
         raise ValueError("time ladder too short (< 4 rungs)")
     for t1, t2 in zip(ts, ts[1:]):
         if abs(t2 - 2 * t1) > 1e-9 * t2:
             raise ValueError("snapshot times do not form a dyadic ladder")
 
-    traces = []
-    for A in traj.fields:
-        traces.append([wilson_trace(A, lp, n_steps=n_steps) for lp in loops])
-    traces = np.asarray(traces)  # (n_times, n_loops)
+
+def convergence_probe(traj, loops, holonomies) -> dict:
+    """Wilson traces of flowed fields along a dyadic time ladder.
+
+    For each loop, records trace(t_j) and successive absolute differences
+    (expected nonincreasing as the flow smooths the field), and checks the
+    transport equicontinuity estimate ||//_g - //_e|| <= 2 b L sup|g - e|
+    across loop pairs at the final time, with b the max of ||B(t)||_inf
+    over the ladder from the monitors.  `holonomies` is
+    `transport_many(traj.fields, loops, n_steps)`.
+    """
+    ts = list(traj.times)
+    check_ladder(ts)
+    # (n_times, n_loops)
+    traces = np.trace(holonomies, axis1=-2, axis2=-1).T
     diffs = np.abs(np.diff(traces, axis=0))
 
     m = traj.monitors
     mask = m.t >= ts[0] - 1e-12
     b = float(np.max(m.B_linf[mask]))
-    A_last = traj.fields[-1]
-    hols = [transport(A_last, lp, n_steps=n_steps) for lp in loops]
+    hols = holonomies[:, -1]
     s = np.linspace(0.0, 1.0, 513)
     pts = [lp.as_single_segment().position(s) for lp in loops]
     lengths = [lp.length() for lp in loops]
@@ -448,7 +505,7 @@ def convergence_probe(traj, loops, n_steps: int = 256) -> dict:
         "diffs_nonincreasing_tail": bool(
             np.all(diffs[-2] <= diffs[-3] + 1e-12)
             and np.all(diffs[-1] <= diffs[-2] + 1e-12)
-        ) if len(ts) >= 4 else None,
+        ),
         "equicontinuity": pair_rows,
         "b_sup": b,
     }

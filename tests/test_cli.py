@@ -1,9 +1,12 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from ymheat import cli
+from ymheat import cli, transport
 from ymheat.cli import load_config, main, ConfigError
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 BASE_FLOW = {
     "grid": {"extents": [1, 1, 1], "shape": [12, 12, 12]},
@@ -187,6 +190,9 @@ def test_grid_below_library_minimum_is_config_error(tmp_path, capsys):
     {"flow": {"dt": 0.0008, "t_end": 0.004,
               "snapshot_times": [0.0, 0.004, 0.004]}},
     {"flow": {"dt": 0.0008, "t_end": 0.004}},
+    {"grid": {"extents": [1, 1, 1], "shape": [10, 10, 10]},
+     "flow": {"dt": 0.0008, "t_end": 0.004,
+              "snapshot_times": [0.0, 0.002, 0.0040000000005]}},
 ])
 def test_verify_domination_rejects_before_flowing(tmp_path, capsys,
                                                   monkeypatch, change):
@@ -199,3 +205,78 @@ def test_verify_domination_rejects_before_flowing(tmp_path, capsys,
     assert _run(["verify-domination", "--config", _write(tmp_path, cfg),
                  "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+CIRCLE = [{"kind": "arc", "center": [0.5, 0.5], "radius": 0.2,
+           "phi0": 0.0, "phi1": 6.283185307179586, "z": 0.5}]
+HALF_DISC = [
+    {"kind": "arc", "center": [0.5, 0.5], "radius": 0.2,
+     "phi0": 0.0, "phi1": 3.141592653589793, "z": 0.5},
+    {"kind": "line", "start": [0.3, 0.5, 0.5], "end": [0.7, 0.5, 0.5]},
+]
+SQUARE = [
+    {"kind": "line", "start": a, "end": b} for a, b in zip(
+        [[0.3, 0.3, 0.5], [0.7, 0.3, 0.5], [0.7, 0.7, 0.5], [0.3, 0.7, 0.5]],
+        [[0.7, 0.3, 0.5], [0.7, 0.7, 0.5], [0.3, 0.7, 0.5], [0.3, 0.3, 0.5]])
+]
+WILSON = {
+    "grid": {"extents": [1, 1, 1], "shape": [10, 10, 10]},
+    "boundary": "neumann",
+    "field": {"kind": "random-smooth", "seed": 11, "amplitude": 0.3,
+              "algebra": "SU2"},
+    "loops": [CIRCLE, SQUARE, HALF_DISC],
+    "wilson": {"n_steps": 16, "ladder": [0.005, 0.01, 0.02, 0.04]},
+}
+
+
+@pytest.mark.parametrize("change", [
+    {"loops": [CIRCLE, [{"kind": "line", "start": [0.3, 0.3, 0.5],
+                         "end": [0.7, 0.7, 0.5]}]]},
+    {"loops": [CIRCLE, [{"kind": "arc", "center": [0.5, 0.5],
+                         "radius": 0.45, "phi0": 0.0,
+                         "phi1": 6.283185307179586, "z": 0.5}]]},
+    {"wilson": {"n_steps": 16, "ladder": [0.005, 0.01, 0.02, 0.05]}},
+], ids=["unclosed", "leaves_band", "ladder_not_dyadic"])
+def test_wilson_rejects_before_flowing(tmp_path, capsys, monkeypatch,
+                                       change):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("flow or transport called")
+
+    monkeypatch.setattr(cli, "integrate", forbidden)
+    monkeypatch.setattr(cli, "transport_many", forbidden)
+    cfg = dict(WILSON, **change)
+    assert _run(["wilson", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+
+
+def test_wilson_transports_each_pair_once(tmp_path, monkeypatch):
+    pairs, projections = [], [0]
+    kernel, project = transport.transport_many, transport._project_group
+
+    def counting_kernel(fields, paths, *args, **kwargs):
+        pairs.extend((id(A), id(p)) for A in fields for p in paths)
+        return kernel(fields, paths, *args, **kwargs)
+
+    def counting_project(g):
+        projections[0] += 1
+        return project(g)
+
+    monkeypatch.setattr(cli, "transport_many", counting_kernel)
+    monkeypatch.setattr(transport, "transport_many", counting_kernel)
+    monkeypatch.setattr(transport, "_project_group", counting_project)
+    assert cli.execute("wilson", WILSON, tmp_path) == 0
+    n_fields = 1 + len(WILSON["wilson"]["ladder"])
+    assert len(pairs) == len(set(pairs)) == n_fields * len(WILSON["loops"])
+    assert projections[0] == len(SQUARE) * WILSON["wilson"]["n_steps"]
+
+
+def test_wilson_ladder_workload_matches_reference(tmp_path):
+    cfg = json.loads((PERFBENCH / "workloads" / "wilson-ladder.json")
+                     .read_text())
+    assert cfg["field"]["seed"] == 11
+    assert cli.execute("wilson", cfg, tmp_path) == 0
+    ref = PERFBENCH / "references" / "wilson-ladder.seed11.json"
+    assert json.loads((tmp_path / "report.json").read_text()) == \
+        json.loads(ref.read_text())

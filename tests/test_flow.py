@@ -7,6 +7,7 @@ from ymheat.algebra import su2
 from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import (
     DT_FLOOR,
+    TIME_TOL,
     FlowAbortError,
     FlowConfig,
     FlowConstants,
@@ -111,6 +112,28 @@ def test_snapshot_times_are_hit_exactly(unit_grid, su2_alg):
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 0.004,
                                     snapshot_times=snaps))
     assert np.allclose(traj.times, snaps, atol=1e-12)
+
+
+@pytest.mark.parametrize("snaps", [
+    (0.0, 0.004 - 0.5 * TIME_TOL, 0.004),
+    (0.0, 0.002, 0.004 + 0.5 * TIME_TOL),
+])
+def test_every_validated_snapshot_time_is_recorded(coarse_grid, su2_alg,
+                                                   snaps):
+    A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+    cfg = FlowConfig(NEUMANN, _dt_max(coarse_grid) * 0.9, 0.004,
+                     snapshot_times=snaps)
+    cfg.validate(coarse_grid)
+    traj = integrate(A0, cfg)
+    assert traj.times == cfg.snapshot_schedule()
+    assert len(traj.times) == 3 and traj.times[-1] == 0.004
+
+
+def test_config_rejects_snapshot_time_past_tolerance(unit_grid):
+    cfg = FlowConfig(NEUMANN, dt=1e-4, t_end=0.004,
+                     snapshot_times=(0.0, 0.002, 0.004 + 50 * TIME_TOL))
+    with pytest.raises(ValueError, match="snapshot"):
+        cfg.validate(unit_grid)
 
 
 def test_nan_initial_data_aborts(unit_grid, su2_alg):

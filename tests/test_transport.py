@@ -3,22 +3,28 @@ import math
 import numpy as np
 import pytest
 
+from ymheat.algebra import su2, u1
 from ymheat.fields import random_smooth
 from ymheat.calculus import gauge_transform, gauge_transform_form
+from ymheat.flow import FlowConfig, integrate
 from ymheat.grid import GridSpec, NEUMANN, apply_boundary
 from ymheat.transport import (
+    CHUNK_STEPS,
     Homotopy,
     Loop,
     Path,
     PathPerturbation,
     arc_segment,
+    convergence_probe,
     deriv_bound_check,
     line_integral,
     line_segment,
     loops_to_paths,
     segment_from_json,
     transport,
+    transport_many,
     wilson_trace,
+    _FieldInterpolator,
 )
 
 CENTER = (0.5, 0.5, 0.5)
@@ -221,3 +227,65 @@ def test_deriv_bound_zero_perturbation(field):
     res = deriv_bound_check(field, loop, u)
     assert res["derivative_norm"] == 0.0
     assert res["margin"] >= 0.0
+
+
+def _reference_transport(A, path, n_steps):
+    """Unchunked per-pair RK4 with per-matrix polar projection: the loop
+    `transport_many` batches, kept here to pin its bits."""
+    interp = _FieldInterpolator(A)
+    g = np.eye(A.algebra.rep_dim, dtype=complex)
+    ds = 1.0 / n_steps
+    s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+    for seg in path.segments:
+        mats = A.algebra.to_matrices(interp.along(
+            np.asarray(seg.position(s), dtype=float),
+            np.asarray(seg.velocity(s), dtype=float)))
+        for i in range(n_steps):
+            a0, am, a1 = mats[2 * i], mats[2 * i + 1], mats[2 * i + 2]
+            k1 = g @ a0
+            k2 = (g + 0.5 * ds * k1) @ am
+            k3 = (g + 0.5 * ds * k2) @ am
+            k4 = (g + ds * k3) @ a1
+            g = g + (ds / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+            if g.shape == (1, 1):
+                g = g / abs(g[0, 0])
+            else:
+                u, _, vh = np.linalg.svd(g)
+                p = u @ vh
+                g = p / np.sqrt(np.linalg.det(p))
+    return g
+
+
+@pytest.mark.parametrize("algebra", [su2, u1])
+@pytest.mark.parametrize("n_fields", [1, 3])
+def test_transport_many_equals_per_pair_reference(algebra, n_fields):
+    grid = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
+    fields = [apply_boundary(random_smooth(grid, algebra(), seed=50 + i,
+                                           amplitude=0.4), NEUMANN)
+              for i in range(n_fields)]
+    loops = [_loop_battery()[4], _square(0.2), _circle(0.2)]  # 2, 4, 1 segs
+    # one full and one partial chunk of steps per segment
+    n_steps = CHUNK_STEPS + 72
+    hols = transport_many(fields, loops, n_steps=n_steps)
+    r = fields[0].algebra.rep_dim
+    assert hols.shape == (len(loops), n_fields, r, r)
+    expected = [[_reference_transport(A, lp, n_steps) for A in fields]
+                for lp in loops]
+    assert np.array_equal(hols, np.asarray(expected))
+    single = [[transport(A, lp, n_steps=n_steps) for A in fields]
+              for lp in loops]
+    assert np.array_equal(hols, np.asarray(single))
+
+
+def test_convergence_probe_traces_match_wilson_trace():
+    grid = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
+    A0 = random_smooth(grid, su2(), seed=11, amplitude=0.3)
+    h = min(grid.spacing)
+    traj = integrate(A0, FlowConfig(NEUMANN, h * h / 8, 0.04,
+                                    snapshot_times=(0.005, 0.01, 0.02, 0.04)))
+    loops = [_circle(0.2), _square(0.2)]
+    probe = convergence_probe(traj, loops,
+                              transport_many(traj.fields, loops, 32))
+    expected = [[wilson_trace(F, lp, n_steps=32) for lp in loops]
+                for F in traj.fields]
+    assert np.array_equal(probe["traces"], np.asarray(expected))
