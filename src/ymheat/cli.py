@@ -4,7 +4,8 @@ Every run reads one JSON config (schema-validated, unknown keys
 rejected), executes a single subcommand, and writes a JSON report of
 inequality checks plus CSV time series into the output directory.
 Exit status: 0 if every check passes, 1 if any check fails, 2 on a
-configuration/schema problem, 3 on a numerical abort.
+configuration problem (any ``ValueError``: the schema's, the builders'
+or a library input check), 3 on a numerical abort (any ``RuntimeError``).
 """
 
 from __future__ import annotations
@@ -21,14 +22,7 @@ import jsonschema
 from . import report
 from .algebra import su2, u1
 from .fields import coulomb_cosine, random_smooth
-from .flow import (
-    FlowAbortError,
-    FlowConfig,
-    FlowConstants,
-    FlowInstabilityError,
-    integrate,
-    verify_bounds,
-)
+from .flow import FlowConfig, FlowConstants, dt_ceiling, integrate, verify_bounds
 from .grid import BoundarySpec, GridSpec, apply_boundary
 from .neumann import (
     NeumannSemigroup,
@@ -36,7 +30,7 @@ from .neumann import (
     diamagnetic_check,
     domination_check,
 )
-from .snapshot import SnapshotError, snapshot_read, snapshot_write
+from .snapshot import snapshot_read, snapshot_write
 from .tolerances import margin_tol
 from .transport import (
     Loop,
@@ -63,18 +57,6 @@ from .washer import (
 )
 
 __all__ = ["main", "execute", "load_config", "CONFIG_SCHEMA"]
-
-COMMANDS = (
-    "flow",
-    "verify-domination",
-    "verify-diamagnetic",
-    "verify-bounds",
-    "constants",
-    "wilson",
-    "washer-energy",
-    "washer-flux",
-    "washer-regularize",
-)
 
 
 class ConfigError(ValueError):
@@ -129,7 +111,6 @@ CONFIG_SCHEMA = {
                 "amplitude": {"type": "number"},
                 "seed": {"type": "integer", "minimum": 0},
                 "algebra": {"enum": ["U1", "SU2"]},
-                "degree": {"type": "integer", "minimum": 0, "maximum": 3},
                 "path": {"type": "string"},
             },
             "required": ["kind"],
@@ -281,15 +262,18 @@ def _field_from(cfg: dict, grid: GridSpec, seed_override=None):
         if "path" not in f:
             raise ConfigError("field kind 'snapshot' requires 'path'")
         field, _t = snapshot_read(f["path"])
+        if field.grid != grid or field.degree != 1:
+            raise ConfigError(
+                f"snapshot holds a {field.degree}-form on {field.grid}; "
+                f"the run needs a 1-form on {grid}"
+            )
         return field
     if kind == "coulomb-cosine":
         return coulomb_cosine(grid, amplitude=f.get("amplitude", 1.0))
     alg = {"U1": u1, "SU2": su2}[f.get("algebra", "SU2")]()
     seed = f.get("seed", 0) if seed_override is None else seed_override
-    return random_smooth(
-        grid, alg, seed=seed, amplitude=f.get("amplitude", 0.05),
-        degree=f.get("degree", 1),
-    )
+    return random_smooth(grid, alg, seed=seed,
+                         amplitude=f.get("amplitude", 0.05))
 
 
 def _flow_config(cfg: dict, bc: BoundarySpec) -> FlowConfig:
@@ -303,6 +287,13 @@ def _flow_config(cfg: dict, bc: BoundarySpec) -> FlowConfig:
         variant=fl.get("variant", "YM"),
         snapshot_times=tuple(fl.get("snapshot_times", ())),
     )
+
+
+def _flow(A0, fc: FlowConfig):
+    """Check fc against A0's grid, then flow: a rejected config never
+    starts an integration."""
+    fc.validate(A0.grid)
+    return integrate(A0, fc)
 
 
 def _washer_config(cfg: dict) -> WasherConfig:
@@ -349,8 +340,6 @@ def _loops_from(cfg: dict):
         return [Loop([segment_from_json(s) for s in spec]) for spec in specs]
     except KeyError as e:
         raise ConfigError(f"loop segment lacks {e}") from e
-    except ValueError as e:
-        raise ConfigError(f"bad loop: {e}") from e
 
 
 def _rim_loop_path(eps: float, r_out: float, phi_span: float,
@@ -381,8 +370,7 @@ def _radial(center, phi, r0, r1):
 
 
 def _cmd_constants(cfg, out, tol_scale, seed):
-    grid = cfg.get("grid")
-    grid = GridSpec(tuple(grid["extents"]), tuple(grid["shape"])) if grid \
+    grid = _grid_from(cfg) if "grid" in cfg \
         else GridSpec((1.0, 1.0, 1.0), (16, 16, 16))
     opts = cfg.get("constants", {})
     km = opts.get("kernel_modes", 512)
@@ -415,21 +403,9 @@ def _cmd_constants(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _run_flow(cfg, seed):
-    grid = _grid_from(cfg)
-    bc = _boundary_from(cfg)
-    A0 = _field_from(cfg, grid, seed_override=seed)
-    fc = _flow_config(cfg, bc)
-    try:
-        fc.validate(grid)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    traj = integrate(A0, fc)
-    return grid, bc, A0, fc, traj
-
-
 def _cmd_flow(cfg, out, tol_scale, seed):
-    grid, bc, A0, fc, traj = _run_flow(cfg, seed)
+    A0 = _field_from(cfg, _grid_from(cfg), seed_override=seed)
+    traj = _flow(A0, _flow_config(cfg, _boundary_from(cfg)))
     m = traj.monitors
     _monitor_csv(m, out / "monitors.csv")
     if cfg.get("flow", {}).get("write_snapshots", False):
@@ -460,7 +436,9 @@ def _cmd_flow(cfg, out, tol_scale, seed):
 
 
 def _cmd_verify_bounds(cfg, out, tol_scale, seed):
-    grid, bc, A0, fc, traj = _run_flow(cfg, seed)
+    grid = _grid_from(cfg)
+    fc = _flow_config(cfg, _boundary_from(cfg))
+    traj = _flow(_field_from(cfg, grid, seed_override=seed), fc)
     _monitor_csv(traj.monitors, out / "monitors.csv")
     opts = cfg.get("constants", {})
     sg = NeumannSemigroup(grid, kernel_modes=opts.get("kernel_modes", 512))
@@ -482,12 +460,14 @@ def _cmd_verify_bounds(cfg, out, tol_scale, seed):
 
 
 def _cmd_verify_domination(cfg, out, tol_scale, seed):
+    grid = _grid_from(cfg)
     bc = _boundary_from(cfg)
     if bc.kind != "neumann":
         raise ConfigError("heat-kernel domination is a Neumann check")
-    if len(_flow_config(cfg, bc).snapshot_schedule()) < 3:
+    fc = _flow_config(cfg, bc)
+    if len(fc.snapshot_schedule()) < 3:
         raise ConfigError("domination needs >= 3 snapshot times")
-    grid, bc, A0, fc, traj = _run_flow(cfg, seed)
+    traj = _flow(_field_from(cfg, grid, seed_override=seed), fc)
     _monitor_csv(traj.monitors, out / "monitors.csv")
     sg = NeumannSemigroup(grid)
     kinds = cfg.get("domination", {}).get("omega_kinds", ["B", "A'"])
@@ -514,16 +494,13 @@ def _cmd_verify_diamagnetic(cfg, out, tol_scale, seed):
         grid, A.algebra, seed=dia.get("omega_seed", 1),
         amplitude=0.3, degree=dia.get("omega_degree", 2),
     )
-    h = min(grid.spacing)
-    dt = h * h / 8
-    tol = margin_tol(h, dt, tol_scale)
+    tol = margin_tol(min(grid.spacing), dt_ceiling(grid), tol_scale)
+    sg = NeumannSemigroup(grid)
     rows, results = [], {"t": t}
     for kind in dia.get("boundaries", ["neumann", "dirichlet"]):
         bc = BoundarySpec(kind)
-        res = diamagnetic_check(
-            NeumannSemigroup(grid), apply_boundary(A, bc),
-            apply_boundary(omega0, bc), t,
-        )
+        res = diamagnetic_check(sg, apply_boundary(A, bc),
+                                apply_boundary(omega0, bc), t)
         rows.append(report.check_row(
             f"diamagnetic_{kind}", -res["min_margin"], 0.0, tol))
         results[f"min_margin_{kind}"] = res["min_margin"]
@@ -536,23 +513,19 @@ def _cmd_wilson(cfg, out, tol_scale, seed):
     opts = cfg.get("wilson", {})
     n_steps = opts.get("n_steps", 256)
     ladder = opts.get("ladder")
-    A = apply_boundary(_field_from(cfg, grid, seed_override=seed),
-                       _boundary_from(cfg))
-    try:
-        check_paths(A.grid, loops, n_steps)
-        if ladder is not None:
-            check_ladder(sorted(set(ladder)))
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+    bc = _boundary_from(cfg)
+    A = apply_boundary(_field_from(cfg, grid, seed_override=seed), bc)
+    check_paths(grid, loops, n_steps)
     fields = [A]
     if ladder is not None:
-        fl = dict(cfg.get("flow") or {})
-        fl.setdefault("dt", min(grid.spacing) ** 2 / 8)
-        fl["t_end"] = max(ladder)
-        fl["snapshot_times"] = sorted(ladder)
-        run_cfg = dict(cfg)
-        run_cfg["flow"] = fl
-        _, _, _, _, traj = _run_flow(run_cfg, seed)
+        check_ladder(sorted(set(ladder)))
+        fl = cfg.get("flow", {})
+        if "snapshot_times" in fl or fl.get("t_end", max(ladder)) != max(ladder):
+            raise ConfigError("a wilson ladder sets the flow's snapshot "
+                              "times and ends at its top rung")
+        fc = FlowConfig(bc, fl.get("dt", dt_ceiling(grid)), max(ladder),
+                        fl.get("variant", "YM"), tuple(sorted(ladder)))
+        traj = _flow(A, fc)
         fields += traj.fields
     # every (loop, field) pair in one call; column 0 is the t = 0 field
     hols = transport_many(fields, loops, n_steps)
@@ -663,18 +636,15 @@ def _cmd_washer_regularize(cfg, out, tol_scale, seed):
     phi_span = reg.get("phi_span", math.pi / 2)
     eps_ladder = sorted(reg.get("eps_ladder", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]),
                         reverse=True)
-    sampled = washer_to_grid(wc, grid, origin,
-                             cap_u_max=reg.get("cap_u_max", 12.0))
-    A0 = sampled["field"]
-    bc = BoundarySpec("neumann")
+    bc = _boundary_from(cfg)
+    if bc.kind != "neumann":
+        raise ConfigError("washer-regularize flows under a Neumann boundary")
     fc = _flow_config(cfg, bc)
     if not any(abs(s - fc.t_end) < 1e-14 for s in fc.snapshot_times):
         fc.snapshot_times = tuple(fc.snapshot_times) + (fc.t_end,)
-    try:
-        fc.validate(grid)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-    traj = integrate(A0, fc)
+    sampled = washer_to_grid(wc, grid, origin,
+                             cap_u_max=reg.get("cap_u_max", 12.0))
+    traj = _flow(sampled["field"], fc)
     _monitor_csv(traj.monitors, out / "monitors.csv")
     A_t = traj.fields[-1]
 
@@ -719,6 +689,8 @@ _DISPATCH = {
     "washer-regularize": _cmd_washer_regularize,
 }
 
+COMMANDS = tuple(_DISPATCH)
+
 
 def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
             seed: int | None = None) -> int:
@@ -755,18 +727,14 @@ def main(argv=None) -> int:
 
     try:
         cfg = load_config(args.config)
-        status = execute(args.command, cfg, args.out,
-                         tol_scale=args.tol_scale, seed=args.seed)
-    except (ConfigError, SnapshotError) as e:
+        return execute(args.command, cfg, args.out,
+                       tol_scale=args.tol_scale, seed=args.seed)
+    except ValueError as e:
         print(f"ymheat: config error: {e}", file=sys.stderr)
         return 2
-    except FlowAbortError as e:
+    except RuntimeError as e:
         print(f"ymheat: numerical abort: {e}", file=sys.stderr)
         return 3
-    except FlowInstabilityError as e:
-        print(f"ymheat: numerical abort: {e}", file=sys.stderr)
-        return 3
-    return status
 
 
 if __name__ == "__main__":

@@ -33,6 +33,7 @@ __all__ = [
     "FlowConstants",
     "FlowInstabilityError",
     "FlowAbortError",
+    "dt_ceiling",
     "ym_rhs",
     "zds_rhs",
     "integrate",
@@ -43,6 +44,13 @@ __all__ = [
 ENERGY_SLACK = 1e-12  # relative increase of ||B||_2 tolerated per step
 DT_FLOOR = 1e-12
 TIME_TOL = 1e-14  # times closer than this count as reached
+
+
+def dt_ceiling(grid) -> float:
+    """The parabolic step ceiling h^2/8 of the RK4 schemes, h the
+    smallest grid spacing."""
+    h = min(grid.spacing)
+    return h * h / 8
 
 
 class FlowInstabilityError(RuntimeError):
@@ -75,11 +83,11 @@ class FlowConfig:
             raise ValueError("ZDS variant is offered for Neumann/Dirichlet only")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
-        hmin = min(grid.spacing)
-        if self.dt > hmin * hmin / 8 * (1 + 1e-12):
+        ceiling = dt_ceiling(grid)
+        if self.dt > ceiling * (1 + 1e-12):
             raise ValueError(
                 f"dt = {self.dt:g} exceeds the stability ceiling h^2/8 = "
-                f"{hmin * hmin / 8:g}"
+                f"{ceiling:g}"
             )
         if any(t < 0 or t > self.t_end + TIME_TOL
                for t in self.snapshot_times):

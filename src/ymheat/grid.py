@@ -161,9 +161,6 @@ class KForm:
     def copy(self):
         return KForm(self.degree, self.grid, self.algebra, self.values.copy(), self.bc)
 
-    def zeros_like(self, degree=None):
-        return KForm(self.degree if degree is None else degree, self.grid, self.algebra)
-
     # -- arithmetic (used by the time steppers) --------------------------------
 
     def _like(self, values, bc=None):

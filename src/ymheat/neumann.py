@@ -21,7 +21,7 @@ from .calculus import (
     curvature,
     weitzenbock_defect,
 )
-from .flow import FlowTrajectory, _rhs_for, _rk4_step
+from .flow import FlowTrajectory, _rhs_for, _rk4_step, dt_ceiling
 from .grid import GridSpec, KForm, apply_boundary
 
 __all__ = [
@@ -56,7 +56,6 @@ class NeumannSemigroup:
         self.eigenvalues = sum(
             (np.pi * k / L) ** 2 for k, L in zip(ks, grid.extents)
         )
-        self.c_N = None  # filled by c_N_estimate
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
         """DCT-I coefficients of nodal values f of shape grid.shape."""
@@ -118,8 +117,7 @@ class NeumannSemigroup:
         """sup over 0 < t <= 1 of t^{3/4} ||e^{t Lap_N}||_{2->inf}."""
         ts = np.logspace(math.log10(t_min), 0.0, n_t)
         vals = [t ** 0.75 * self.norm_2_to_inf(t) for t in ts]
-        self.c_N = float(max(vals))
-        return self.c_N
+        return float(max(vals))
 
 
 def a4_constant(n_panels: int = 200_000) -> float:
@@ -298,11 +296,10 @@ def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
     A is held fixed; omega evolves by d omega/dt = sum_j (grad_j^A)^2 omega
     under RK4 with the same step ceiling as the flow.
     """
-    grid = omega0.grid
-    hmin = min(grid.spacing)
+    ceiling = dt_ceiling(omega0.grid)
     if dt is None:
-        dt = hmin * hmin / 8
-    if dt > hmin * hmin / 8 * (1 + 1e-12):
+        dt = ceiling
+    if dt > ceiling * (1 + 1e-12):
         raise ValueError("dt exceeds the stability ceiling h^2/8")
     bc = omega0.bc
     if bc is None:

@@ -1,8 +1,9 @@
 """Machine-readable JSON and CSV report emission.
 
-Inequality rows always carry (name, lhs, rhs, margin, tol, verdict);
-floats are printed with 17 significant digits so reruns of an identical
-configuration produce byte-identical files.
+Inequality rows always carry (name, lhs, rhs, margin, tol, verdict).
+JSON floats are written by ``json`` (the shortest repr that reads back
+to the same float) and CSV floats with 17 significant digits, so reruns
+of an identical configuration produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -37,9 +38,7 @@ def all_passed(rows) -> bool:
 
 def emit_json(results: dict, path) -> None:
     with open(path, "w", encoding="utf-8") as f:
-        json.dump(results, f, indent=2, sort_keys=True,
-                  default=lambda o: format_float(o) if isinstance(o, float)
-                  else str(o))
+        json.dump(results, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
 
 

@@ -78,6 +78,8 @@ def arc_segment(center, radius, phi0, phi1, z=None) -> Segment:
     """Circular arc in a z = const plane from angle phi0 to phi1."""
     center = np.asarray(center, dtype=float)
     if z is None:
+        if center.shape != (3,):
+            raise ValueError("an arc with a 2-D center needs z")
         z = center[2]
 
     def pos(s):

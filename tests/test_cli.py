@@ -3,8 +3,12 @@ from pathlib import Path
 
 import pytest
 
-from ymheat import cli, transport
+from ymheat import cli, flow, transport
+from ymheat.algebra import su2
 from ymheat.cli import load_config, main, ConfigError
+from ymheat.fields import random_smooth
+from ymheat.grid import GridSpec
+from ymheat.snapshot import snapshot_write
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -236,7 +240,10 @@ WILSON = {
                          "radius": 0.45, "phi0": 0.0,
                          "phi1": 6.283185307179586, "z": 0.5}]]},
     {"wilson": {"n_steps": 16, "ladder": [0.005, 0.01, 0.02, 0.05]}},
-], ids=["unclosed", "leaves_band", "ladder_not_dyadic"])
+    {"flow": {"dt": 0.001, "t_end": 0.04, "snapshot_times": [0.04]}},
+    {"flow": {"dt": 0.001, "t_end": 0.03}},
+], ids=["unclosed", "leaves_band", "ladder_not_dyadic",
+        "ladder_with_snapshot_times", "ladder_t_end_not_top_rung"])
 def test_wilson_rejects_before_flowing(tmp_path, capsys, monkeypatch,
                                        change):
     def forbidden(*args, **kwargs):
@@ -280,3 +287,126 @@ def test_wilson_ladder_workload_matches_reference(tmp_path):
     ref = PERFBENCH / "references" / "wilson-ladder.seed11.json"
     assert json.loads((tmp_path / "report.json").read_text()) == \
         json.loads(ref.read_text())
+
+
+CIRCLE_NO_Z = [{"kind": "arc", "center": [0.5, 0.5], "radius": 0.2,
+                "phi0": 0.0, "phi1": 6.283185307179586}]
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("flow", dict(BASE_FLOW, field={"kind": "random-smooth", "degree": 2})),
+    ("wilson", dict(WILSON, loops=[CIRCLE_NO_Z])),
+    ("washer-energy", {"washer": {"u_max": 0.5}}),
+    ("washer-flux", {"flux": {"r_out": 1.05}}),
+    ("constants", {"constants": {"kernel_modes": 8}}),
+], ids=["field_degree", "arc_center_2d_no_z", "washer_u_max",
+        "flux_r_out", "kernel_modes"])
+def test_library_rejection_is_config_error(tmp_path, capsys, command, cfg):
+    out = tmp_path / "o"
+    assert _run([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("shape, degree", [((10, 10, 10), 1),
+                                           ((12, 12, 12), 2)],
+                         ids=["grid", "degree"])
+def test_snapshot_field_must_fit_the_run(tmp_path, capsys, shape, degree):
+    path = tmp_path / "field.ymf"
+    snapshot_write(random_smooth(GridSpec((1, 1, 1), shape), su2(),
+                                 degree=degree), 0.0, path)
+    cfg = dict(BASE_FLOW, field={"kind": "snapshot", "path": str(path)})
+    del cfg["oracle"]
+    assert _run(["flow", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_written_snapshot_reads_back_as_field(tmp_path):
+    cfg = {
+        "grid": {"extents": [1, 1, 1], "shape": [10, 10, 10]},
+        "field": {"kind": "random-smooth", "seed": 5, "amplitude": 0.1},
+        "flow": {"dt": 0.001, "t_end": 0.004, "snapshot_times": [0.004],
+                 "write_snapshots": True},
+    }
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert _run(["flow", "--config", _write(tmp_path, cfg),
+                 "--out", str(first)]) == 0
+    snap = first / "snapshot_t0.004000.ymf"
+    cfg["field"] = {"kind": "snapshot", "path": str(snap)}
+    assert _run(["flow", "--config", _write(tmp_path, cfg),
+                 "--out", str(second)]) == 0
+    r1 = json.loads((first / "report.json").read_text())["results"]
+    r2 = json.loads((second / "report.json").read_text())["results"]
+    assert r1["snapshots_written"] == 1
+    assert r2["B_l2_initial"] == r1["B_l2_final"]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_step_rejection_halves_dt_until_abort(tmp_path, capsys, monkeypatch):
+    # a negative slack rejects every step, so dt halves down to the floor
+    monkeypatch.setattr(flow, "ENERGY_SLACK", -1.0)
+    out = tmp_path / "o"
+    assert _run(["flow", "--config", _write(tmp_path, BASE_FLOW),
+                 "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "numerical abort" in err and "dt underflow" in err
+    assert not (out / "report.json").exists()
+
+
+WASHER_REGULARIZE = {
+    "grid": {"extents": [4, 4, 4], "shape": [16, 16, 16]},
+    "washer": {"n_u": 32},
+    "flow": {"dt": 0.002, "t_end": 0.01},
+    "regularize": {"origin": [-2, -2, -2]},
+}
+
+
+def test_washer_regularize_rejects_non_neumann_boundary(tmp_path, capsys,
+                                                        monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("washer sampled")
+
+    monkeypatch.setattr(cli, "washer_to_grid", forbidden)
+    cfg = dict(WASHER_REGULARIZE, boundary="dirichlet")
+    assert _run(["washer-regularize", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+SMOKE = {
+    "flow": BASE_FLOW,
+    "verify-bounds": {
+        "grid": {"extents": [1, 1, 1], "shape": [10, 10, 10]},
+        "field": {"kind": "random-smooth", "seed": 7, "amplitude": 0.04},
+        "flow": {"dt": 0.001, "t_end": 0.004},
+        "constants": {"kernel_modes": 128},
+    },
+    "verify-domination": {
+        "grid": {"extents": [1, 1, 1], "shape": [12, 12, 12]},
+        "field": {"kind": "random-smooth", "seed": 31, "amplitude": 0.05},
+        "flow": {"dt": 0.0008, "t_end": 0.0032,
+                 "snapshot_times": [0.0, 0.0008, 0.0016, 0.0024, 0.0032]},
+    },
+    "verify-diamagnetic": {
+        "grid": {"extents": [1, 1, 1], "shape": [10, 10, 10]},
+        "field": {"kind": "random-smooth", "seed": 3, "amplitude": 0.2},
+        "diamagnetic": {"t": 0.004},
+    },
+    "constants": {"constants": {"kernel_modes": 128}},
+    "wilson": dict(WILSON, wilson={"n_steps": 16}),
+    "washer-energy": {"washer": {"n_u": 32, "u_max": 20.0}},
+    "washer-flux": {"flux": {"eps_ladder": [1e-1, 1e-2, 1e-3]}},
+    "washer-regularize": WASHER_REGULARIZE,
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_command_runs(tmp_path, command):
+    out = tmp_path / "o"
+    assert _run([command, "--config", _write(tmp_path, SMOKE[command]),
+                 "--out", str(out)]) == 0
+    doc = json.loads((out / "report.json").read_text())
+    assert doc["command"] == command and doc["checks"]
