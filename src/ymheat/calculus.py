@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import COMPONENT_AXES, KForm
+from .grid import COMPONENT_AXES, KForm, apply_boundary
 
 __all__ = [
     "curvature",
@@ -157,8 +157,6 @@ def weitzenbock_defect(A: KForm, omega: KForm) -> KForm:
     if p not in (1, 2):
         raise ValueError("weitzenbock_defect expects degree 1 or 2")
     _require_ghosts(A, omega)
-    from .grid import apply_boundary
-
     bc = omega.bc
     hodge = dstar_cov(A, apply_boundary(d_cov(A, omega), bc))
     lower = apply_boundary(dstar_cov(A, omega), bc)

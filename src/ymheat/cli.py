@@ -18,11 +18,13 @@ from pathlib import Path as FilePath
 
 import numpy as np
 import jsonschema
+from scipy.integrate import quad
 
 from . import report
 from .algebra import su2, u1
 from .fields import coulomb_cosine, random_smooth
-from .flow import FlowConfig, FlowConstants, dt_ceiling, integrate, verify_bounds
+from .flow import (TIME_TOL, FlowConfig, FlowConstants, dt_ceiling,
+                   integrate, verify_bounds)
 from .grid import BoundarySpec, GridSpec, apply_boundary
 from .neumann import (
     NeumannSemigroup,
@@ -253,11 +255,22 @@ def _boundary_from(cfg: dict) -> BoundarySpec:
     return BoundarySpec(cfg.get("boundary", "neumann"))
 
 
+# the keys each field kind reads besides 'kind'
+_FIELD_KEYS = {
+    "coulomb-cosine": {"amplitude"},
+    "random-smooth": {"amplitude", "seed", "algebra"},
+    "snapshot": {"path"},
+}
+
+
 def _field_from(cfg: dict, grid: GridSpec, seed_override=None):
     f = cfg.get("field")
     if f is None:
         raise ConfigError("this command requires a 'field' section")
     kind = f["kind"]
+    unread = sorted(set(f) - {"kind"} - _FIELD_KEYS[kind])
+    if unread:
+        raise ConfigError(f"field kind {kind!r} does not read {unread}")
     if kind == "snapshot":
         if "path" not in f:
             raise ConfigError("field kind 'snapshot' requires 'path'")
@@ -379,9 +392,12 @@ def _cmd_constants(cfg, out, tol_scale, seed):
     sg2 = NeumannSemigroup(grid, kernel_modes=2 * km)
     c_N = sg.c_N_estimate()
     c_N2 = sg2.c_N_estimate()
-    a4 = a4_constant()
-    a4_exact = math.gamma(0.25) ** 2 / math.sqrt(math.pi)
-    k = FlowConstants(c_N=c_N2, a4=a4, tau=tau)
+    # the Beta integral by quadrature after s = sin^2(theta), which removes
+    # both endpoint singularities: an independent check of the closed form
+    a4, _ = quad(lambda th: 2.0 * (math.sin(th) * math.cos(th)) ** (-0.5),
+                 0.0, math.pi / 2, limit=200_000)
+    a4_exact = a4_constant()
+    k = FlowConstants(c_N=c_N2, a4=a4_exact, tau=tau)
     rows = [
         report.check_row("a4_quadrature_vs_gamma", abs(a4 - a4_exact),
                          0.0, tol_scale * 1e-8),
@@ -513,6 +529,8 @@ def _cmd_wilson(cfg, out, tol_scale, seed):
     opts = cfg.get("wilson", {})
     n_steps = opts.get("n_steps", 256)
     ladder = opts.get("ladder")
+    if ladder is None and "flow" in cfg:
+        raise ConfigError("a 'flow' section needs a wilson ladder to flow to")
     bc = _boundary_from(cfg)
     A = apply_boundary(_field_from(cfg, grid, seed_override=seed), bc)
     check_paths(grid, loops, n_steps)
@@ -640,7 +658,7 @@ def _cmd_washer_regularize(cfg, out, tol_scale, seed):
     if bc.kind != "neumann":
         raise ConfigError("washer-regularize flows under a Neumann boundary")
     fc = _flow_config(cfg, bc)
-    if not any(abs(s - fc.t_end) < 1e-14 for s in fc.snapshot_times):
+    if not any(abs(s - fc.t_end) < TIME_TOL for s in fc.snapshot_times):
         fc.snapshot_times = tuple(fc.snapshot_times) + (fc.t_end,)
     sampled = washer_to_grid(wc, grid, origin,
                              cap_u_max=reg.get("cap_u_max", 12.0))
@@ -695,6 +713,8 @@ COMMANDS = tuple(_DISPATCH)
 def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
             seed: int | None = None) -> int:
     """Run one subcommand; write report files; return the exit status."""
+    if command != "flow" and "write_snapshots" in cfg.get("flow", {}):
+        raise ConfigError("only the flow command writes snapshots")
     out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     results, rows = _DISPATCH[command](cfg, out, tol_scale, seed)

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 
 from .algebra import su2, u1
-from .grid import BoundarySpec, GridSpec, KForm
+from .grid import BoundarySpec, GridSpec, KForm, apply_boundary
 
 __all__ = ["snapshot_write", "snapshot_read", "write_raw", "read_raw",
            "SnapshotError"]
@@ -120,7 +120,5 @@ def snapshot_read(path):
             off += n_vals * 8
     bc = header.get("boundary")
     if bc is not None:
-        from .grid import apply_boundary
-
         field = apply_boundary(field, BoundarySpec(bc))
     return field, t

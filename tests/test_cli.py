@@ -279,6 +279,38 @@ def test_wilson_transports_each_pair_once(tmp_path, monkeypatch):
     assert projections[0] == len(SQUARE) * WILSON["wilson"]["n_steps"]
 
 
+def _drift(ref, new, where="report", scale=0.0):
+    """Where `new` departs from `ref`: keys, lengths, strings and verdicts
+    exactly; a number by more than 1e-12 of the largest magnitude among
+    itself, its stored value and its siblings (a margin is judged against
+    the lhs and rhs it is the difference of)."""
+    def num(x):
+        return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+    if isinstance(ref, list) and isinstance(new, list):
+        ref, new = dict(enumerate(ref)), dict(enumerate(new))
+    if isinstance(ref, dict):
+        if not isinstance(new, dict) or sorted(ref) != sorted(new):
+            return [f"{where}: {new!r} != {ref!r}"]
+        sib = max((abs(v) for v in ref.values() if num(v)), default=0.0)
+        return [p for k in ref
+                for p in _drift(ref[k], new[k], f"{where}[{k!r}]", sib)]
+    if num(ref) and num(new):
+        ok = abs(new - ref) <= 1e-12 * max(abs(ref), abs(new), scale)
+        return [] if ok else [f"{where}: {new!r} drifts from {ref!r}"]
+    return [] if ref == new else [f"{where}: {new!r} != {ref!r}"]
+
+
+def test_su2_bounds_workload_matches_reference(tmp_path):
+    cfg = json.loads((PERFBENCH / "workloads" / "su2-bounds.json")
+                     .read_text())
+    assert cfg["field"]["seed"] == 7
+    assert cli.execute("verify-bounds", cfg, tmp_path) == 0
+    ref = PERFBENCH / "references" / "su2-bounds.seed7.json"
+    new = json.loads((tmp_path / "report.json").read_text())
+    assert _drift(json.loads(ref.read_text()), new) == []
+
+
 def test_wilson_ladder_workload_matches_reference(tmp_path):
     cfg = json.loads((PERFBENCH / "workloads" / "wilson-ladder.json")
                      .read_text())
@@ -298,7 +330,9 @@ CIRCLE_NO_Z = [{"kind": "arc", "center": [0.5, 0.5], "radius": 0.2,
     ("wilson", dict(WILSON, loops=[CIRCLE_NO_Z])),
     ("washer-energy", {"washer": {"u_max": 0.5}}),
     ("washer-flux", {"flux": {"r_out": 1.05}}),
-    ("constants", {"constants": {"kernel_modes": 8}}),
+    # 8 modes resolve the unit box's kernel at t = 1, not a box of side 40
+    ("constants", {"grid": {"extents": [40, 40, 40], "shape": [16, 16, 16]},
+                   "constants": {"kernel_modes": 8}}),
 ], ids=["field_degree", "arc_center_2d_no_z", "washer_u_max",
         "flux_r_out", "kernel_modes"])
 def test_library_rejection_is_config_error(tmp_path, capsys, command, cfg):
@@ -410,3 +444,51 @@ def test_every_command_runs(tmp_path, command):
                  "--out", str(out)]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["command"] == command and doc["checks"]
+
+
+SNAPSHOT_FLOW = {k: v for k, v in BASE_FLOW.items() if k != "oracle"}
+RANDOM_FIELD = {"kind": "random-smooth", "seed": 3, "amplitude": 0.05}
+
+
+def _forbidden(*args, **kwargs):
+    raise AssertionError("computation started")
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("wilson", dict(WILSON, wilson={"n_steps": 16},
+                    flow={"dt": 0.0005, "t_end": 0.01})),
+    ("wilson", dict(WILSON, flow={"dt": 0.0005, "t_end": 0.04,
+                                  "write_snapshots": True})),
+    ("verify-bounds", dict(SMOKE["verify-bounds"],
+                           flow={"dt": 0.001, "t_end": 0.004,
+                                 "write_snapshots": True})),
+    ("constants", {"flow": {"dt": 0.001, "t_end": 0.004,
+                            "write_snapshots": False}}),
+    ("flow", dict(SNAPSHOT_FLOW, field={"kind": "snapshot", "path": "SNAP",
+                                        "amplitude": 2.0})),
+    ("flow", dict(SNAPSHOT_FLOW, field={"kind": "snapshot", "path": "SNAP",
+                                        "seed": 4})),
+    ("flow", dict(SNAPSHOT_FLOW, field={"kind": "snapshot", "path": "SNAP",
+                                        "algebra": "U1"})),
+    ("flow", dict(BASE_FLOW, field={"kind": "coulomb-cosine", "seed": 4})),
+    ("flow", dict(BASE_FLOW, field={"kind": "coulomb-cosine",
+                                    "algebra": "U1"})),
+    ("flow", dict(SNAPSHOT_FLOW, field=dict(RANDOM_FIELD, path="SNAP"))),
+], ids=["wilson_flow_without_ladder", "write_snapshots_wilson",
+        "write_snapshots_verify_bounds", "write_snapshots_constants",
+        "snapshot_amplitude", "snapshot_seed", "snapshot_algebra",
+        "cosine_seed", "cosine_algebra", "random_path"])
+def test_ignored_config_key_is_config_error(tmp_path, capsys, monkeypatch,
+                                            command, cfg):
+    snap = tmp_path / "field.ymf"
+    snapshot_write(random_smooth(GridSpec((1, 1, 1), (12, 12, 12)), su2()),
+                   0.0, snap)
+    cfg = json.loads(json.dumps(cfg).replace('"SNAP"', json.dumps(str(snap))))
+    for name in ("integrate", "transport_many", "NeumannSemigroup",
+                 "random_smooth", "coulomb_cosine"):
+        monkeypatch.setattr(cli, name, _forbidden)
+    out = tmp_path / "o"
+    assert _run([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()

@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 from ymheat.fields import random_smooth
 from ymheat.grid import GridSpec, NEUMANN, apply_boundary
 from ymheat.neumann import (
     NeumannSemigroup,
+    _normal_derivatives,
+    _one_sided_laplacian,
     a4_constant,
     compose_lemma_check,
     monotone_lemma_check,
@@ -70,6 +73,28 @@ def test_a4_matches_gamma_closed_form():
     assert abs(a4_constant() - exact) < 1e-8
 
 
+def test_a4_matches_beta_quadrature():
+    # s = sin^2(theta) removes both endpoint singularities of the integrand
+    val, _ = quad(lambda th: 2.0 * (math.sin(th) * math.cos(th)) ** (-0.5),
+                  0.0, math.pi / 2, limit=200_000)
+    assert abs(a4_constant() - val) <= 1e-12 * val
+
+
+@pytest.mark.parametrize("extents", [(1.0, 1.0, 1.0), (1.0, 2.0, 3.0),
+                                     (4.0, 4.0, 4.0)],
+                         ids=["unit", "1x2x3", "4^3"])
+def test_c_N_is_the_value_at_t_1(extents):
+    sg = NeumannSemigroup(GridSpec(extents, (16, 16, 16)), kernel_modes=256)
+    # the closed form equals the 400-point sampled sup bit for bit
+    ts = np.logspace(math.log10(1e-3), 0.0, 400)
+    vals = [t ** 0.75 * sg.norm_2_to_inf(t) for t in ts]
+    assert sg.c_N_estimate() == float(max(vals))
+    # t^{3/4} ||e^{t Lap_N}||_{2->inf} never decreases in t; where it is
+    # flat (small t) the sums round to within one ulp of each other
+    vals = np.asarray(vals)
+    assert np.all(np.diff(vals) >= -2 * np.finfo(float).eps * vals[1:])
+
+
 def test_c_N_bounds_and_stability(sg):
     c1 = sg.c_N_estimate()
     sg2 = NeumannSemigroup(sg.grid, kernel_modes=512)
@@ -92,6 +117,69 @@ def test_norm_2_to_inf_needs_enough_modes():
                                 kernel_modes=16)
     with pytest.raises(ValueError, match="mode count"):
         sg_small.norm_2_to_inf(1e-9)
+
+
+def _closure_laplacian(psi, grid):
+    # reference: the same stencils from shifted copies and index tuples
+    out = np.zeros_like(psi)
+    for a, h in enumerate(grid.spacing):
+
+        def shift(arr, k):
+            idx = [slice(None)] * 3
+            pad = [slice(None)] * 3
+            if k > 0:
+                idx[a], pad[a] = slice(k, None), slice(0, -k)
+            else:
+                idx[a], pad[a] = slice(0, k), slice(-k, None)
+            out_ = np.zeros_like(arr)
+            out_[tuple(pad)] = arr[tuple(idx)]
+            return out_
+
+        def take(i):
+            j = [slice(None)] * 3
+            j[a] = i
+            return psi[tuple(j)]
+
+        d2 = (shift(psi, 1) - 2 * psi + shift(psi, -1)) / h ** 2
+        n = psi.shape[a]
+        j = [slice(None)] * 3
+        j[a] = 0
+        d2[tuple(j)] = (2 * take(0) - 5 * take(1) + 4 * take(2)
+                        - take(3)) / h ** 2
+        j[a] = n - 1
+        d2[tuple(j)] = (2 * take(n - 1) - 5 * take(n - 2) + 4 * take(n - 3)
+                        - take(n - 4)) / h ** 2
+        out += d2
+    return out
+
+
+def _closure_normal_derivatives(psi, grid):
+    vals = []
+    for a, h in enumerate(grid.spacing):
+        n = psi.shape[a]
+
+        def take(i):
+            j = [slice(None)] * 3
+            j[a] = i
+            return psi[tuple(j)]
+
+        d_lo = (-3 * take(0) + 4 * take(1) - take(2)) / (2 * h)
+        d_hi = (3 * take(n - 1) - 4 * take(n - 2) + take(n - 3)) / (2 * h)
+        vals.append(-d_lo)
+        vals.append(d_hi)
+    return vals
+
+
+def test_face_stencils_match_closure_form(rng):
+    grid = GridSpec((1.0, 2.0, 3.0), (9, 11, 13))
+    psi = rng.standard_normal(grid.shape)
+    assert np.array_equal(_one_sided_laplacian(psi, grid),
+                          _closure_laplacian(psi, grid))
+    new, old = (_normal_derivatives(psi, grid),
+                _closure_normal_derivatives(psi, grid))
+    assert len(new) == len(old) == 6
+    for a, b in zip(new, old):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_monotone_lemma_constant(sg):
