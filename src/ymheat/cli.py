@@ -18,7 +18,6 @@ from pathlib import Path as FilePath
 
 import numpy as np
 import jsonschema
-from scipy.integrate import quad
 
 from . import report
 from .algebra import su2, u1
@@ -383,6 +382,8 @@ def _radial(center, phi, r0, r1):
 
 
 def _cmd_constants(cfg, out, tol_scale, seed):
+    from scipy.integrate import quad
+
     grid = _grid_from(cfg) if "grid" in cfg \
         else GridSpec((1.0, 1.0, 1.0), (16, 16, 16))
     opts = cfg.get("constants", {})
@@ -695,16 +696,24 @@ def _cmd_washer_regularize(cfg, out, tol_scale, seed):
     return results, rows
 
 
+# each command and the top-level config sections it reads
 _DISPATCH = {
-    "flow": _cmd_flow,
-    "verify-domination": _cmd_verify_domination,
-    "verify-diamagnetic": _cmd_verify_diamagnetic,
-    "verify-bounds": _cmd_verify_bounds,
-    "constants": _cmd_constants,
-    "wilson": _cmd_wilson,
-    "washer-energy": _cmd_washer_energy,
-    "washer-flux": _cmd_washer_flux,
-    "washer-regularize": _cmd_washer_regularize,
+    "flow": (_cmd_flow, {"grid", "boundary", "field", "flow", "oracle"}),
+    "verify-domination": (_cmd_verify_domination,
+                          {"grid", "boundary", "field", "flow",
+                           "domination"}),
+    "verify-diamagnetic": (_cmd_verify_diamagnetic,
+                           {"grid", "field", "diamagnetic"}),
+    "verify-bounds": (_cmd_verify_bounds,
+                      {"grid", "boundary", "field", "flow", "constants"}),
+    "constants": (_cmd_constants, {"grid", "constants"}),
+    "wilson": (_cmd_wilson,
+               {"grid", "boundary", "field", "flow", "loops", "wilson"}),
+    "washer-energy": (_cmd_washer_energy, {"washer"}),
+    "washer-flux": (_cmd_washer_flux, {"washer", "flux"}),
+    "washer-regularize": (_cmd_washer_regularize,
+                          {"grid", "boundary", "washer", "flow",
+                           "regularize"}),
 }
 
 COMMANDS = tuple(_DISPATCH)
@@ -713,11 +722,19 @@ COMMANDS = tuple(_DISPATCH)
 def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
             seed: int | None = None) -> int:
     """Run one subcommand; write report files; return the exit status."""
+    run, sections = _DISPATCH[command]
+    unread = sorted(set(cfg) - sections)
+    if unread:
+        raise ConfigError(f"{command} does not read {unread}")
     if command != "flow" and "write_snapshots" in cfg.get("flow", {}):
         raise ConfigError("only the flow command writes snapshots")
+    if seed is not None and \
+            cfg.get("field", {}).get("kind") != "random-smooth":
+        raise ConfigError("--seed sets the seed of a random-smooth field "
+                          "only")
     out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results, rows = _DISPATCH[command](cfg, out, tol_scale, seed)
+    results, rows = run(cfg, out, tol_scale, seed)
     doc = {
         "command": command,
         "tol_scale": tol_scale,

@@ -12,7 +12,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.fft import dctn, idctn
 
 from .calculus import (
     bochner_laplacian,
@@ -31,6 +30,20 @@ __all__ = [
     "diamagnetic_check",
     "compose_lemma_check",
 ]
+
+
+# SciPy's DCTs, imported on first call so that importing this module
+# (and the command line with it) does not load scipy.fft
+
+
+def dctn(x, **kwargs):
+    from scipy.fft import dctn
+    return dctn(x, **kwargs)
+
+
+def idctn(x, **kwargs):
+    from scipy.fft import idctn
+    return idctn(x, **kwargs)
 
 
 class NeumannSemigroup:

@@ -12,10 +12,10 @@ build on it.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .calculus import curvature
 from .grid import GridSpec, KForm, apply_boundary
@@ -227,20 +227,42 @@ class Homotopy:
 
 
 class _FieldInterpolator:
-    """Trilinear interpolation of a 1-form's coefficients off the grid."""
+    """Trilinear interpolation of a 1-form's coefficients off the grid.
+
+    The arithmetic is that of SciPy's linear `RegularGridInterpolator`,
+    so the values agree bit for bit: the same cell search, fractions,
+    corner order and weight products.
+    """
 
     def __init__(self, A: KForm):
         grid = A.grid
-        axes = [grid.axis_coords(a) for a in range(3)]
+        self.axes = [grid.axis_coords(a) for a in range(3)]
         # stack (component, algebra-coefficient) into one trailing axis
         vals = np.moveaxis(A.interior, 0, -2)  # (n1,n2,n3, 3, dim)
-        flat = vals.reshape(vals.shape[:3] + (-1,))
-        self._interp = RegularGridInterpolator(axes, flat, method="linear")
+        self.values = vals.reshape(vals.shape[:3] + (-1,))
         self.dim = A.algebra.dim
+
+    def __call__(self, points) -> np.ndarray:
+        """Values at (n, 3) points in the box, shape (n, 3 * dim)."""
+        points = np.asarray(points, dtype=float)
+        cells = []
+        for a, x in enumerate(self.axes):
+            p = points[:, a]
+            if not np.all((x[0] <= p) & (p <= x[-1])):  # NaN fails too
+                raise ValueError(f"point outside the grid on axis {a}")
+            i = np.clip(np.searchsorted(x, p, side="right") - 1,
+                        0, len(x) - 2)
+            frac = (p - x[i]) / (x[i + 1] - x[i])
+            cells.append(((i, 1 - frac), (i + 1, frac)))
+        value = 0.0  # SciPy's sum starts at 0.0 too, so -0.0 terms agree
+        for corner in itertools.product(*cells):
+            idx, (w0, w1, w2) = zip(*corner)
+            value = value + self.values[idx] * (w0 * w1 * w2)[:, None]
+        return value
 
     def along(self, points, velocities):
         """Coefficients of A<gamma'(s)> at the given points, shape (n, dim)."""
-        vals = self._interp(points).reshape(len(points), 3, self.dim)
+        vals = self(points).reshape(len(points), 3, self.dim)
         return np.einsum("njd,nj->nd", vals, velocities)
 
 

@@ -11,7 +11,9 @@ Everywhere the rim singularity enters, integrals over r are computed in
 the variable u = log(1/(1-r)), under which lambda(r) dr = u^{-2} du; a
 further xi = log(u) substitution makes the truncated quadrature smooth.
 The azimuthal angle integral has the closed form of a circular-loop
-potential in complete elliptic integrals.
+potential in complete elliptic integrals.  SciPy's quadrature and
+elliptic integrals are imported inside the functions that call them, so
+importing this module loads no SciPy.
 """
 
 from __future__ import annotations
@@ -20,8 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import ellipe, ellipk
 
 from .algebra import u1
 from .grid import GridSpec, KForm
@@ -76,6 +76,8 @@ def total_current(cfg: WasherConfig | None = None) -> dict:
     is 1/log 2; the u-substituted quadrature plus the analytic tail
     1/u_max must reproduce it.
     """
+    from scipy.integrate import quad
+
     cfg = cfg or WasherConfig()
     exact = 1.0 / math.log(2.0)
     quad_val, _ = quad(lambda u: u ** -2, U_MIN, cfg.u_max, limit=500)
@@ -102,6 +104,8 @@ def _azimuthal_integral(alpha2, beta2):
     Closed form in complete elliptic integrals (the circular-loop
     potential kernel); alpha2 > 0 required away from the source circle.
     """
+    from scipy.special import ellipe, ellipk
+
     alpha2 = np.asarray(alpha2, dtype=float)
     beta2 = np.asarray(beta2, dtype=float)
     A = alpha2 + beta2
@@ -263,6 +267,8 @@ def theta_bounds_check(u: float, v: float, theta0: float) -> dict:
     with a^2 = sin(theta0)/theta0; parameters restricted to 0 < u < 1,
     1/2 <= v <= 2, 0 < theta0 < pi/2.
     """
+    from scipy.integrate import quad
+
     if not (0 < u < 1 and 0.5 <= v <= 2 and 0 < theta0 < math.pi / 2):
         raise ValueError("parameters outside the validated range")
     a = math.sqrt(math.sin(theta0) / theta0)
@@ -302,6 +308,8 @@ def fit_theta_bounds(us=(0.5, 0.1, 0.01, 0.001), vs=(0.5, 1.0, 2.0),
     the extreme empirical slopes so the sandwich holds at every grid
     point by construction, then re-verified.
     """
+    from scipy.integrate import quad
+
     us = sorted(us)
     vals = np.empty((len(us), len(vs)))
     for i, u in enumerate(us):

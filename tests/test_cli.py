@@ -1,8 +1,13 @@
+import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ymheat
 from ymheat import cli, flow, transport
 from ymheat.algebra import su2
 from ymheat.cli import load_config, main, ConfigError
@@ -454,6 +459,28 @@ def _forbidden(*args, **kwargs):
     raise AssertionError("computation started")
 
 
+COMPUTATION = ("integrate", "transport_many", "NeumannSemigroup",
+               "random_smooth", "coulomb_cosine", "washer_to_grid",
+               "energy", "flux_probe")
+
+
+def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                      command, cfg, *args):
+    """`command` on `cfg` ("SNAP" standing for a 12^3 SU(2) snapshot)
+    exits 2 with no computation started and no report written."""
+    snap = tmp_path / "field.ymf"
+    snapshot_write(random_smooth(GridSpec((1, 1, 1), (12, 12, 12)), su2()),
+                   0.0, snap)
+    cfg = json.loads(json.dumps(cfg).replace('"SNAP"', json.dumps(str(snap))))
+    for name in COMPUTATION:
+        monkeypatch.setattr(cli, name, _forbidden)
+    out = tmp_path / "o"
+    assert _run([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out), *args]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("command, cfg", [
     ("wilson", dict(WILSON, wilson={"n_steps": 16},
                     flow={"dt": 0.0005, "t_end": 0.01})),
@@ -474,21 +501,80 @@ def _forbidden(*args, **kwargs):
     ("flow", dict(BASE_FLOW, field={"kind": "coulomb-cosine",
                                     "algebra": "U1"})),
     ("flow", dict(SNAPSHOT_FLOW, field=dict(RANDOM_FIELD, path="SNAP"))),
+    ("constants", dict(SMOKE["constants"], boundary="dirichlet",
+                       field=RANDOM_FIELD,
+                       flow={"dt": 1.0, "t_end": 1.0})),
+    ("washer-regularize", dict(WASHER_REGULARIZE, field=RANDOM_FIELD)),
+    ("washer-energy", dict(SMOKE["washer-energy"],
+                           grid={"extents": [1, 1, 1],
+                                 "shape": [8, 8, 8]})),
+    ("washer-flux", dict(SMOKE["washer-flux"],
+                         regularize={"origin": [-2, -2, -2]})),
+    ("flow", dict(BASE_FLOW, washer={"n_u": 32})),
+    ("verify-bounds", dict(SMOKE["verify-bounds"], oracle="abelian-spectral")),
+    ("verify-domination", dict(SMOKE["verify-domination"],
+                               constants={"kernel_modes": 128})),
+    ("verify-diamagnetic", dict(SMOKE["verify-diamagnetic"],
+                                boundary="neumann")),
+    ("wilson", dict(WILSON, domination={"omega_kinds": ["B"]})),
 ], ids=["wilson_flow_without_ladder", "write_snapshots_wilson",
         "write_snapshots_verify_bounds", "write_snapshots_constants",
         "snapshot_amplitude", "snapshot_seed", "snapshot_algebra",
-        "cosine_seed", "cosine_algebra", "random_path"])
+        "cosine_seed", "cosine_algebra", "random_path",
+        "constants_flow_field_boundary", "washer_regularize_field",
+        "washer_energy_grid", "washer_flux_regularize", "flow_washer",
+        "verify_bounds_oracle", "verify_domination_constants",
+        "verify_diamagnetic_boundary", "wilson_domination"])
 def test_ignored_config_key_is_config_error(tmp_path, capsys, monkeypatch,
                                             command, cfg):
-    snap = tmp_path / "field.ymf"
-    snapshot_write(random_smooth(GridSpec((1, 1, 1), (12, 12, 12)), su2()),
-                   0.0, snap)
-    cfg = json.loads(json.dumps(cfg).replace('"SNAP"', json.dumps(str(snap))))
-    for name in ("integrate", "transport_many", "NeumannSemigroup",
-                 "random_smooth", "coulomb_cosine"):
-        monkeypatch.setattr(cli, name, _forbidden)
-    out = tmp_path / "o"
-    assert _run([command, "--config", _write(tmp_path, cfg),
-                 "--out", str(out)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                      command, cfg)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("flow", BASE_FLOW),
+    ("flow", dict(SNAPSHOT_FLOW, field={"kind": "snapshot", "path": "SNAP"})),
+    ("constants", SMOKE["constants"]),
+    ("washer-flux", SMOKE["washer-flux"]),
+], ids=["coulomb_cosine", "snapshot", "constants", "washer_flux"])
+def test_seed_without_random_field_is_config_error(tmp_path, capsys,
+                                                   monkeypatch, command, cfg):
+    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                      command, cfg, "--seed", "5")
+
+
+def _fresh_python(code):
+    """Run `code` in a new interpreter that imports this checkout's ymheat;
+    return what it prints, parsed as JSON."""
+    src = str(Path(ymheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+LOADED = ("import json, sys\n"
+          "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' "
+          "or m.startswith('scipy.') or m.startswith('ymheat.'))))")
+
+
+def test_cli_import_loads_no_scipy_and_every_traced_module():
+    loaded = _fresh_python("import ymheat.cli\n" + LOADED)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", PERFBENCH / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    traced = {mod for _name, mod, _attr in tracing.BOUNDARIES}
+    assert traced <= set(loaded)
+
+
+@pytest.mark.parametrize("command", ["flow", "verify-bounds", "wilson"])
+def test_command_runs_without_scipy(tmp_path, command):
+    args = [command, "--config", _write(tmp_path, SMOKE[command]),
+            "--out", str(tmp_path / "o")]
+    loaded = _fresh_python("from ymheat import cli\n"
+                           f"assert cli.main({args!r}) == 0\n" + LOADED)
+    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -289,3 +290,37 @@ def test_convergence_probe_traces_match_wilson_trace():
     expected = [[wilson_trace(F, lp, n_steps=32) for lp in loops]
                 for F in traj.fields]
     assert np.array_equal(probe["traces"], np.asarray(expected))
+
+
+@pytest.mark.parametrize("algebra", [su2, u1], ids=["SU2", "U1"])
+@pytest.mark.parametrize("extents, shape", [
+    ((1.0, 1.0, 1.0), (10, 10, 10)),
+    ((1.0, 2.0, 3.0), (9, 11, 13)),
+], ids=["cubic", "9x11x13"])
+def test_interpolator_matches_scipy_bit_for_bit(algebra, extents, shape):
+    from scipy.interpolate import RegularGridInterpolator
+
+    grid = GridSpec(extents, shape)
+    A = random_smooth(grid, algebra(), seed=23, amplitude=0.4)
+    axes = [grid.axis_coords(a) for a in range(3)]
+    vals = np.moveaxis(A.interior, 0, -2)
+    scipy_interp = RegularGridInterpolator(
+        axes, vals.reshape(shape + (-1,)), method="linear")
+    interp = _FieldInterpolator(A)
+
+    L = np.asarray(extents)
+    rng = np.random.default_rng(8)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    faces = rng.random((300, 3)) * L
+    axis = rng.integers(0, 3, len(faces))
+    faces[np.arange(len(faces)), axis] = rng.integers(0, 2, len(faces)) * L[axis]
+    corners = np.array(list(itertools.product(*[(0.0, x) for x in L])))
+    for points in (rng.random((2000, 3)) * L, nodes.reshape(-1, 3),
+                   faces, corners):
+        assert np.array_equal(interp(points), scipy_interp(points))
+
+    for bad in ([0.5, L[1] * (1 + 1e-12), 0.5], [0.5, 0.5, np.nan]):
+        points = np.array([[0.5, 0.5, 0.5], bad])
+        for f in (interp, scipy_interp):
+            with pytest.raises(ValueError):
+                f(points)
