@@ -70,11 +70,31 @@ class LieAlgebraSpec:
         return np.stack([self.inner(mats, b) for b in self.basis], axis=-1)
 
     def bracket(self, x, y):
-        """Pointwise commutator on coefficient arrays (..., dim)."""
-        if self.group_id == "SU2":
-            # [x, y]_k = -eps_ijk x_i y_j
-            return np.cross(y, x)
-        return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        """Pointwise commutator on coefficient arrays (..., dim).
+
+        For su(2), [x, y]_k = -eps_ijk x_i y_j is the cross product y cross x,
+        written out as the three multiply-then-subtract pairs of
+        ``np.cross(y, x)`` (cp0 = a1*b2 - a2*b1 and cyclic, a = y, b = x),
+        so the result has the same bits with no axis moves or copies of the
+        operands.  For the abelian u(1) it is zero; the calculus never calls
+        it there.
+        """
+        if self.c == 0:
+            return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+        a0, a1, a2 = y[..., 0], y[..., 1], y[..., 2]
+        b0, b1, b2 = x[..., 0], x[..., 1], x[..., 2]
+        tmp = np.asarray(a2 * b1)  # an array even for single vectors
+        out = np.empty(tmp.shape + (3,))
+        c0, c1, c2 = out[..., 0], out[..., 1], out[..., 2]
+        np.multiply(a1, b2, out=c0)
+        c0 -= tmp
+        np.multiply(a2, b0, out=c1)
+        np.multiply(a0, b2, out=tmp)
+        c1 -= tmp
+        np.multiply(a0, b1, out=c2)
+        np.multiply(a1, b0, out=tmp)
+        c2 -= tmp
+        return out
 
     def norm(self, coeffs):
         """Pointwise algebra norm of a coefficient array, shape (...,)."""

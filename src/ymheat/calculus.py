@@ -4,6 +4,18 @@ All operators are second-order central-difference stencils acting on
 :class:`~ymheat.grid.KForm` fields whose ghost layer has been filled.
 Sign conventions: d* = -div on 1-forms, (d*B)_j = -sum_i d_i B_ij on
 2-forms, and the contraction ([alpha . B])_j = sum_i [alpha_i, B_ij].
+
+Bit contract: each operator evaluates the floating-point expressions of
+its formula in the formula's order, (f[i+1] - f[i-1]) / (2h) for a first
+derivative and every term added in turn to a zeroed accumulator, so its
+output has the bits of that plain evaluation.  The stencils write into
+preallocated arrays, and a term with sign -1 is subtracted rather than
+scaled by -1.0, which is exact.
+
+The u(1) path: the abelian bracket is identically zero (``algebra.c ==
+0``), so each operator takes one branch that skips every bracket term and
+every derivative computed only to feed one.  Skipping the addition of an
+exact zero can change at most the sign of a zero.
 """
 
 from __future__ import annotations
@@ -31,29 +43,65 @@ _COMP_INDEX = {
 _INTERIOR = (slice(1, -1),) * 3
 
 
+def _neighbours(axis):
+    plus, minus = list(_INTERIOR), list(_INTERIOR)
+    plus[axis] = slice(2, None)
+    minus[axis] = slice(0, -2)
+    return tuple(plus), tuple(minus)
+
+
+# the interior's (plus, minus) neighbour slices along each axis
+_NEIGHBOURS = tuple(_neighbours(a) for a in range(3))
+
+
+def _d1(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Central first derivative (f[i+1] - f[i-1]) / (2h) of a padded
+    component field at the interior nodes, written into ``out``."""
+    plus, minus = _NEIGHBOURS[axis]
+    np.subtract(f[plus], f[minus], out=out)
+    out /= 2.0 * h
+    return out
+
+
+def _d2(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
+    """Three-point second derivative (f[i+1] - 2 f[i] + f[i-1]) / h^2 at
+    the interior nodes, written into ``out``."""
+    plus, minus = _NEIGHBOURS[axis]
+    np.multiply(f[_INTERIOR], 2.0, out=out)
+    np.subtract(f[plus], out, out=out)
+    out += f[minus]
+    out /= h * h
+    return out
+
+
 def _first_derivative(f: np.ndarray, axis: int, h: float) -> np.ndarray:
     """Central first derivative of a padded component field.
 
     Output has the same padded shape; ghost entries are zero.
     """
     out = np.zeros_like(f)
-    ctr, plus, minus = list(_INTERIOR), list(_INTERIOR), list(_INTERIOR)
-    plus[axis] = slice(2, None)
-    minus[axis] = slice(0, -2)
-    out[tuple(ctr)] = (f[tuple(plus)] - f[tuple(minus)]) / (2.0 * h)
+    _d1(f, axis, h, out[_INTERIOR])
     return out
 
 
-def _second_derivative(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Three-point second derivative; ghost entries of the output are zero."""
-    out = np.zeros_like(f)
-    ctr, plus, minus = list(_INTERIOR), list(_INTERIOR), list(_INTERIOR)
-    plus[axis] = slice(2, None)
-    minus[axis] = slice(0, -2)
-    out[tuple(ctr)] = (
-        f[tuple(plus)] - 2.0 * f[tuple(ctr)] + f[tuple(minus)]
-    ) / (h * h)
-    return out
+def _interior_buffer(form: KForm) -> np.ndarray:
+    """Scratch array for one component at the interior nodes."""
+    return np.empty(form.grid.shape + (form.algebra.dim,))
+
+
+def _add_covariant_derivative(acc, sign, A, w, k, h, tmp):
+    """acc += sign * (d_k w + [A_k, w]), sign = +-1, with the bits of that
+    expression; the derivative is taken at the interior nodes into tmp."""
+    d = _d1(w, k, h, tmp)
+    if A.algebra.c != 0:
+        t = A.algebra.bracket(A.values[k], w)
+        t[_INTERIOR] += d  # [A_k, w] + d_k w: the sum commutes bit for bit
+    else:
+        acc, t = acc[_INTERIOR], d
+    if sign > 0:
+        acc += t
+    else:
+        acc -= t
 
 
 def _require_ghosts(*forms: KForm):
@@ -69,13 +117,15 @@ def curvature(A: KForm) -> KForm:
     _require_ghosts(A)
     h = A.grid.spacing
     alg = A.algebra
+    nonabelian = alg.c != 0
     B = KForm(2, A.grid, alg)
+    tmp = _interior_buffer(A)
     for (i, j), ci in _COMP_INDEX[2].items():
-        B.values[ci] = (
-            _first_derivative(A.values[j], i, h[i])
-            - _first_derivative(A.values[i], j, h[j])
-            + alg.bracket(A.values[i], A.values[j])
-        )
+        Bij = B.values[ci]
+        inner = _d1(A.values[j], i, h[i], Bij[_INTERIOR])
+        inner -= _d1(A.values[i], j, h[j], tmp)
+        if nonabelian:
+            Bij += alg.bracket(A.values[i], A.values[j])
     return B
 
 
@@ -86,18 +136,14 @@ def d_cov(A: KForm, omega: KForm) -> KForm:
         raise ValueError("d_cov output degree would exceed 3")
     _require_ghosts(omega)
     h = omega.grid.spacing
-    alg = omega.algebra
-    out = KForm(p + 1, omega.grid, alg)
+    out = KForm(p + 1, omega.grid, omega.algebra)
+    tmp = _interior_buffer(omega)
     for J, cj in _COMP_INDEX[p + 1].items():
-        acc = np.zeros_like(out.values[cj])
         for pos, k in enumerate(J):
             rest = tuple(a for a in J if a != k)
-            sign = -1.0 if pos % 2 else 1.0
             w = omega.values[_COMP_INDEX[p][rest]]
-            acc += sign * (
-                _first_derivative(w, k, h[k]) + alg.bracket(A.values[k], w)
-            )
-        out.values[cj] = acc
+            _add_covariant_derivative(out.values[cj], -1 if pos % 2 else 1,
+                                      A, w, k, h[k], tmp)
     return out
 
 
@@ -108,40 +154,43 @@ def dstar_cov(A: KForm, omega: KForm) -> KForm:
         raise ValueError("dstar_cov expects degree >= 1")
     _require_ghosts(omega)
     h = omega.grid.spacing
-    alg = omega.algebra
-    out = KForm(p - 1, omega.grid, alg)
+    out = KForm(p - 1, omega.grid, omega.algebra)
+    tmp = _interior_buffer(omega)
     for I, ci in _COMP_INDEX[p - 1].items():
-        acc = np.zeros_like(out.values[ci])
         for k in range(3):
             if k in I:
                 continue
             J = tuple(sorted(I + (k,)))
-            sign = -1.0 if J.index(k) % 2 else 1.0
             w = omega.values[_COMP_INDEX[p][J]]
-            acc -= sign * (
-                _first_derivative(w, k, h[k]) + alg.bracket(A.values[k], w)
-            )
-        out.values[ci] = acc
+            _add_covariant_derivative(out.values[ci],
+                                      1 if J.index(k) % 2 else -1,
+                                      A, w, k, h[k], tmp)
     return out
 
 
 def bochner_laplacian(A: KForm, omega: KForm) -> KForm:
-    """Sum over j of (d_j + ad A_j)^2 applied componentwise on the flat box."""
+    """Sum over j of (d_j + ad A_j)^2 applied componentwise on the flat box:
+    d_j^2 w + [d_j A_j, w] + 2 [A_j, d_j w] + [A_j, [A_j, w]]."""
     _require_ghosts(A, omega)
     h = omega.grid.spacing
     alg = omega.algebra
+    nonabelian = alg.c != 0
     out = KForm(omega.degree, omega.grid, alg)
-    dA = [_first_derivative(A.values[j], j, h[j]) for j in range(3)]
+    tmp = _interior_buffer(omega)
+    if nonabelian:
+        dA = [_first_derivative(A.values[j], j, h[j]) for j in range(3)]
     for ci in range(omega.values.shape[0]):
         w = omega.values[ci]
-        acc = np.zeros_like(w)
+        acc = out.values[ci]
         for j in range(3):
-            Aj = A.values[j]
-            acc += _second_derivative(w, j, h[j])
-            acc += alg.bracket(dA[j], w)
-            acc += 2.0 * alg.bracket(Aj, _first_derivative(w, j, h[j]))
-            acc += alg.bracket(Aj, alg.bracket(Aj, w))
-        out.values[ci] = acc
+            acc[_INTERIOR] += _d2(w, j, h[j], tmp)
+            if nonabelian:
+                Aj = A.values[j]
+                acc += alg.bracket(dA[j], w)
+                t = alg.bracket(Aj, _first_derivative(w, j, h[j]))
+                t *= 2.0
+                acc += t
+                acc += alg.bracket(Aj, alg.bracket(Aj, w))
     return out
 
 
@@ -173,16 +222,15 @@ def contraction_bracket(alpha: KForm, B: KForm) -> KForm:
         raise ValueError("contraction_bracket expects a 1-form and a 2-form")
     alg = alpha.algebra
     out = KForm(1, alpha.grid, alg)
+    if alg.c == 0:
+        return out
     for j in range(3):
-        acc = np.zeros_like(out.values[j])
+        acc = out.values[j]
         for i in range(3):
-            if i == j:
-                continue
             if i < j:
                 acc += alg.bracket(alpha.values[i], B.values[_COMP_INDEX[2][(i, j)]])
-            else:
+            elif i > j:
                 acc -= alg.bracket(alpha.values[i], B.values[_COMP_INDEX[2][(j, i)]])
-        out.values[j] = acc
     return out
 
 
@@ -219,11 +267,7 @@ def gauge_transform(A: KForm, k: np.ndarray) -> KForm:
     for j in range(3):
         M = alg.to_matrices(A.values[j])
         conj = _conjugate(kh, k, M)
-        dk = np.zeros_like(k)
-        ctr, plus, minus = list(_INTERIOR), list(_INTERIOR), list(_INTERIOR)
-        plus[j] = slice(2, None)
-        minus[j] = slice(0, -2)
-        dk[tuple(ctr)] = (k[tuple(plus)] - k[tuple(minus)]) / (2.0 * h[j])
+        dk = _first_derivative(k, j, h[j])
         maurer = np.einsum("...ab,...bc->...ac", kh, dk)
         out.values[j] = alg.to_coeffs(conj + maurer)
     return out

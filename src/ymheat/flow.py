@@ -34,6 +34,7 @@ __all__ = [
     "FlowInstabilityError",
     "FlowAbortError",
     "dt_ceiling",
+    "check_dt",
     "ym_rhs",
     "zds_rhs",
     "integrate",
@@ -51,6 +52,16 @@ def dt_ceiling(grid) -> float:
     smallest grid spacing."""
     h = min(grid.spacing)
     return h * h / 8
+
+
+def check_dt(dt: float, grid) -> None:
+    """Raise ValueError when dt exceeds dt_ceiling(grid) by more than
+    round-off (1e-12 relative)."""
+    ceiling = dt_ceiling(grid)
+    if dt > ceiling * (1 + 1e-12):
+        raise ValueError(
+            f"dt = {dt:g} exceeds the stability ceiling h^2/8 = {ceiling:g}"
+        )
 
 
 class FlowInstabilityError(RuntimeError):
@@ -83,12 +94,7 @@ class FlowConfig:
             raise ValueError("ZDS variant is offered for Neumann/Dirichlet only")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
-        ceiling = dt_ceiling(grid)
-        if self.dt > ceiling * (1 + 1e-12):
-            raise ValueError(
-                f"dt = {self.dt:g} exceeds the stability ceiling h^2/8 = "
-                f"{ceiling:g}"
-            )
+        check_dt(self.dt, grid)
         if any(t < 0 or t > self.t_end + TIME_TOL
                for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, t_end]")
@@ -178,7 +184,9 @@ def ym_rhs(A: KForm, bc: BoundarySpec) -> tuple[KForm, KForm]:
     A' = -d_A* B and B the ghost-filled curvature it was computed from."""
     Af = apply_boundary(A, bc)
     B = apply_boundary(curvature(Af), bc)
-    return -1.0 * dstar_cov(Af, B), B
+    Ap = dstar_cov(Af, B)
+    np.negative(Ap.values, out=Ap.values)
+    return Ap, B
 
 
 def zds_rhs(C: KForm, bc: BoundarySpec) -> tuple[KForm, KForm]:
@@ -203,6 +211,8 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
     is rejected and retried at half the step size.  The (A', B) of the end
     state feeds the energy test, the monitors and the next step's first
     stage, so a step costs 4 curvature evaluations (plus 1 at t = 0).
+    The L2 and Linf norms of B come from one pointwise norm, taken for
+    the energy test and carried into the monitors and the next test.
     """
     cfg.validate(A0.grid)
     rhs = _rhs_for(cfg.variant)
@@ -217,7 +227,8 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
     dt = float(cfg.dt)
     step = 0
     k1, B = rhs(A, bc)
-    _record(monitors, t, A, k1, B, bc)
+    B_norms = B.l2_linf()
+    _record(monitors, t, A, k1, B_norms, bc)
     if snap_queue and abs(snap_queue[0] - t) < TIME_TOL:
         times.append(t)
         fields.append(A.copy())
@@ -233,8 +244,9 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
             A_new = _rk4_step(A, dt_step, lambda X, b: rhs(X, b)[0], bc,
                               step, t, k1)
             k1_new, B_new = rhs(A_new, bc)
+            B_norms_new = B_new.l2_linf()
             if (cfg.variant == "YM"
-                    and B_new.norm("L2") > B.norm("L2") * (1.0 + ENERGY_SLACK)):
+                    and B_norms_new[0] > B_norms[0] * (1.0 + ENERGY_SLACK)):
                 dt = dt / 2.0
                 if dt < DT_FLOOR:
                     raise FlowInstabilityError(
@@ -243,10 +255,10 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
                 dt_step = min(dt, target - t)
                 continue
             break
-        A, k1, B = A_new, k1_new, B_new
+        A, k1, B_norms = A_new, k1_new, B_norms_new
         t += dt_step
         step += 1
-        _record(monitors, t, A, k1, B, bc)
+        _record(monitors, t, A, k1, B_norms, bc)
         if snap_queue and t >= snap_queue[0] - TIME_TOL:
             times.append(t)
             fields.append(A.copy())
@@ -255,33 +267,39 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
     return FlowTrajectory(times, fields, monitors.finalize(), cfg)
 
 
+def _axpy(A, s, k):
+    """A + s * k in one new array, with the bits of the KForm expression."""
+    v = k.values * s
+    v += A.values
+    return A._like(v)
+
+
 def _rk4_step(A, dt, rhs, bc, step, t, k1=None):
+    """One classical RK4 step; A + (dt/6)(k1 + 2 k2 + 2 k3 + k4) is summed
+    in that order, in place in the stage arrays (k1 is left untouched)."""
     if k1 is None:
         k1 = rhs(A, bc)
-    k2 = rhs(A + (0.5 * dt) * k1, bc)
-    k3 = rhs(A + (0.5 * dt) * k2, bc)
-    k4 = rhs(A + dt * k3, bc)
-    A_new = apply_boundary(
-        A + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4), bc
-    )
+    k2 = rhs(_axpy(A, 0.5 * dt, k1), bc)
+    k3 = rhs(_axpy(A, 0.5 * dt, k2), bc)
+    k4 = rhs(_axpy(A, dt, k3), bc)
+    total = k2.values  # becomes k1 + 2 k2 + 2 k3 + k4
+    total *= 2.0
+    total += k1.values
+    k3.values *= 2.0
+    total += k3.values
+    total += k4.values
+    A_new = apply_boundary(_axpy(A, dt / 6.0, k2), bc)
     if not np.all(np.isfinite(A_new.values)):
         raise FlowAbortError(step, t)
     return A_new
 
 
-def _record(monitors, t, A, Ap, B, bc):
+def _record(monitors, t, A, Ap, B_norms, bc):
     """Append the monitors of the filled state A with flow direction Ap and
-    filled curvature B."""
+    curvature norms B_norms = (L2, Linf)."""
     Apf = apply_boundary(Ap, bc)
     Bp = d_cov(A, Apf)  # dB/dt = d_A A'
-    monitors.record(
-        t,
-        B.norm("L2"),
-        B.norm("Linf"),
-        Apf.norm("L2"),
-        Apf.norm("Linf"),
-        Bp.norm("L2"),
-    )
+    monitors.record(t, *B_norms, *Apf.l2_linf(), Bp.norm("L2"))
 
 
 # ---------------------------------------------------------------------------

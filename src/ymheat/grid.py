@@ -7,7 +7,7 @@ field per increasing multi-index, shape ``(ncomp, n1+2, n2+2, n3+2, dim)``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -70,18 +70,30 @@ class GridSpec:
         return np.meshgrid(*axes, indexing="ij")
 
     def trapezoid_weights(self):
-        """Volume quadrature weights on the non-ghost nodes, shape self.shape."""
-        ws = []
-        for a in range(3):
-            w = np.full(self.shape[a], self.spacing[a])
-            w[0] *= 0.5
-            w[-1] *= 0.5
-            ws.append(w)
-        return ws[0][:, None, None] * ws[1][None, :, None] * ws[2][None, None, :]
+        """Volume quadrature weights on the non-ghost nodes, shape self.shape.
+
+        Built on the first call and cached on the grid, read-only.
+        """
+        w = self.__dict__.get("_trapezoid_weights")
+        if w is None:
+            w = _trapezoid_weights(self)
+            w.flags.writeable = False
+            object.__setattr__(self, "_trapezoid_weights", w)
+        return w
 
     @property
     def volume(self):
         return self.extents[0] * self.extents[1] * self.extents[2]
+
+
+def _trapezoid_weights(grid: GridSpec) -> np.ndarray:
+    ws = []
+    for a in range(3):
+        w = np.full(grid.shape[a], grid.spacing[a])
+        w[0] *= 0.5
+        w[-1] *= 0.5
+        ws.append(w)
+    return ws[0][:, None, None] * ws[1][None, :, None] * ws[2][None, None, :]
 
 
 class BoundarySpec:
@@ -203,9 +215,9 @@ class KForm:
         """L2, Linf or W1 norm over the box (trapezoid-rule integrals)."""
         if kind == "Linf":
             return float(np.max(self.pointwise_norm()))
-        w = self.grid.trapezoid_weights()
         if kind == "L2":
-            return float(np.sqrt(np.sum(w * self.pointwise_norm() ** 2)))
+            return self._l2(self.pointwise_norm())
+        w = self.grid.trapezoid_weights()
         if kind == "W1":
             if self.bc is None:
                 raise ValueError("W1 norm needs filled ghosts")
@@ -229,6 +241,15 @@ class KForm:
             return float(np.sqrt(np.sum(w * grad_sq) + l2sq))
         raise ValueError(f"unknown norm kind {kind!r}")
 
+    def l2_linf(self):
+        """(L2, Linf) norms from one pointwise norm, with the bits of
+        ``norm("L2")`` and ``norm("Linf")``."""
+        pw = self.pointwise_norm()
+        return self._l2(pw), float(np.max(pw))
+
+    def _l2(self, pw):
+        return float(np.sqrt(np.sum(self.grid.trapezoid_weights() * pw ** 2)))
+
     def max_interior_norm(self, margin=0):
         """Max |omega| over nodes at least `margin` cells from every face."""
         m = 1 + margin
@@ -238,6 +259,34 @@ class KForm:
     def __repr__(self):
         return (f"KForm(degree={self.degree}, grid={self.grid.shape}, "
                 f"group={self.algebra.group_id}, bc={self.bc})")
+
+
+@lru_cache(maxsize=None)
+def _parities(bc: BoundarySpec, degree: int):
+    """Per spatial axis: the parity of every component as a read-only
+    (ncomp, 1, 1, 1) array, and the indices of the odd components."""
+    comps = COMPONENT_AXES[degree]
+    table = []
+    for a in range(3):
+        p = np.array([float(bc.parity(degree, axes, a)) for axes in comps])
+        odd = np.flatnonzero(p < 0)
+        p = p.reshape(-1, 1, 1, 1)
+        p.flags.writeable = odd.flags.writeable = False
+        table.append((p, odd))
+    return tuple(table)
+
+
+def _face(axis, idx):
+    """Index of one layer (all components) along a spatial axis, over the
+    non-ghost range of the two other axes."""
+    s = [slice(None)] + [slice(1, -1)] * 3 + [slice(None)]
+    s[axis + 1] = idx
+    return tuple(s)
+
+
+# per spatial axis: the layer index tuples of the fill, by position
+_FACES = tuple({idx: _face(a, idx) for idx in (0, 1, 2, -3, -2, -1)}
+               for a in range(3))
 
 
 def apply_boundary(omega: KForm, bc: BoundarySpec) -> KForm:
@@ -250,26 +299,16 @@ def apply_boundary(omega: KForm, bc: BoundarySpec) -> KForm:
     """
     out = omega.copy()
     v = out.values
-    comps = COMPONENT_AXES[omega.degree]
-
-    def slices(ci, ax, idx):
-        s = [ci] + [slice(1, -1)] * 3 + [slice(None)]
-        s[ax] = idx
-        return tuple(s)
-
+    table = _parities(bc, omega.degree)
     # zero every odd-parity face first so the mirror pass below never
     # copies a stale pre-constraint face value into an edge ghost
-    for ci, axes in enumerate(comps):
-        for a in range(3):
-            if bc.parity(omega.degree, axes, a) < 0:
-                ax = a + 1  # array axis for spatial axis a
-                v[slices(ci, ax, 1)] = 0.0
-                v[slices(ci, ax, -2)] = 0.0
-    for ci, axes in enumerate(comps):
-        for a in range(3):
-            p = bc.parity(omega.degree, axes, a)
-            ax = a + 1
-            v[slices(ci, ax, 0)] = p * v[slices(ci, ax, 2)]
-            v[slices(ci, ax, -1)] = p * v[slices(ci, ax, -3)]
+    for faces, (_, odd) in zip(_FACES, table):
+        if odd.size:
+            for idx in (1, -2):
+                v[(odd,) + faces[idx][1:]] = 0.0
+    # the mirror reads only non-ghost nodes, so its order is free
+    for faces, (par, _) in zip(_FACES, table):
+        for ghost, src in ((0, 2), (-1, -3)):
+            np.multiply(par, v[faces[src]], out=v[faces[ghost]])
     out.bc = bc
     return out

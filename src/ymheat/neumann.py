@@ -19,7 +19,14 @@ from .calculus import (
     curvature,
     weitzenbock_defect,
 )
-from .flow import FlowTrajectory, _rhs_for, _rk4_step, dt_ceiling
+from .flow import (
+    TIME_TOL,
+    FlowTrajectory,
+    _rhs_for,
+    _rk4_step,
+    check_dt,
+    dt_ceiling,
+)
 from .grid import GridSpec, KForm, apply_boundary
 
 __all__ = [
@@ -277,11 +284,9 @@ def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
     A is held fixed; omega evolves by d omega/dt = sum_j (grad_j^A)^2 omega
     under RK4 with the same step ceiling as the flow.
     """
-    ceiling = dt_ceiling(omega0.grid)
     if dt is None:
-        dt = ceiling
-    if dt > ceiling * (1 + 1e-12):
-        raise ValueError("dt exceeds the stability ceiling h^2/8")
+        dt = dt_ceiling(omega0.grid)
+    check_dt(dt, omega0.grid)
     bc = omega0.bc
     if bc is None:
         raise ValueError("omega0 needs a boundary fill")
@@ -295,7 +300,7 @@ def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
     w = apply_boundary(omega0, bc)
     s = 0.0
     step = 0
-    while s < t - 1e-14:
+    while s < t - TIME_TOL:
         h_step = min(dt, t - s)
         w = _rk4_step(w, h_step, rhs, bc, step, s)
         s += h_step

@@ -13,7 +13,15 @@ from ymheat.calculus import (
     weitzenbock_defect,
 )
 from ymheat.fields import edge_bump, random_smooth
-from ymheat.grid import MARINI, NEUMANN, GridSpec, KForm, apply_boundary
+from ymheat.grid import (
+    COMPONENT_AXES,
+    DIRICHLET,
+    MARINI,
+    NEUMANN,
+    GridSpec,
+    KForm,
+    apply_boundary,
+)
 
 
 def _dot(a, b):
@@ -195,3 +203,195 @@ def test_u1_pure_gauge_is_gradient(unit_grid, u1_alg):
         dev = np.abs(Ak.values[j, 2:-2, 2:-2, 2:-2, 0]
                      - grad[2:-2, 2:-2, 2:-2])
         assert dev.max() < 20.0 * h[j] ** 2
+
+
+# -- bit-for-bit references --------------------------------------------------
+# The plain evaluation of each operator's formula: full-size derivative
+# arrays, the su(2) bracket as np.cross and the u(1) bracket as zeros, and
+# a ghost fill one component and one face at a time.  The operators must
+# reproduce these bits exactly.
+
+_AXES = {p: {axes: i for i, axes in enumerate(c)}
+         for p, c in COMPONENT_AXES.items()}
+_CTR = (slice(1, -1),) * 3
+
+
+def _ref_bracket(alg, x, y):
+    if alg.group_id == "SU2":
+        return np.cross(y, x)
+    return np.zeros(np.broadcast_shapes(np.shape(x), np.shape(y)))
+
+
+def _ref_diff(f, axis, h, second=False):
+    out = np.zeros_like(f)
+    plus, minus = list(_CTR), list(_CTR)
+    plus[axis] = slice(2, None)
+    minus[axis] = slice(0, -2)
+    plus, minus = tuple(plus), tuple(minus)
+    if second:
+        out[_CTR] = (f[plus] - 2.0 * f[_CTR] + f[minus]) / (h * h)
+    else:
+        out[_CTR] = (f[plus] - f[minus]) / (2.0 * h)
+    return out
+
+
+def _ref_fill(omega, bc):
+    out = omega.copy()
+    v = out.values
+    comps = COMPONENT_AXES[omega.degree]
+
+    def sl(ci, ax, idx):
+        s = [ci] + [slice(1, -1)] * 3 + [slice(None)]
+        s[ax] = idx
+        return tuple(s)
+
+    for ci, axes in enumerate(comps):
+        for a in range(3):
+            if bc.parity(omega.degree, axes, a) < 0:
+                v[sl(ci, a + 1, 1)] = 0.0
+                v[sl(ci, a + 1, -2)] = 0.0
+    for ci, axes in enumerate(comps):
+        for a in range(3):
+            p = bc.parity(omega.degree, axes, a)
+            v[sl(ci, a + 1, 0)] = p * v[sl(ci, a + 1, 2)]
+            v[sl(ci, a + 1, -1)] = p * v[sl(ci, a + 1, -3)]
+    out.bc = bc
+    return out
+
+
+def _ref_curvature(A):
+    h, alg = A.grid.spacing, A.algebra
+    B = KForm(2, A.grid, alg)
+    for (i, j), ci in _AXES[2].items():
+        B.values[ci] = (_ref_diff(A.values[j], i, h[i])
+                        - _ref_diff(A.values[i], j, h[j])
+                        + _ref_bracket(alg, A.values[i], A.values[j]))
+    return B
+
+
+def _ref_d_cov(A, omega):
+    p, h, alg = omega.degree, omega.grid.spacing, omega.algebra
+    out = KForm(p + 1, omega.grid, alg)
+    for J, cj in _AXES[p + 1].items():
+        acc = np.zeros_like(out.values[cj])
+        for pos, k in enumerate(J):
+            w = omega.values[_AXES[p][tuple(a for a in J if a != k)]]
+            sign = -1.0 if pos % 2 else 1.0
+            acc += sign * (_ref_diff(w, k, h[k])
+                           + _ref_bracket(alg, A.values[k], w))
+        out.values[cj] = acc
+    return out
+
+
+def _ref_dstar_cov(A, omega):
+    p, h, alg = omega.degree, omega.grid.spacing, omega.algebra
+    out = KForm(p - 1, omega.grid, alg)
+    for I, ci in _AXES[p - 1].items():
+        acc = np.zeros_like(out.values[ci])
+        for k in (k for k in range(3) if k not in I):
+            J = tuple(sorted(I + (k,)))
+            sign = -1.0 if J.index(k) % 2 else 1.0
+            w = omega.values[_AXES[p][J]]
+            acc -= sign * (_ref_diff(w, k, h[k])
+                           + _ref_bracket(alg, A.values[k], w))
+        out.values[ci] = acc
+    return out
+
+
+def _ref_bochner(A, omega):
+    h, alg = omega.grid.spacing, omega.algebra
+    out = KForm(omega.degree, omega.grid, alg)
+    dA = [_ref_diff(A.values[j], j, h[j]) for j in range(3)]
+    for ci in range(omega.values.shape[0]):
+        w = omega.values[ci]
+        acc = np.zeros_like(w)
+        for j in range(3):
+            Aj = A.values[j]
+            acc += _ref_diff(w, j, h[j], second=True)
+            acc += _ref_bracket(alg, dA[j], w)
+            acc += 2.0 * _ref_bracket(alg, Aj, _ref_diff(w, j, h[j]))
+            acc += _ref_bracket(alg, Aj, _ref_bracket(alg, Aj, w))
+        out.values[ci] = acc
+    return out
+
+
+def _ref_weitzenbock(A, omega):
+    bc = omega.bc
+    hodge = _ref_dstar_cov(A, _ref_fill(_ref_d_cov(A, omega), bc))
+    hodge = hodge + _ref_d_cov(A, _ref_fill(_ref_dstar_cov(A, omega), bc))
+    out = KForm(omega.degree, omega.grid, omega.algebra)
+    out.values[...] = -hodge.values - _ref_bochner(A, omega).values
+    return out
+
+
+def _ref_contraction(alpha, B):
+    alg = alpha.algebra
+    out = KForm(1, alpha.grid, alg)
+    for j in range(3):
+        acc = np.zeros_like(out.values[j])
+        for i in range(3):
+            if i < j:
+                acc += _ref_bracket(alg, alpha.values[i],
+                                    B.values[_AXES[2][(i, j)]])
+            elif i > j:
+                acc -= _ref_bracket(alg, alpha.values[i],
+                                    B.values[_AXES[2][(j, i)]])
+        out.values[j] = acc
+    return out
+
+
+_BOX = GridSpec((1.0, 2.0, 3.0), (9, 11, 13))
+_ALGEBRAS = {"SU2": su2(), "U1": u1()}
+_BCS = {"dirichlet": DIRICHLET, "neumann": NEUMANN, "marini": MARINI}
+
+
+def _noise(degree, alg, seed):
+    """A form with every entry, ghosts included, drawn at random."""
+    w = KForm(degree, _BOX, alg)
+    w.values[...] = np.random.default_rng(seed).standard_normal(
+        w.values.shape)
+    return w
+
+
+@pytest.mark.parametrize("bc", sorted(_BCS))
+@pytest.mark.parametrize("group", sorted(_ALGEBRAS))
+def test_operators_match_plain_evaluation_bit_for_bit(group, bc):
+    alg, bc = _ALGEBRAS[group], _BCS[bc]
+    A = apply_boundary(_noise(1, alg, 1), bc)
+    B = apply_boundary(_noise(2, alg, 2), bc)
+    cases = [
+        (curvature(A), _ref_curvature(A)),
+        (contraction_bracket(A, B), _ref_contraction(A, B)),
+    ]
+    for p in (1, 2):
+        w = apply_boundary(_noise(p, alg, 3 + p), bc)
+        cases += [
+            (d_cov(A, w), _ref_d_cov(A, w)),
+            (dstar_cov(A, w), _ref_dstar_cov(A, w)),
+            (bochner_laplacian(A, w), _ref_bochner(A, w)),
+            (weitzenbock_defect(A, w), _ref_weitzenbock(A, w)),
+        ]
+    w0 = apply_boundary(_noise(0, alg, 6), bc)
+    cases.append((d_cov(A, w0), _ref_d_cov(A, w0)))
+    for got, ref in cases:
+        assert np.array_equal(got.interior, ref.interior)
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+@pytest.mark.parametrize("bc", sorted(_BCS))
+@pytest.mark.parametrize("group", sorted(_ALGEBRAS))
+def test_ghost_fill_matches_per_component_fill(group, bc, degree):
+    w = _noise(degree, _ALGEBRAS[group], 7 + degree)
+    got = apply_boundary(w, _BCS[bc])
+    ref = _ref_fill(w, _BCS[bc])
+    assert got.bc == ref.bc
+    assert np.array_equal(got.values, ref.values)
+
+
+def test_su2_bracket_is_np_cross_bit_for_bit(su2_alg, rng):
+    A = _noise(1, su2_alg, 8)
+    x, y = rng.standard_normal(3), rng.standard_normal(3)
+    stack = rng.standard_normal((4, 5, 3))
+    for a, b in ((x, y), (stack, x), (x, stack),
+                 (A.values[0], A.values[2])):
+        assert np.array_equal(su2_alg.bracket(a, b), np.cross(b, a))

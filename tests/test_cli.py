@@ -326,6 +326,28 @@ def test_wilson_ladder_workload_matches_reference(tmp_path):
         json.loads(ref.read_text())
 
 
+def test_u1_domination_workload_matches_reference(tmp_path):
+    # the stored outcome at seed 0 is a failed A' domination check
+    cfg = json.loads((PERFBENCH / "workloads" / "u1-domination.json")
+                     .read_text())
+    assert cfg["field"]["seed"] == 0
+    assert cli.execute("verify-domination", cfg, tmp_path) == 1
+    new = json.loads((tmp_path / "report.json").read_text())
+    assert [c["name"] for c in new["checks"] if c["verdict"] == "fail"] \
+        == ["domination_Ap"]
+    ref = PERFBENCH / "references" / "u1-domination.seed0.json"
+    assert _drift(json.loads(ref.read_text()), new) == []
+
+
+def test_washer_regularize_workload_matches_reference(tmp_path):
+    cfg = json.loads((PERFBENCH / "workloads" / "washer-regularize.json")
+                     .read_text())
+    assert cli.execute("washer-regularize", cfg, tmp_path) == 0
+    ref = PERFBENCH / "references" / "washer-regularize.json"
+    new = json.loads((tmp_path / "report.json").read_text())
+    assert _drift(json.loads(ref.read_text()), new) == []
+
+
 CIRCLE_NO_Z = [{"kind": "arc", "center": [0.5, 0.5], "radius": 0.2,
                 "phi0": 0.0, "phi1": 6.283185307179586}]
 

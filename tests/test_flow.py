@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ymheat.algebra import su2
+from ymheat.algebra import LieAlgebraSpec, su2
 from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import (
     DT_FLOOR,
@@ -17,7 +17,14 @@ from ymheat.flow import (
     ym_rhs,
     zds_rhs,
 )
-from ymheat.grid import DIRICHLET, MARINI, NEUMANN, GridSpec, apply_boundary
+from ymheat.grid import (
+    DIRICHLET,
+    MARINI,
+    NEUMANN,
+    GridSpec,
+    KForm,
+    apply_boundary,
+)
 
 
 def _dt_max(grid):
@@ -214,3 +221,41 @@ def test_verify_bounds_not_applicable_when_gate_fails(unit_grid, su2_alg):
     assert not rows["small_data_gate"]["passed"]
     assert not rows["B_linf_early"]["applicable"]
     assert rows["B_linf_early"]["passed"]  # not applicable, not failed
+
+
+def _five_steps(monkeypatch, alg, owner, attr):
+    """Run a 5-step YM flow on 10^3 while counting calls of owner.attr."""
+    grid = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
+    calls = []
+    real = getattr(owner, attr)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, attr, counting)
+    A0 = random_smooth(grid, alg, seed=29, amplitude=0.05)
+    dt = 0.9 * _dt_max(grid)
+    traj = integrate(A0, FlowConfig(NEUMANN, dt, 5 * dt))
+    assert len(traj.monitors) - 1 == 5
+    return len(calls)
+
+
+def test_integrate_takes_one_pointwise_norm_per_field_and_step(monkeypatch,
+                                                               su2_alg):
+    # B (in the energy test), A' and dB/dt: 3 at t = 0 and per step
+    assert _five_steps(monkeypatch, su2_alg, KForm, "pointwise_norm") \
+        == 3 + 3 * 5
+
+
+def test_integrate_builds_trapezoid_weights_once(monkeypatch, su2_alg):
+    import ymheat.grid
+
+    assert _five_steps(monkeypatch, su2_alg, ymheat.grid,
+                       "_trapezoid_weights") == 1
+
+
+def test_u1_flow_makes_no_bracket_calls(monkeypatch, u1_alg, su2_alg):
+    assert _five_steps(monkeypatch, u1_alg, LieAlgebraSpec, "bracket") == 0
+    # control: the same flow on su(2) does call it
+    assert _five_steps(monkeypatch, su2_alg, LieAlgebraSpec, "bracket") > 0
