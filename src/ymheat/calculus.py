@@ -209,11 +209,10 @@ def weitzenbock_defect(A: KForm, omega: KForm) -> KForm:
     bc = omega.bc
     hodge = dstar_cov(A, apply_boundary(d_cov(A, omega), bc))
     lower = apply_boundary(dstar_cov(A, omega), bc)
-    hodge = hodge + d_cov(A, lower)
-    bl = bochner_laplacian(A, omega)
-    out = KForm(p, omega.grid, omega.algebra)
-    out.values[...] = -hodge.values - bl.values
-    return out
+    hodge.values += d_cov(A, lower).values
+    np.negative(hodge.values, out=hodge.values)
+    hodge.values -= bochner_laplacian(A, omega).values
+    return hodge
 
 
 def contraction_bracket(alpha: KForm, B: KForm) -> KForm:

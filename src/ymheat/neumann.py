@@ -10,6 +10,8 @@ this module is therefore an oracle comparison, not a two-solver race.
 from __future__ import annotations
 
 import math
+import os
+import threading
 
 import numpy as np
 
@@ -61,7 +63,8 @@ class NeumannSemigroup:
     Evolution has two steps: ``spectrum`` (one forward DCT) and
     ``evolve`` (damp the modes, one inverse DCT).  A caller that evolves
     one field to several times transforms it once and evolves the stored
-    spectrum, paying one inverse DCT per time.
+    spectrum, paying one inverse DCT per time.  ``evolve`` touches no
+    state of the semigroup, so threads may call it at once.
     The operator norm from L^2 to L^inf is computed from the diagonal of
     the kernel, which is a product of separable corner sums.
     """
@@ -75,6 +78,7 @@ class NeumannSemigroup:
         self.eigenvalues = sum(
             (np.pi * k / L) ** 2 for k, L in zip(ks, grid.extents)
         )
+        self._neg_eigenvalues = -self.eigenvalues
 
     def spectrum(self, f: np.ndarray) -> np.ndarray:
         """DCT-I coefficients of nodal values f of shape grid.shape."""
@@ -87,11 +91,16 @@ class NeumannSemigroup:
         """Nodal values of e^{t Lap_N} f from f's ``spectrum``.
 
         ``coeffs`` is not modified, so one spectrum serves any number of
-        times t.
+        times t.  The damped modes are formed in one array, which the
+        inverse DCT may overwrite; the bits are those of
+        ``idctn(coeffs * np.exp(-eigenvalues * t), type=1)``.
         """
         if t < 0:
             raise ValueError("t must be nonnegative")
-        return idctn(coeffs * np.exp(-self.eigenvalues * t), type=1)
+        damped = self._neg_eigenvalues * t
+        np.exp(damped, out=damped)
+        np.multiply(coeffs, damped, out=damped)
+        return idctn(damped, type=1, overwrite_x=True)
 
     def heat_apply(self, t: float, f: np.ndarray) -> np.ndarray:
         """Apply e^{t Lap_N} to nodal values f of shape grid.shape.
@@ -103,7 +112,7 @@ class NeumannSemigroup:
     def laplacian_apply(self, f: np.ndarray) -> np.ndarray:
         """Spectral Neumann Laplacian of nodal values."""
         coeffs = dctn(np.asarray(f, dtype=float), type=1)
-        return idctn(-self.eigenvalues * coeffs, type=1)
+        return idctn(self._neg_eigenvalues * coeffs, type=1)
 
     # -- the 2->inf norm and c_N --------------------------------------------
 
@@ -233,13 +242,63 @@ def _add_duhamel(sg: NeumannSemigroup, out: np.ndarray, times, g_spectra,
     [times[i0], times[i1]] into ``out``, in place.
 
     ``g_spectra[j]`` is the ``spectrum`` of g(times[j]); each of the
-    i1 - i0 + 1 samples costs one inverse DCT.
+    i1 - i0 + 1 samples costs one inverse DCT.  The samples stream, two
+    at a time, and each panel adds 0.5 * (t_{j+1} - t_j) * (e_j + e_{j+1})
+    to ``out`` in order of j.
     """
-    evals = [sg.evolve(times[i1] - times[j], g_spectra[j])
-             for j in range(i0, i1 + 1)]
+    prev = sg.evolve(times[i1] - times[i0], g_spectra[i0])
     for j in range(i0, i1):
-        out += 0.5 * (times[j + 1] - times[j]) * (
-            evals[j - i0] + evals[j + 1 - i0])
+        nxt = sg.evolve(times[i1] - times[j + 1], g_spectra[j + 1])
+        prev += nxt
+        prev *= 0.5 * (times[j + 1] - times[j])
+        out += prev
+        prev = nxt
+
+
+def _run_on_two_threads(task, n: int) -> None:
+    """Call ``task(i)`` for every i in range(n), largest i first.
+
+    With a second CPU in this process's affinity set, one worker thread
+    and the calling thread take indices from one shared list; otherwise
+    the calling thread runs them all.  Tasks store their own results, so
+    the order in which they finish changes no value.  The worker is
+    joined before this returns or raises, and an exception raised in it
+    is raised again here.
+    """
+    todo = list(range(n))
+
+    def drain():
+        while True:
+            try:
+                i = todo.pop()
+            except IndexError:
+                return
+            task(i)
+
+    # the affinity set is Linux's; elsewhere count the machine's CPUs
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if n < 2 or cpus < 2:
+        drain()
+        return
+    failed = []
+
+    def work():
+        try:
+            drain()
+        except BaseException as e:  # handed to the caller below
+            todo.clear()
+            failed.append(e)
+
+    worker = threading.Thread(target=work, name="ymheat-domination")
+    worker.start()
+    try:
+        drain()
+    finally:
+        todo.clear()
+        worker.join()
+    if failed:
+        raise failed[0]
 
 
 def domination_check(sg: NeumannSemigroup, traj: FlowTrajectory,
@@ -253,22 +312,38 @@ def domination_check(sg: NeumannSemigroup, traj: FlowTrajectory,
 
     |omega(t_0)| and every source |h(s_j)| are transformed once and the
     stored spectra are evolved to each target time, so n snapshots cost
-    n + 1 forward and (n - 1)(n + 4)/2 inverse DCTs.
+    n + 1 forward and (n - 1)(n + 4)/2 inverse DCTs.  The fields are built
+    on the calling thread; the transforms of the sources, and then the
+    bound and margin of each target, run on it and one worker thread
+    (``_run_on_two_threads``).  Each target holds its bound and two
+    Duhamel evaluations at a time and keeps the serial arithmetic, so
+    every margin has the same bits on one thread or two.
     """
     if len(traj.times) < 2:
         raise ValueError("need at least 2 snapshots")
     ts = np.asarray(traj.times)
     t0 = ts[0]
     omegas, sources = _omega_series(traj, omega_kind)
-    # transformed in place, so each snapshot keeps one array alive
+    # the first transform checks the shape and loads scipy.fft on this
+    # thread; the sources, fresh arrays of the same shape, are then
+    # transformed in place, so no thread allocates a spectrum that
+    # outlives its task
     omega0 = sg.spectrum(omegas.pop(0))
-    for j, g in enumerate(sources):
-        sources[j] = sg.spectrum(g)
-    margins = []
-    for i, omega in enumerate(omegas, start=1):
+
+    def transform(j):
+        sources[j] = dctn(sources[j], type=1, overwrite_x=True)
+
+    _run_on_two_threads(transform, len(sources))
+    margins = [0.0] * len(omegas)
+
+    def margin(k):
+        i = k + 1
         bound = sg.evolve(ts[i] - t0, omega0)
         _add_duhamel(sg, bound, ts, sources, 0, i)
-        margins.append(float(np.min(bound - omega)))
+        bound -= omegas[k]
+        margins[k] = float(np.min(bound))
+
+    _run_on_two_threads(margin, len(omegas))
     return {
         "min_margin": float(min(margins)),
         "per_time_margin": margins,

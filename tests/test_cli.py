@@ -591,6 +591,11 @@ def test_cli_import_loads_no_scipy_and_every_traced_module():
     spec.loader.exec_module(tracing)
     traced = {mod for _name, mod, _attr in tracing.BOUNDARIES}
     assert traced <= set(loaded)
+    # importing starts no thread and loads no executor machinery
+    assert _fresh_python(
+        "import ymheat.cli\nimport json, sys, threading\n"
+        "print(json.dumps([threading.active_count(), "
+        "'concurrent.futures' in sys.modules]))") == [1, False]
 
 
 @pytest.mark.parametrize("command", ["flow", "verify-bounds", "wilson"])

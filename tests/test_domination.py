@@ -1,6 +1,12 @@
+import json
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from ymheat import calculus, cli, flow, grid as grid_module
 from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import FlowConfig, FlowTrajectory, integrate
 from ymheat.grid import DIRICHLET, NEUMANN, GridSpec, apply_boundary
@@ -8,6 +14,7 @@ from ymheat import neumann
 from ymheat.neumann import (
     NeumannSemigroup,
     _omega_series,
+    _run_on_two_threads,
     compose_lemma_check,
     diamagnetic_check,
     domination_check,
@@ -82,13 +89,45 @@ def test_domination_equals_per_pair_heat_apply(small_su2_traj, kind):
     assert res["min_margin"] == min(margins)
 
 
+def _cpus(monkeypatch, n):
+    """Make this process look as if it may run on n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@pytest.fixture(scope="module")
+def nonuniform_u1_traj(u1_alg):
+    small = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
+    A0 = random_smooth(small, u1_alg, seed=38, amplitude=0.3)
+    dt = min(small.spacing) ** 2 / 8 * 0.9
+    cfg = FlowConfig(NEUMANN, dt, 0.004,
+                     snapshot_times=(0.0, 0.0007, 0.001, 0.0025, 0.004))
+    return NeumannSemigroup(small), integrate(A0, cfg)
+
+
+@pytest.mark.parametrize("kind", ["B", "A'"])
+@pytest.mark.parametrize("case", ["small_su2_traj", "nonuniform_u1_traj"])
+def test_domination_same_bits_on_one_thread_or_two(request, monkeypatch,
+                                                   case, kind):
+    sg, traj = request.getfixturevalue(case)
+    _cpus(monkeypatch, 1)
+    serial = domination_check(sg, traj, omega_kind=kind)
+    _cpus(monkeypatch, 2)
+    assert domination_check(sg, traj, omega_kind=kind) == serial
+    assert serial["per_time_margin"] == \
+        _domination_by_heat_apply(sg, traj, kind)
+
+
 @pytest.fixture()
 def dct_counts(monkeypatch):
+    # the transforms of domination_check run on two threads
     counts = {"forward": 0, "inverse": 0}
+    lock = threading.Lock()
 
     def counted(fn, key):
         def wrapper(*args, **kwargs):
-            counts[key] += 1
+            with lock:
+                counts[key] += 1
             return fn(*args, **kwargs)
         return wrapper
 
@@ -116,6 +155,185 @@ def test_compose_lemma_evaluates_each_duhamel_term_once(sg, dct_counts):
     # g: m + 1 spectra; u and the composed bound: one heat_apply each per
     # subinterval; the Duhamel terms: m + n evolutions in all
     assert dct_counts == {"forward": 9 + 2 * 3, "inverse": 8 + 3 * 3}
+
+
+def _add_duhamel_by_list(sg, out, times, g_spectra, i0, i1):
+    """The trapezoid with every sample held at once."""
+    evals = [sg.evolve(times[i1] - times[j], g_spectra[j])
+             for j in range(i0, i1 + 1)]
+    for j in range(i0, i1):
+        out += 0.5 * (times[j + 1] - times[j]) * (
+            evals[j - i0] + evals[j + 1 - i0])
+
+
+def test_compose_lemma_same_bits_as_listed_trapezoid(sg, monkeypatch):
+    rng = np.random.default_rng(41)
+    times = np.array([0.0, 0.004, 0.01, 0.011, 0.03, 0.05, 0.08])
+    u = [np.abs(rng.standard_normal(sg.grid.shape)) + 1.0 for _ in times]
+    g = [np.abs(rng.standard_normal(sg.grid.shape)) for _ in times]
+    partition = [0, 1, 4, 6]
+    streamed = compose_lemma_check(sg, times, u, g, partition, tol=10.0)
+    monkeypatch.setattr(neumann, "_add_duhamel", _add_duhamel_by_list)
+    assert compose_lemma_check(sg, times, u, g, partition, tol=10.0) \
+        == streamed
+
+
+def _first_two_meet(n, log):
+    """A task for ``_run_on_two_threads(task, n)`` that logs (i, thread)
+    and holds the first two indices taken until both are held, so it
+    fails unless two threads run it."""
+    meet = threading.Barrier(2, timeout=30)
+
+    def task(i):
+        log.append((i, threading.current_thread()))
+        if i >= n - 2:
+            meet.wait()
+    return task
+
+
+def test_two_threads_take_indices_largest_first(monkeypatch):
+    _cpus(monkeypatch, 2)
+    before = threading.active_count()
+    log = []
+    _run_on_two_threads(_first_two_meet(7, log), 7)
+    assert threading.active_count() == before
+    assert sorted(i for i, _ in log) == list(range(7))
+    threads = {t for _, t in log}
+    assert len(threads) == 2 and threading.main_thread() in threads
+    for t in threads:
+        mine = [i for i, u in log if u is t]
+        assert mine == sorted(mine, reverse=True)
+
+
+def test_one_cpu_runs_every_index_on_the_caller(monkeypatch):
+    _cpus(monkeypatch, 1)
+    before = threading.active_count()
+    log = []
+    _run_on_two_threads(lambda i: log.append(
+        (i, threading.current_thread())), 5)
+    assert log == [(i, threading.main_thread()) for i in range(4, -1, -1)]
+    assert threading.active_count() == before
+
+
+def test_every_index_runs_once_under_fast_switching(monkeypatch):
+    _cpus(monkeypatch, 2)
+    runs = [0] * 5000
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        def task(i):
+            runs[i] += 1  # each index is one task's own slot
+        _run_on_two_threads(task, len(runs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert runs == [1] * len(runs)
+
+
+class _Boom(Exception):
+    pass
+
+
+@pytest.mark.parametrize("on_worker", [True, False])
+def test_task_exception_reaches_the_caller(monkeypatch, on_worker):
+    _cpus(monkeypatch, 2)
+    before = threading.active_count()
+    log = []
+    meet = _first_two_meet(6, log)
+
+    def task(i):
+        meet(i)
+        on_main = threading.current_thread() is threading.main_thread()
+        if on_main != on_worker:
+            raise _Boom(i)
+
+    with pytest.raises(_Boom):
+        _run_on_two_threads(task, 6)
+    assert threading.active_count() == before
+
+
+def test_traced_boundaries_stay_on_the_main_thread(small_su2_traj,
+                                                   monkeypatch):
+    # every binding the benchmark's tracer wraps, as it wraps them
+    sg, traj = small_su2_traj
+    _cpus(monkeypatch, 2)
+    calls = {}
+
+    def on_main_only(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            assert threading.current_thread() is threading.main_thread(), name
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("apply_boundary", "curvature", "weitzenbock_defect"):
+        for mod in (grid_module, calculus, flow, neumann):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name,
+                                    on_main_only(name, getattr(mod, name)))
+    monkeypatch.setattr(NeumannSemigroup, "heat_apply", on_main_only(
+        "heat_apply", NeumannSemigroup.heat_apply))
+    before = threading.active_count()
+    for kind in ("B", "A'"):
+        domination_check(sg, traj, omega_kind=kind)
+    assert threading.active_count() == before
+    assert set(calls) == {"apply_boundary", "curvature",
+                          "weitzenbock_defect"}
+
+
+def _fail_fifth_inverse(monkeypatch):
+    lock = threading.Lock()
+    count = [0]
+    idctn = neumann.idctn
+
+    def failing(*args, **kwargs):
+        with lock:
+            count[0] += 1
+            fifth = count[0] == 5
+        if fifth:
+            raise RuntimeError("inverse DCT failed")
+        return idctn(*args, **kwargs)
+
+    monkeypatch.setattr(neumann, "idctn", failing)
+
+
+def test_failing_transform_raises_without_hanging(small_su2_traj,
+                                                  monkeypatch):
+    sg, traj = small_su2_traj
+    _cpus(monkeypatch, 2)
+    _fail_fifth_inverse(monkeypatch)
+    before = threading.active_count()
+    raised = []
+
+    def call():
+        try:
+            domination_check(sg, traj, omega_kind="B")
+        except RuntimeError as e:
+            raised.append(e)
+
+    runner = threading.Thread(target=call)
+    runner.start()
+    runner.join(timeout=120)
+    assert not runner.is_alive()
+    assert [str(e) for e in raised] == ["inverse DCT failed"]
+    assert threading.active_count() == before
+
+
+def test_failing_transform_exits_3(tmp_path, monkeypatch, capsys):
+    cfg = {
+        "grid": {"extents": [1, 1, 1], "shape": [10, 10, 10]},
+        "field": {"kind": "random-smooth", "seed": 31, "amplitude": 0.05},
+        "flow": {"dt": 0.0008, "t_end": 0.0032,
+                 "snapshot_times": [0.0, 0.0008, 0.0016, 0.0024, 0.0032]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    _cpus(monkeypatch, 2)
+    _fail_fifth_inverse(monkeypatch)
+    assert cli.main(["verify-domination", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert "numerical abort: inverse DCT failed" in err
+    assert "Traceback" not in err
 
 
 def test_domination_rejects_single_snapshot(grid, sg):

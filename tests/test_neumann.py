@@ -62,6 +62,18 @@ def test_heat_apply_rejects_negative_time(sg):
         sg.heat_apply(-0.1, np.zeros(sg.grid.shape))
 
 
+def test_evolve_keeps_coeffs_and_the_bits_of_the_formula(sg, rng):
+    from ymheat.neumann import idctn
+
+    coeffs = sg.spectrum(rng.standard_normal(sg.grid.shape))
+    kept = coeffs.copy()
+    for t in (0.0, 0.003, 0.07):
+        out = sg.evolve(t, coeffs)
+        assert np.array_equal(
+            out, idctn(coeffs * np.exp(-sg.eigenvalues * t), type=1))
+        assert np.array_equal(coeffs, kept)
+
+
 def test_laplacian_apply_eigenvalue(sg):
     f = _cos_mode(sg.grid, 1, 1, 1)
     assert np.allclose(sg.laplacian_apply(f), -3 * np.pi ** 2 * f,
