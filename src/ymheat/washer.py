@@ -18,6 +18,7 @@ importing this module loads no SciPy.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -86,11 +87,21 @@ def total_current(cfg: WasherConfig | None = None) -> dict:
             "difference": abs(exact - quad_val)}
 
 
+@functools.lru_cache(maxsize=None)
+def _leggauss(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per n and
+    returned read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _u_nodes(cfg: WasherConfig, u_max: float | None = None):
     """Gauss-Legendre nodes in xi = log u: returns (u, s = 1-r, weight)
     with the weight absorbing lambda(r) dr = u^{-2} du = u^{-1} dxi."""
     u_hi = cfg.u_max if u_max is None else u_max
-    x, w = np.polynomial.legendre.leggauss(cfg.n_u)
+    x, w = _leggauss(cfg.n_u)
     lo, hi = math.log(U_MIN), math.log(u_hi)
     xi = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     wq = 0.5 * (hi - lo) * w
@@ -372,7 +383,7 @@ def flux_probe(eps: float, loop: LoopCEpsilon | None = None,
         return math.inf
     if abs(loop.eps - eps) > 1e-15:
         loop = LoopCEpsilon(eps, loop.r_out, loop.phi_span)
-    x, w = np.polynomial.legendre.leggauss(n_quad)
+    x, w = _leggauss(n_quad)
     s = 0.5 * (x + 1.0)
     ws = 0.5 * w
     phi0, phi1 = -loop.phi_span / 2, loop.phi_span / 2
@@ -413,32 +424,47 @@ def washer_to_grid(cfg: WasherConfig, grid: GridSpec, origin,
     coordinates.  Nodes closer than one spacing to the closed washer
     surface are evaluated with the u-cutoff capped at `cap_u_max` and
     recorded; without a cap policy such nodes are an error.
+
+    A_phi depends on a node only through rho = hypot(x, y) and z**2, and
+    each node's value is elementwise work plus a sum over its own row of
+    u-nodes.  So the kernel is evaluated once per distinct (rho, |z|)
+    pair of the padded grid and gathered back onto the nodes; every node
+    gets the same bits as evaluating it on its own.
     """
+    if cap_u_max is not None and cap_u_max <= U_MIN:
+        raise ValueError("cap_u_max must exceed log 2")
     origin = np.asarray(origin, dtype=float)
     alg = u1()
     A = KForm(1, grid, alg)
-    Xg, Yg, Zg = grid.meshgrid(ghosts=True)
-    pts = np.stack([Xg, Yg, Zg], axis=-1).reshape(-1, 3) + origin
-    rho = np.hypot(pts[:, 0], pts[:, 1])
-    z = pts[:, 2]
-    radial_excess = np.maximum(np.maximum(rho - R_OUTER, R_INNER - rho), 0.0)
-    dist = np.hypot(z, radial_excess)
+    x, y, z = (grid.axis_coords(a, ghosts=True) + origin[a] for a in range(3))
+    rho_xy = np.hypot(x[:, None], y[None, :])
+    rho_u, rho_idx = np.unique(rho_xy, return_inverse=True)
+    z_u, z_idx = np.unique(np.abs(z), return_inverse=True)
+    # the (rho, |z|) table; hypot(z, .) is even in z
+    rho_t, z_t = np.meshgrid(rho_u, z_u, indexing="ij")
+    radial_excess = np.maximum(np.maximum(rho_t - R_OUTER, R_INNER - rho_t),
+                               0.0)
+    dist = np.hypot(z_t, radial_excess)
     h = min(grid.spacing)
-    close = dist < h
+    close_t = dist < h
+    node = (rho_idx.reshape(rho_xy.shape)[:, :, None], z_idx[None, None, :])
+    close = close_t[node]
     if np.any(close) and cap_u_max is None:
         raise ValueError(
             f"{int(close.sum())} nodes lie within one spacing of the washer "
             "and no cap policy is set"
         )
-    a_phi = np.empty(len(pts))
-    a_phi[~close], _ = _a_phi(rho[~close], z[~close], cfg)
-    if np.any(close):
-        a_phi[close], _ = _a_phi(rho[close], z[close], cfg, u_max=cap_u_max)
-    safe_rho = np.where(rho > 0, rho, 1.0)
-    vec = np.stack([-pts[:, 1] / safe_rho, pts[:, 0] / safe_rho,
-                    np.zeros_like(rho)], axis=-1) * a_phi[:, None]
-    vec[rho == 0] = 0.0
-    vec = vec.reshape(Xg.shape + (3,))
+    a_t = np.empty(rho_t.shape)
+    a_t[~close_t], _ = _a_phi(rho_t[~close_t], z_t[~close_t], cfg)
+    if np.any(close_t):
+        a_t[close_t], _ = _a_phi(rho_t[close_t], z_t[close_t], cfg,
+                                 u_max=cap_u_max)
+    a_phi = a_t[node]
+    safe_rho = np.where(rho_xy > 0, rho_xy, 1.0)
+    phi_hat = np.stack([-y[None, :] / safe_rho, x[:, None] / safe_rho,
+                        np.zeros_like(rho_xy)], axis=-1)
+    vec = phi_hat[:, :, None, :] * a_phi[..., None]
+    vec[rho_xy == 0] = 0.0
     for j in range(3):
         A.values[j, ..., 0] = vec[..., j]
     return {"field": A, "capped_nodes": int(close.sum()),

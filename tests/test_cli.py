@@ -348,6 +348,14 @@ def test_washer_regularize_workload_matches_reference(tmp_path):
     assert _drift(json.loads(ref.read_text()), new) == []
 
 
+WASHER_REGULARIZE = {
+    "grid": {"extents": [4, 4, 4], "shape": [16, 16, 16]},
+    "washer": {"n_u": 32},
+    "flow": {"dt": 0.002, "t_end": 0.01},
+    "regularize": {"origin": [-2, -2, -2]},
+}
+
+
 CIRCLE_NO_Z = [{"kind": "arc", "center": [0.5, 0.5], "radius": 0.2,
                 "phi0": 0.0, "phi1": 6.283185307179586}]
 
@@ -360,8 +368,12 @@ CIRCLE_NO_Z = [{"kind": "arc", "center": [0.5, 0.5], "radius": 0.2,
     # 8 modes resolve the unit box's kernel at t = 1, not a box of side 40
     ("constants", {"grid": {"extents": [40, 40, 40], "shape": [16, 16, 16]},
                    "constants": {"kernel_modes": 8}}),
+    # a cutoff at or below log 2 would flip the sampled field's sign
+    ("washer-regularize",
+     dict(WASHER_REGULARIZE, regularize={"origin": [-2, -2, -2],
+                                         "cap_u_max": 0.5})),
 ], ids=["field_degree", "arc_center_2d_no_z", "washer_u_max",
-        "flux_r_out", "kernel_modes"])
+        "flux_r_out", "kernel_modes", "cap_u_max"])
 def test_library_rejection_is_config_error(tmp_path, capsys, command, cfg):
     out = tmp_path / "o"
     assert _run([command, "--config", _write(tmp_path, cfg),
@@ -415,14 +427,6 @@ def test_step_rejection_halves_dt_until_abort(tmp_path, capsys, monkeypatch):
     err = capsys.readouterr().err
     assert "numerical abort" in err and "dt underflow" in err
     assert not (out / "report.json").exists()
-
-
-WASHER_REGULARIZE = {
-    "grid": {"extents": [4, 4, 4], "shape": [16, 16, 16]},
-    "washer": {"n_u": 32},
-    "flow": {"dt": 0.002, "t_end": 0.01},
-    "regularize": {"origin": [-2, -2, -2]},
-}
 
 
 def test_washer_regularize_rejects_non_neumann_boundary(tmp_path, capsys,
