@@ -12,7 +12,8 @@ from ymheat.algebra import su2
 from ymheat.fields import random_smooth
 from ymheat.flow import FlowConfig, FlowConstants, integrate, verify_bounds
 from ymheat.grid import GridSpec, NEUMANN
-from ymheat.neumann import NeumannSemigroup, a4_constant, domination_check
+from ymheat.neumann import (NeumannSemigroup, a4_constant, domination_check,
+                            omega_record)
 from ymheat.tolerances import margin_tol
 
 grid = GridSpec((1.0, 1.0, 1.0), (12, 12, 12))
@@ -22,7 +23,8 @@ dt = 0.9 * h * h / 8
 A0 = random_smooth(grid, su2(), seed=7, amplitude=0.05)
 cfg = FlowConfig(NEUMANN, dt, 0.2,
                  snapshot_times=tuple(np.linspace(0.0, 0.05, 11)))
-traj = integrate(A0, cfg)
+# each snapshot keeps only the |omega| and |h| fields domination_check reads
+traj = integrate(A0, cfg, on_snapshot=omega_record)
 m = traj.monitors
 print(f"{len(m)} steps to t = {m.t[-1]:.3f}; "
       f"||B||_2: {m.B_l2[0]:.4e} -> {m.B_l2[-1]:.4e}")

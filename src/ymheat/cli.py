@@ -30,6 +30,7 @@ from .neumann import (
     a4_constant,
     diamagnetic_check,
     domination_check,
+    omega_record,
 )
 from .snapshot import snapshot_read, snapshot_write
 from .tolerances import margin_tol
@@ -222,17 +223,37 @@ CONFIG_SCHEMA = {
 }
 
 
+# an "integer" is a JSON integer: the stock checker also takes an
+# integral float such as 16.0, which numpy's seeds and quadratures refuse
+_Validator = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer",
+        lambda checker, x: isinstance(x, int) and not isinstance(x, bool)),
+)
+
+
+def _finite_number(text):
+    """Parse a JSON number or constant; NaN and +-Infinity (which
+    ``json`` accepts, as literals or as overflowing floats) are refused."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ConfigError(f"config number {text} is not finite")
+    return x
+
+
 def load_config(path) -> dict:
     """Read and schema-validate a JSON run configuration."""
     try:
         with open(path, "r", encoding="utf-8") as f:
-            cfg = json.load(f)
+            cfg = json.load(f, parse_float=_finite_number,
+                            parse_constant=_finite_number)
     except OSError as e:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
     try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA)
+        jsonschema.validate(cfg, CONFIG_SCHEMA, cls=_Validator)
     except jsonschema.ValidationError as e:
         raise ConfigError(f"config schema violation: {e.message}") from e
     return cfg
@@ -301,11 +322,11 @@ def _flow_config(cfg: dict, bc: BoundarySpec) -> FlowConfig:
     )
 
 
-def _flow(A0, fc: FlowConfig):
+def _flow(A0, fc: FlowConfig, on_snapshot=None):
     """Check fc against A0's grid, then flow: a rejected config never
     starts an integration."""
     fc.validate(A0.grid)
-    return integrate(A0, fc)
+    return integrate(A0, fc, on_snapshot=on_snapshot)
 
 
 def _washer_config(cfg: dict) -> WasherConfig:
@@ -484,10 +505,11 @@ def _cmd_verify_domination(cfg, out, tol_scale, seed):
     fc = _flow_config(cfg, bc)
     if len(fc.snapshot_schedule()) < 3:
         raise ConfigError("domination needs >= 3 snapshot times")
-    traj = _flow(_field_from(cfg, grid, seed_override=seed), fc)
+    kinds = cfg.get("domination", {}).get("omega_kinds", ["B", "A'"])
+    traj = _flow(_field_from(cfg, grid, seed_override=seed), fc,
+                 on_snapshot=lambda A, Ap, B: omega_record(A, Ap, B, kinds))
     _monitor_csv(traj.monitors, out / "monitors.csv")
     sg = NeumannSemigroup(grid)
-    kinds = cfg.get("domination", {}).get("omega_kinds", ["B", "A'"])
     h = min(grid.spacing)
     tol = margin_tol(h, fc.dt, tol_scale)
     rows, results = [], {"snapshot_times": list(traj.times)}

@@ -149,10 +149,10 @@ class MonitorSeries:
 
 @dataclass
 class FlowTrajectory:
-    """Snapshots of A along the flow plus the monitor series."""
+    """Snapshots along the flow plus the monitor series."""
 
     times: list
-    fields: list  # KForm deg 1, ghosts filled per config.bc
+    fields: list  # integrate's on_snapshot values; by default the filled A
     monitors: MonitorSeries
     config: FlowConfig
 
@@ -203,7 +203,7 @@ def _rhs_for(variant):
     return ym_rhs if variant == "YM" else zds_rhs
 
 
-def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
+def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     """Run the flow from A0 to cfg.t_end, storing snapshots and monitors.
 
     RK4 stages are boundary-filled before each derivative evaluation; a
@@ -213,8 +213,12 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
     stage, so a step costs 4 curvature evaluations (plus 1 at t = 0).
     The L2 and Linf norms of B come from one pointwise norm, taken for
     the energy test and carried into the monitors and the next test.
+    Each snapshot stores ``on_snapshot(A, Ap, B)``, by default A.copy():
+    the filled state, its unfilled direction and its filled curvature feed
+    the next step, so the hook (run on this thread) must not modify them.
     """
     cfg.validate(A0.grid)
+    on_snapshot = on_snapshot or (lambda A, Ap, B: A.copy())
     rhs = _rhs_for(cfg.variant)
     bc = cfg.bc
 
@@ -231,7 +235,7 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
     _record(monitors, t, A, k1, B_norms, bc)
     if snap_queue and abs(snap_queue[0] - t) < TIME_TOL:
         times.append(t)
-        fields.append(A.copy())
+        fields.append(on_snapshot(A, k1, B))
         snap_queue.pop(0)
 
     # a snapshot within TIME_TOL of the last one still gets its own step
@@ -255,13 +259,13 @@ def integrate(A0: KForm, cfg: FlowConfig) -> FlowTrajectory:
                 dt_step = min(dt, target - t)
                 continue
             break
-        A, k1, B_norms = A_new, k1_new, B_norms_new
+        A, k1, B, B_norms = A_new, k1_new, B_new, B_norms_new
         t += dt_step
         step += 1
         _record(monitors, t, A, k1, B_norms, bc)
         if snap_queue and t >= snap_queue[0] - TIME_TOL:
             times.append(t)
-            fields.append(A.copy())
+            fields.append(on_snapshot(A, k1, B))
             snap_queue.pop(0)
 
     return FlowTrajectory(times, fields, monitors.finalize(), cfg)
@@ -325,24 +329,24 @@ def verify_identities(traj: FlowTrajectory) -> dict:
     dt = gaps[0]
     bc = traj.config.bc
     rhs = _rhs_for(traj.config.variant)
+    # (filled A, filled A', B) of each stored A, from one RHS call each
+    states = []
+    for f in traj.fields:
+        Ap, B = rhs(f, bc)
+        states.append((apply_boundary(f, bc), apply_boundary(Ap, bc), B))
 
-    res_B = 0.0
-    res_Ap = 0.0
-    for i in range(1, len(ts) - 1):
-        A = apply_boundary(traj.fields[i], bc)
-        Bs = [apply_boundary(curvature(apply_boundary(traj.fields[j], bc)), bc)
-              for j in (i - 1, i, i + 1)]
-        Bdot = (1.0 / (2 * dt)) * (Bs[2] - Bs[0])
-        rhs_B = bochner_laplacian(A, Bs[1]) + weitzenbock_defect(A, Bs[1])
+    res_B = res_Ap = 0.0
+    for (_, Ap0, B0), (A, Ap, B), (_, Ap2, B2) in zip(states, states[1:],
+                                                     states[2:]):
+        Bdot = (1.0 / (2 * dt)) * (B2 - B0)
+        rhs_B = bochner_laplacian(A, B) + weitzenbock_defect(A, B)
         res_B = max(res_B, (Bdot - rhs_B).max_interior_norm(1))
 
-        Aps = [apply_boundary(rhs(traj.fields[j], bc)[0], bc)
-               for j in (i - 1, i, i + 1)]
-        Apdot = (1.0 / (2 * dt)) * (Aps[2] - Aps[0])
+        Apdot = (1.0 / (2 * dt)) * (Ap2 - Ap0)
         rhs_Ap = (
-            bochner_laplacian(A, Aps[1])
-            + weitzenbock_defect(A, Aps[1])
-            + contraction_bracket(Aps[1], Bs[1])
+            bochner_laplacian(A, Ap)
+            + weitzenbock_defect(A, Ap)
+            + contraction_bracket(Ap, B)
         )
         res_Ap = max(res_Ap, (Apdot - rhs_Ap).max_interior_norm(1))
 

@@ -18,13 +18,11 @@ import numpy as np
 from .calculus import (
     bochner_laplacian,
     contraction_bracket,
-    curvature,
     weitzenbock_defect,
 )
 from .flow import (
     TIME_TOL,
     FlowTrajectory,
-    _rhs_for,
     _rk4_step,
     check_dt,
     dt_ceiling,
@@ -35,6 +33,7 @@ __all__ = [
     "NeumannSemigroup",
     "a4_constant",
     "monotone_lemma_check",
+    "omega_record",
     "domination_check",
     "diamagnetic_check",
     "compose_lemma_check",
@@ -211,29 +210,24 @@ def monotone_lemma_check(sg: NeumannSemigroup, psi: np.ndarray, t: float,
     }
 
 
-def _omega_series(traj: FlowTrajectory, omega_kind: str):
-    """|omega(t_i)| and |h(t_i)| nodal fields along a trajectory.
-
-    omega = B with source h = (curvature defect of B), or omega = A' with
-    h = defect(A') + [A' . B], matching the evolution identities.
+def omega_record(A: KForm, Ap: KForm, B: KForm, kinds=("B", "A'")) -> dict:
+    """{kind: (|omega|, |h|)} nodal fields of one flow state, from the
+    filled A, its direction Ap and filled curvature B that ``integrate``
+    hands its snapshot hook (none is modified).  omega = B with source
+    h = (curvature defect of B), or omega = A' with h = defect(A') +
+    [A' . B], matching the evolution identities.
     """
-    bc = traj.config.bc
-    rhs = _rhs_for(traj.config.variant)
-    omegas, sources = [], []
-    for A in traj.fields:
-        Af = apply_boundary(A, bc)
-        if omega_kind == "B":
-            w = apply_boundary(curvature(Af), bc)
-            h = weitzenbock_defect(Af, w)
-        elif omega_kind == "A'":
-            Ap, B = rhs(Af, bc)
-            w = apply_boundary(Ap, bc)
-            h = weitzenbock_defect(Af, w) + contraction_bracket(w, B)
+    record = {}
+    for kind in kinds:
+        if kind == "B":
+            w, h = B, weitzenbock_defect(A, B)
+        elif kind == "A'":
+            w = apply_boundary(Ap, A.bc)
+            h = weitzenbock_defect(A, w) + contraction_bracket(w, B)
         else:
             raise ValueError("omega_kind must be 'B' or \"A'\"")
-        omegas.append(w.pointwise_norm())
-        sources.append(h.pointwise_norm())
-    return omegas, sources
+        record[kind] = (w.pointwise_norm(), h.pointwise_norm())
+    return record
 
 
 def _add_duhamel(sg: NeumannSemigroup, out: np.ndarray, times, g_spectra,
@@ -310,40 +304,40 @@ def domination_check(sg: NeumannSemigroup, traj: FlowTrajectory,
     the Duhamel integral by composite trapezoid over the snapshot grid.
     Returns the worst pointwise margin over x and t.
 
+    Each snapshot is an ``omega_record`` dict, read and not modified.
     |omega(t_0)| and every source |h(s_j)| are transformed once and the
-    stored spectra are evolved to each target time, so n snapshots cost
-    n + 1 forward and (n - 1)(n + 4)/2 inverse DCTs.  The fields are built
-    on the calling thread; the transforms of the sources, and then the
-    bound and margin of each target, run on it and one worker thread
-    (``_run_on_two_threads``).  Each target holds its bound and two
-    Duhamel evaluations at a time and keeps the serial arithmetic, so
-    every margin has the same bits on one thread or two.
+    spectra are evolved to each target time, so n snapshots cost
+    n + 1 forward and (n - 1)(n + 4)/2 inverse DCTs.  The transforms of
+    the sources, and then the bound and margin of each target, run on
+    the calling thread and one worker thread (``_run_on_two_threads``).
+    Each target holds its bound and two Duhamel evaluations at a time and
+    keeps the serial arithmetic, so every margin has the same bits on one
+    thread or two.
     """
     if len(traj.times) < 2:
         raise ValueError("need at least 2 snapshots")
+    if not all(isinstance(r, dict) and omega_kind in r for r in traj.fields):
+        raise ValueError(f"no {omega_kind!r} in the snapshots' omega_record")
     ts = np.asarray(traj.times)
-    t0 = ts[0]
-    omegas, sources = _omega_series(traj, omega_kind)
-    # the first transform checks the shape and loads scipy.fft on this
-    # thread; the sources, fresh arrays of the same shape, are then
-    # transformed in place, so no thread allocates a spectrum that
-    # outlives its task
-    omega0 = sg.spectrum(omegas.pop(0))
+    omegas, sources = zip(*(r[omega_kind] for r in traj.fields))
+    # the first transform checks the shape and loads scipy.fft on this thread
+    omega0 = sg.spectrum(omegas[0])
+    spectra = [None] * len(sources)
 
     def transform(j):
-        sources[j] = dctn(sources[j], type=1, overwrite_x=True)
+        spectra[j] = dctn(sources[j], type=1)
 
     _run_on_two_threads(transform, len(sources))
-    margins = [0.0] * len(omegas)
+    margins = [0.0] * (len(omegas) - 1)
 
     def margin(k):
         i = k + 1
-        bound = sg.evolve(ts[i] - t0, omega0)
-        _add_duhamel(sg, bound, ts, sources, 0, i)
-        bound -= omegas[k]
+        bound = sg.evolve(ts[i] - ts[0], omega0)
+        _add_duhamel(sg, bound, ts, spectra, 0, i)
+        bound -= omegas[i]
         margins[k] = float(np.min(bound))
 
-    _run_on_two_threads(margin, len(omegas))
+    _run_on_two_threads(margin, len(margins))
     return {
         "min_margin": float(min(margins)),
         "per_time_margin": margins,

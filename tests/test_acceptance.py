@@ -22,6 +22,7 @@ from ymheat.neumann import (
     diamagnetic_check,
     domination_check,
     monotone_lemma_check,
+    omega_record,
 )
 from ymheat.tolerances import face_tol, margin_tol
 from ymheat.transport import (
@@ -72,7 +73,7 @@ def small_data_run(grid12):
     A0 = random_smooth(grid12, su2(), seed=7, amplitude=0.05)
     cfg = FlowConfig(NEUMANN, dt, 1.0,
                      snapshot_times=tuple(np.linspace(0.0, 0.05, 11)))
-    traj = integrate(A0, cfg)
+    traj = integrate(A0, cfg, on_snapshot=omega_record)
     return traj, dt, h
 
 

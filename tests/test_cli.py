@@ -383,6 +383,50 @@ def test_library_rejection_is_config_error(tmp_path, capsys, command, cfg):
     assert not (out / "report.json").exists()
 
 
+DIAMAGNETIC = {"grid": {"extents": [1, 1, 1], "shape": [8, 8, 8]},
+               "field": {"kind": "random-smooth", "seed": 3},
+               "diamagnetic": {"t": 0.004}}
+
+
+RANDOM_FLOW = {"grid": BASE_FLOW["grid"], "field": {"kind": "random-smooth"},
+               "flow": BASE_FLOW["flow"]}
+
+
+def _with(cfg, section, key, value):
+    cfg = json.loads(json.dumps(cfg))
+    cfg[section][key] = value
+    return cfg
+
+
+# json.dumps writes NaN and Infinity as the bare words Python's json reads
+@pytest.mark.parametrize("command, text", [
+    ("flow", json.dumps(_with(BASE_FLOW, "flow", "snapshot_times",
+                              [float("nan")]))),
+    ("flow", json.dumps(_with(BASE_FLOW, "flow", "t_end", float("inf")))),
+    ("flow", json.dumps(BASE_FLOW).replace('"t_end": 0.004',
+                                           '"t_end": 1e999')),
+    ("verify-diamagnetic", json.dumps(_with(DIAMAGNETIC, "diamagnetic", "t",
+                                            float("nan")))),
+    ("flow", json.dumps(_with(RANDOM_FLOW, "field", "seed", 0.0))),
+    ("verify-diamagnetic", json.dumps(_with(DIAMAGNETIC, "diamagnetic",
+                                            "omega_seed", 2.0))),
+    ("washer-energy", json.dumps({"washer": {"n_u": 16.0}})),
+    ("constants", json.dumps({"constants": {"kernel_modes": 1e308}})),
+    ("flow", json.dumps(_with(RANDOM_FLOW, "field", "seed", True))),
+], ids=["snapshot_nan", "t_end_infinity", "t_end_overflow", "diamagnetic_nan",
+        "seed_float", "omega_seed_float", "n_u_float", "kernel_modes_float",
+        "seed_bool"])
+def test_non_finite_or_non_integer_number_is_config_error(
+        tmp_path, capsys, command, text):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    out = tmp_path / "o"
+    assert _run([command, "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert not (out / "report.json").exists()
+
+
 @pytest.mark.parametrize("shape, degree", [((10, 10, 10), 1),
                                            ((12, 12, 12), 2)],
                          ids=["grid", "degree"])
@@ -609,3 +653,16 @@ def test_command_runs_without_scipy(tmp_path, command):
     loaded = _fresh_python("from ymheat import cli\n"
                            f"assert cli.main({args!r}) == 0\n" + LOADED)
     assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+
+
+DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo, tmp_path):
+    src = str(Path(ymheat.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr

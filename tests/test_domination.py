@@ -13,11 +13,11 @@ from ymheat.grid import DIRICHLET, NEUMANN, GridSpec, apply_boundary
 from ymheat import neumann
 from ymheat.neumann import (
     NeumannSemigroup,
-    _omega_series,
     _run_on_two_threads,
     compose_lemma_check,
     diamagnetic_check,
     domination_check,
+    omega_record,
 )
 from ymheat.tolerances import margin_tol
 
@@ -36,7 +36,7 @@ def _flow(grid, A0, t_end=0.01, n_snap=6):
     dt = min(grid.spacing) ** 2 / 8 * 0.9
     snaps = tuple(np.linspace(0.0, t_end, n_snap))
     cfg = FlowConfig(NEUMANN, dt, t_end, snapshot_times=snaps)
-    return integrate(A0, cfg), dt
+    return integrate(A0, cfg, on_snapshot=omega_record), dt
 
 
 def test_domination_abelian_B(grid, sg):
@@ -59,7 +59,8 @@ def test_domination_su2_both_kinds(grid, sg, su2_alg):
 def _domination_by_heat_apply(sg, traj, omega_kind):
     """The per-pair algorithm: every term transforms its field afresh."""
     ts = np.asarray(traj.times)
-    omegas, sources = _omega_series(traj, omega_kind)
+    omegas = [r[omega_kind][0] for r in traj.fields]
+    sources = [r[omega_kind][1] for r in traj.fields]
     margins = []
     for i in range(1, len(ts)):
         t = ts[i]
@@ -72,12 +73,16 @@ def _domination_by_heat_apply(sg, traj, omega_kind):
     return margins
 
 
-@pytest.fixture(scope="module")
-def small_su2_traj(su2_alg):
+def _small_su2_flow(su2_alg):
     small = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
     A0 = random_smooth(small, su2_alg, seed=37, amplitude=0.3)
     traj, _ = _flow(small, A0, t_end=0.004, n_snap=5)
     return NeumannSemigroup(small), traj
+
+
+@pytest.fixture(scope="module")
+def small_su2_traj(su2_alg):
+    return _small_su2_flow(su2_alg)
 
 
 @pytest.mark.parametrize("kind", ["B", "A'"])
@@ -87,6 +92,97 @@ def test_domination_equals_per_pair_heat_apply(small_su2_traj, kind):
     margins = _domination_by_heat_apply(sg, traj, kind)
     assert res["per_time_margin"] == margins
     assert res["min_margin"] == min(margins)
+
+
+def _omega_series_by_refill(traj, omega_kind):
+    """|omega| and |h| of one kind from stored snapshots: each stored A is
+    refilled and its curvature or its whole RHS recomputed."""
+    bc = traj.config.bc
+    rhs = flow._rhs_for(traj.config.variant)
+    omegas, sources = [], []
+    for A in traj.fields:
+        Af = apply_boundary(A, bc)
+        if omega_kind == "B":
+            w = apply_boundary(calculus.curvature(Af), bc)
+            h = calculus.weitzenbock_defect(Af, w)
+        else:
+            Ap, B = rhs(Af, bc)
+            w = apply_boundary(Ap, bc)
+            h = calculus.weitzenbock_defect(Af, w) + \
+                calculus.contraction_bracket(w, B)
+        omegas.append(w.pointwise_norm())
+        sources.append(h.pointwise_norm())
+    return omegas, sources
+
+
+@pytest.mark.parametrize("variant", ["YM", "ZDS"])
+@pytest.mark.parametrize("algebra", ["U1", "SU2"])
+def test_omega_record_equals_refilled_snapshots(variant, algebra, u1_alg,
+                                                su2_alg):
+    small = GridSpec((1.0, 1.0, 1.0), (8, 9, 10))
+    alg = u1_alg if algebra == "U1" else su2_alg
+    A0 = random_smooth(small, alg, seed=39, amplitude=0.3)
+    dt = min(small.spacing) ** 2 / 8 * 0.9
+    cfg = FlowConfig(NEUMANN, dt, 0.003, variant=variant,
+                     snapshot_times=(0.0, 0.001, 0.0025, 0.003))
+    stored = integrate(A0, cfg)
+    recorded = integrate(A0, cfg, on_snapshot=omega_record)
+    assert recorded.times == stored.times
+    for kind in ("B", "A'"):
+        omegas, sources = _omega_series_by_refill(stored, kind)
+        for rec, w, h in zip(recorded.fields, omegas, sources, strict=True):
+            assert np.array_equal(rec[kind][0], w)
+            assert np.array_equal(rec[kind][1], h)
+
+
+def test_omega_record_rejects_unknown_kind(su2_alg):
+    small = GridSpec((1.0, 1.0, 1.0), (8, 8, 8))
+    A = apply_boundary(random_smooth(small, su2_alg, seed=1), NEUMANN)
+    Ap, B = flow.ym_rhs(A, NEUMANN)
+    with pytest.raises(ValueError):
+        omega_record(A, Ap, B, kinds=("B", "F"))
+
+
+def test_domination_check_leaves_the_records_alone(small_su2_traj):
+    sg, traj = small_su2_traj
+    before = [{k: (w.copy(), h.copy()) for k, (w, h) in r.items()}
+              for r in traj.fields]
+    for kind in ("B", "A'"):
+        first = domination_check(sg, traj, omega_kind=kind)
+        assert domination_check(sg, traj, omega_kind=kind) == first
+    for rec, old in zip(traj.fields, before, strict=True):
+        assert rec.keys() == old.keys()
+        for k in rec:
+            assert np.array_equal(rec[k][0], old[k][0])
+            assert np.array_equal(rec[k][1], old[k][1])
+
+
+def test_verify_domination_computes_curvature_only_in_the_flow(
+        tmp_path, monkeypatch):
+    cfg = {
+        "grid": {"extents": [1, 1, 1], "shape": [10, 10, 10]},
+        "field": {"kind": "random-smooth", "seed": 31, "amplitude": 0.05},
+        "flow": {"dt": 0.0008, "t_end": 0.0032,
+                 "snapshot_times": [0.0, 0.0016, 0.0032]},
+    }
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    count = [0]
+    curvature = calculus.curvature
+
+    def counted(*args, **kwargs):
+        count[0] += 1
+        return curvature(*args, **kwargs)
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("ymheat") and hasattr(mod, "curvature"):
+            monkeypatch.setattr(mod, "curvature", counted)
+    assert cli.main(["verify-domination", "--config", str(path),
+                     "--out", str(tmp_path / "o")]) in (0, 1)
+    lines = (tmp_path / "o" / "monitors.csv").read_text().splitlines()
+    accepted = len(lines) - 2  # a header and the t = 0 row
+    assert accepted == 4
+    assert count[0] == 1 + 4 * accepted
 
 
 def _cpus(monkeypatch, n):
@@ -102,7 +198,8 @@ def nonuniform_u1_traj(u1_alg):
     dt = min(small.spacing) ** 2 / 8 * 0.9
     cfg = FlowConfig(NEUMANN, dt, 0.004,
                      snapshot_times=(0.0, 0.0007, 0.001, 0.0025, 0.004))
-    return NeumannSemigroup(small), integrate(A0, cfg)
+    return NeumannSemigroup(small), integrate(A0, cfg,
+                                              on_snapshot=omega_record)
 
 
 @pytest.mark.parametrize("kind", ["B", "A'"])
@@ -251,10 +348,9 @@ def test_task_exception_reaches_the_caller(monkeypatch, on_worker):
     assert threading.active_count() == before
 
 
-def test_traced_boundaries_stay_on_the_main_thread(small_su2_traj,
-                                                   monkeypatch):
-    # every binding the benchmark's tracer wraps, as it wraps them
-    sg, traj = small_su2_traj
+def test_traced_boundaries_stay_on_the_main_thread(su2_alg, monkeypatch):
+    # every binding the benchmark's tracer wraps, as it wraps them; the
+    # fills and defects of the records run in the flow's snapshot hook
     _cpus(monkeypatch, 2)
     calls = {}
 
@@ -273,6 +369,7 @@ def test_traced_boundaries_stay_on_the_main_thread(small_su2_traj,
     monkeypatch.setattr(NeumannSemigroup, "heat_apply", on_main_only(
         "heat_apply", NeumannSemigroup.heat_apply))
     before = threading.active_count()
+    sg, traj = _small_su2_flow(su2_alg)
     for kind in ("B", "A'"):
         domination_check(sg, traj, omega_kind=kind)
     assert threading.active_count() == before

@@ -196,6 +196,49 @@ def test_identities_hold_along_flow(unit_grid, su2_alg):
     assert res["Ap_identity_residual"] < 0.15
 
 
+def _identity_residuals_by_recompute(traj):
+    """The identity residuals with every neighbour's curvature and RHS
+    recomputed at each interior snapshot."""
+    from ymheat import calculus, flow
+
+    ts, bc = traj.times, traj.config.bc
+    dt = np.diff(ts)[0]
+    rhs = flow._rhs_for(traj.config.variant)
+    res_B = res_Ap = 0.0
+    for i in range(1, len(ts) - 1):
+        A = apply_boundary(traj.fields[i], bc)
+        Bs = [apply_boundary(calculus.curvature(
+            apply_boundary(traj.fields[j], bc)), bc)
+              for j in (i - 1, i, i + 1)]
+        Bdot = (1.0 / (2 * dt)) * (Bs[2] - Bs[0])
+        rhs_B = calculus.bochner_laplacian(A, Bs[1]) + \
+            calculus.weitzenbock_defect(A, Bs[1])
+        res_B = max(res_B, (Bdot - rhs_B).max_interior_norm(1))
+        Aps = [apply_boundary(rhs(traj.fields[j], bc)[0], bc)
+               for j in (i - 1, i, i + 1)]
+        Apdot = (1.0 / (2 * dt)) * (Aps[2] - Aps[0])
+        rhs_Ap = (calculus.bochner_laplacian(A, Aps[1])
+                  + calculus.weitzenbock_defect(A, Aps[1])
+                  + calculus.contraction_bracket(Aps[1], Bs[1]))
+        res_Ap = max(res_Ap, (Apdot - rhs_Ap).max_interior_norm(1))
+    return {"B_identity_residual": res_B, "Ap_identity_residual": res_Ap}
+
+
+@pytest.mark.parametrize("algebra, variant, bc", [
+    ("SU2", "YM", NEUMANN), ("SU2", "ZDS", DIRICHLET), ("U1", "YM", NEUMANN),
+])
+def test_identities_same_bits_as_recomputed_neighbours(algebra, variant, bc,
+                                                       su2_alg, u1_alg):
+    grid = GridSpec((1.0, 1.0, 1.0), (9, 10, 8))
+    alg = su2_alg if algebra == "SU2" else u1_alg
+    A0 = random_smooth(grid, alg, seed=28, amplitude=0.2)
+    dt = 0.9 * _dt_max(grid)
+    snaps = tuple(np.arange(4) * dt)
+    traj = integrate(A0, FlowConfig(bc, dt, snaps[-1], variant=variant,
+                                    snapshot_times=snaps))
+    assert verify_identities(traj) == _identity_residuals_by_recompute(traj)
+
+
 def test_verify_bounds_rows_and_gate(unit_grid, su2_alg):
     A0 = random_smooth(unit_grid, su2_alg, seed=27, amplitude=0.05)
     dt = _dt_max(unit_grid) * 0.9
