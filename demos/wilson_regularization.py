@@ -7,13 +7,11 @@ is compared before and after the flow: the t = 0 ladder diverges, the
 flowed ladder converges.
 """
 
-import math
-
 import numpy as np
 
 from ymheat.flow import FlowConfig, integrate
 from ymheat.grid import GridSpec, NEUMANN
-from ymheat.transport import Path, line_integral, line_segment, arc_segment
+from ymheat.transport import line_integral
 from ymheat.washer import LoopCEpsilon, WasherConfig, flux_probe, washer_to_grid
 
 grid = GridSpec((4.0, 4.0, 4.0), (16, 16, 16))
@@ -33,31 +31,14 @@ print(f"flowed to t = {t_end}: ||B||_2 {traj.monitors.B_l2[0]:.3f} -> "
       f"{traj.monitors.B_l2[-1]:.3f}")
 
 
-def rim_loop(eps, r_out=1.5, phi_span=math.pi / 2):
-    """The four-sided loop C_eps, in box coordinates."""
-    r_in = 1.0 + eps
-    shift = -origin
-
-    def pt(r, phi):
-        return (r * math.cos(phi) + shift[0], r * math.sin(phi) + shift[1],
-                shift[2])
-
-    c2 = (shift[0], shift[1])
-    return Path([
-        line_segment(pt(r_in, 0.0), pt(r_out, 0.0)),
-        arc_segment(c2, r_out, 0.0, phi_span, z=shift[2]),
-        line_segment(pt(r_out, phi_span), pt(r_in, phi_span)),
-        arc_segment(c2, r_in, phi_span, 0.0, z=shift[2]),
-    ])
-
-
 eps_ladder = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-base = LoopCEpsilon(eps_ladder[0])
 print(f"{'eps':>8s} {'flux(t=0)':>12s} {'flux(t=0.01)':>14s}")
 flux_t = []
 for eps in eps_ladder:
-    f0 = flux_probe(eps, base)
-    ft = float(line_integral(A_t, rim_loop(eps))[0])
+    loop = LoopCEpsilon(eps)
+    f0 = flux_probe(eps, loop)
+    # the same loop C_eps, about the washer centre in box coordinates
+    ft = float(line_integral(A_t, loop.path(-origin))[0])
     flux_t.append(ft)
     print(f"{eps:8.0e} {f0:12.4f} {ft:14.6f}")
 

@@ -36,13 +36,10 @@ from .snapshot import snapshot_read, snapshot_write
 from .tolerances import margin_tol
 from .transport import (
     Loop,
-    Path,
-    arc_segment,
     check_ladder,
     check_paths,
     convergence_probe,
     line_integral,
-    line_segment,
     segment_from_json,
     transport_many,
 )
@@ -86,6 +83,15 @@ _SEGMENT_SCHEMA = {
     },
     "required": ["kind"],
     "additionalProperties": False,
+}
+
+# the C_eps ladder of washer-flux and washer-regularize
+_RIM_LADDER_PROPERTIES = {
+    "eps_ladder": {"type": "array",
+                   "items": {"type": "number", "exclusiveMinimum": 0},
+                   "minItems": 2},
+    "r_out": {"type": "number", "exclusiveMinimum": 1},
+    "phi_span": {"type": "number", "exclusiveMinimum": 0, "maximum": 6.2832},
 }
 
 CONFIG_SCHEMA = {
@@ -168,6 +174,7 @@ CONFIG_SCHEMA = {
             "type": "array",
             "items": {"type": "array", "items": _SEGMENT_SCHEMA,
                       "minItems": 1},
+            "minItems": 1,
         },
         "wilson": {
             "type": "object",
@@ -190,15 +197,7 @@ CONFIG_SCHEMA = {
         },
         "flux": {
             "type": "object",
-            "properties": {
-                "eps_ladder": {"type": "array",
-                               "items": {"type": "number",
-                                         "exclusiveMinimum": 0},
-                               "minItems": 2},
-                "r_out": {"type": "number", "exclusiveMinimum": 1},
-                "phi_span": {"type": "number", "exclusiveMinimum": 0,
-                             "maximum": 6.2832},
-            },
+            "properties": _RIM_LADDER_PROPERTIES,
             "additionalProperties": False,
         },
         "regularize": {
@@ -207,13 +206,7 @@ CONFIG_SCHEMA = {
                 "origin": {"type": "array", "items": {"type": "number"},
                            "minItems": 3, "maxItems": 3},
                 "cap_u_max": {"type": "number", "exclusiveMinimum": 0},
-                "eps_ladder": {"type": "array",
-                               "items": {"type": "number",
-                                         "exclusiveMinimum": 0},
-                               "minItems": 2},
-                "r_out": {"type": "number", "exclusiveMinimum": 1},
-                "phi_span": {"type": "number", "exclusiveMinimum": 0,
-                             "maximum": 6.2832},
+                **_RIM_LADDER_PROPERTIES,
             },
             "required": ["origin"],
             "additionalProperties": False,
@@ -231,6 +224,9 @@ _Validator = jsonschema.validators.extend(
         "integer",
         lambda checker, x: isinstance(x, int) and not isinstance(x, bool)),
 )
+# built once: jsonschema.validate would re-check the constant schema
+# against its meta-schema on every call
+_VALIDATOR = _Validator(CONFIG_SCHEMA)
 
 
 def _finite_number(text):
@@ -252,10 +248,9 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    try:
-        jsonschema.validate(cfg, CONFIG_SCHEMA, cls=_Validator)
-    except jsonschema.ValidationError as e:
-        raise ConfigError(f"config schema violation: {e.message}") from e
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
     return cfg
 
 
@@ -265,9 +260,7 @@ def load_config(path) -> dict:
 
 
 def _grid_from(cfg: dict) -> GridSpec:
-    g = cfg.get("grid")
-    if g is None:
-        raise ConfigError("this command requires a 'grid' section")
+    g = cfg["grid"]
     return GridSpec(tuple(g["extents"]), tuple(g["shape"]))
 
 
@@ -283,10 +276,8 @@ _FIELD_KEYS = {
 }
 
 
-def _field_from(cfg: dict, grid: GridSpec, seed_override=None):
-    f = cfg.get("field")
-    if f is None:
-        raise ConfigError("this command requires a 'field' section")
+def _field_from(cfg: dict, grid: GridSpec):
+    f = cfg["field"]
     kind = f["kind"]
     unread = sorted(set(f) - {"kind"} - _FIELD_KEYS[kind])
     if unread:
@@ -304,34 +295,22 @@ def _field_from(cfg: dict, grid: GridSpec, seed_override=None):
     if kind == "coulomb-cosine":
         return coulomb_cosine(grid, amplitude=f.get("amplitude", 1.0))
     alg = {"U1": u1, "SU2": su2}[f.get("algebra", "SU2")]()
-    seed = f.get("seed", 0) if seed_override is None else seed_override
-    return random_smooth(grid, alg, seed=seed,
+    return random_smooth(grid, alg, seed=f.get("seed", 0),
                          amplitude=f.get("amplitude", 0.05))
 
 
-def _flow_config(cfg: dict, bc: BoundarySpec) -> FlowConfig:
-    fl = cfg.get("flow")
-    if fl is None:
-        raise ConfigError("this command requires a 'flow' section")
-    return FlowConfig(
+def _flow_config(fl: dict, bc: BoundarySpec, grid: GridSpec) -> FlowConfig:
+    """A 'flow' section as a FlowConfig, validated against the grid before
+    any field is built."""
+    fc = FlowConfig(
         bc=bc,
         dt=fl["dt"],
         t_end=fl["t_end"],
         variant=fl.get("variant", "YM"),
         snapshot_times=tuple(fl.get("snapshot_times", ())),
     )
-
-
-def _flow(A0, fc: FlowConfig, on_snapshot=None):
-    """Check fc against A0's grid, then flow: a rejected config never
-    starts an integration."""
-    fc.validate(A0.grid)
-    return integrate(A0, fc, on_snapshot=on_snapshot)
-
-
-def _washer_config(cfg: dict) -> WasherConfig:
-    w = cfg.get("washer", {})
-    return WasherConfig(u_max=w.get("u_max", 40.0), n_u=w.get("n_u", 128))
+    fc.validate(grid)
+    return fc
 
 
 def _monitor_csv(monitors, path) -> None:
@@ -345,14 +324,11 @@ def _abelian_spectral_check(traj, A0, tol: float) -> dict:
 
     For divergence-free abelian data each cosine mode decays with the
     central-difference dispersion sum_i (sin(k_i h)/h)^2, so the end
-    state has an independent closed form on the same grid.
+    state has an independent closed form on the same grid.  The last
+    snapshot is the field at t_end (checked before the flow).
     """
     grid = A0.grid
     t = traj.monitors.t[-1]
-    if not traj.fields or abs(traj.times[-1] - t) > 1e-12:
-        raise ConfigError(
-            "abelian-spectral oracle needs a snapshot at t_end"
-        )
     L1, L2, _ = grid.extents
     h = grid.spacing
     lam = sum(
@@ -366,35 +342,20 @@ def _abelian_spectral_check(traj, A0, tol: float) -> dict:
 
 
 def _loops_from(cfg: dict):
-    specs = cfg.get("loops")
-    if not specs:
-        raise ConfigError("this command requires a nonempty 'loops' list")
     try:
-        return [Loop([segment_from_json(s) for s in spec]) for spec in specs]
+        return [Loop([segment_from_json(s) for s in spec])
+                for spec in cfg["loops"]]
     except KeyError as e:
         raise ConfigError(f"loop segment lacks {e}") from e
 
 
-def _rim_loop_path(eps: float, r_out: float, phi_span: float,
-                   origin) -> Path:
-    """The rim-hugging washer loop expressed in box coordinates."""
-    cx, cy, z = -origin[0], -origin[1], -origin[2]
-    phi0, phi1 = -phi_span / 2, phi_span / 2
-    r_in = 1.0 + eps
-    segs = [
-        arc_segment((cx, cy), r_in, phi0, phi1, z=z),
-        _radial((cx, cy, z), phi1, r_in, r_out),
-        arc_segment((cx, cy), r_out, phi1, phi0, z=z),
-        _radial((cx, cy, z), phi0, r_out, r_in),
-    ]
-    return Path(segs)
-
-
-def _radial(center, phi, r0, r1):
-    c = np.asarray(center, dtype=float)
-    p0 = c + np.array([r0 * math.cos(phi), r0 * math.sin(phi), 0.0])
-    p1 = c + np.array([r1 * math.cos(phi), r1 * math.sin(phi), 0.0])
-    return line_segment(p0, p1)
+def _rim_loops(sec: dict) -> list:
+    """The C_eps loops of a 'flux' or 'regularize' section, largest eps
+    first; an absent r_out or phi_span takes LoopCEpsilon's default."""
+    ladder = sorted(sec.get("eps_ladder", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]),
+                    reverse=True)
+    shape = {k: sec[k] for k in ("r_out", "phi_span") if k in sec}
+    return [LoopCEpsilon(eps, **shape) for eps in ladder]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +363,7 @@ def _radial(center, phi, r0, r1):
 # ---------------------------------------------------------------------------
 
 
-def _cmd_constants(cfg, out, tol_scale, seed):
+def _cmd_constants(cfg, out, tol_scale):
     from scipy.integrate import quad
 
     grid = _grid_from(cfg) if "grid" in cfg \
@@ -441,12 +402,20 @@ def _cmd_constants(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _cmd_flow(cfg, out, tol_scale, seed):
-    A0 = _field_from(cfg, _grid_from(cfg), seed_override=seed)
-    traj = _flow(A0, _flow_config(cfg, _boundary_from(cfg)))
+def _cmd_flow(cfg, out, tol_scale):
+    grid = _grid_from(cfg)
+    fc = _flow_config(cfg["flow"], _boundary_from(cfg), grid)
+    A0 = _field_from(cfg, grid)
+    oracle = cfg.get("oracle") == "abelian-spectral"
+    if oracle and A0.algebra.group_id != "U1":
+        raise ConfigError("abelian-spectral oracle needs a U1 field")
+    if oracle and fc.t_end - max(fc.snapshot_schedule(),
+                                 default=-math.inf) > 1e-12:
+        raise ConfigError("abelian-spectral oracle needs a snapshot at t_end")
+    traj = integrate(A0, fc)
     m = traj.monitors
     _monitor_csv(m, out / "monitors.csv")
-    if cfg.get("flow", {}).get("write_snapshots", False):
+    if cfg["flow"].get("write_snapshots", False):
         for t, field in zip(traj.times, traj.fields):
             snapshot_write(field, t, out / f"snapshot_t{t:.6f}.ymf")
     rel_up = float(np.max(m.B_l2[1:] / np.maximum(m.B_l2[:-1], 1e-300) - 1.0)
@@ -457,9 +426,7 @@ def _cmd_flow(cfg, out, tol_scale, seed):
         report.check_row("action_bound", m.action[-1],
                          m.B_l2[0] ** 2 * (1 + 1e-3), 0.0),
     ]
-    if cfg.get("oracle") == "abelian-spectral":
-        if A0.algebra.group_id != "U1":
-            raise ConfigError("abelian-spectral oracle needs a U1 field")
+    if oracle:
         rows.append(_abelian_spectral_check(traj, A0, tol_scale * 1e-4))
     results = {
         "steps": len(m) - 1,
@@ -473,15 +440,15 @@ def _cmd_flow(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _cmd_verify_bounds(cfg, out, tol_scale, seed):
+def _cmd_verify_bounds(cfg, out, tol_scale):
     grid = _grid_from(cfg)
-    fc = _flow_config(cfg, _boundary_from(cfg))
-    traj = _flow(_field_from(cfg, grid, seed_override=seed), fc)
-    _monitor_csv(traj.monitors, out / "monitors.csv")
+    fc = _flow_config(cfg["flow"], _boundary_from(cfg), grid)
     opts = cfg.get("constants", {})
     sg = NeumannSemigroup(grid, kernel_modes=opts.get("kernel_modes", 512))
     k = FlowConstants(c_N=sg.c_N_estimate(), a4=a4_constant(),
                       tau=opts.get("tau", 0.5))
+    traj = integrate(_field_from(cfg, grid), fc)
+    _monitor_csv(traj.monitors, out / "monitors.csv")
     bound_rows = verify_bounds(traj, k)
     h = min(grid.spacing)
     tol = margin_tol(h, fc.dt, tol_scale)
@@ -497,17 +464,17 @@ def _cmd_verify_bounds(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _cmd_verify_domination(cfg, out, tol_scale, seed):
+def _cmd_verify_domination(cfg, out, tol_scale):
     grid = _grid_from(cfg)
     bc = _boundary_from(cfg)
     if bc.kind != "neumann":
         raise ConfigError("heat-kernel domination is a Neumann check")
-    fc = _flow_config(cfg, bc)
+    fc = _flow_config(cfg["flow"], bc, grid)
     if len(fc.snapshot_schedule()) < 3:
         raise ConfigError("domination needs >= 3 snapshot times")
     kinds = cfg.get("domination", {}).get("omega_kinds", ["B", "A'"])
-    traj = _flow(_field_from(cfg, grid, seed_override=seed), fc,
-                 on_snapshot=lambda A, Ap, B: omega_record(A, Ap, B, kinds))
+    traj = integrate(_field_from(cfg, grid), fc,
+                     on_snapshot=lambda A, Ap, B: omega_record(A, Ap, B, kinds))
     _monitor_csv(traj.monitors, out / "monitors.csv")
     sg = NeumannSemigroup(grid)
     h = min(grid.spacing)
@@ -522,13 +489,11 @@ def _cmd_verify_domination(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _cmd_verify_diamagnetic(cfg, out, tol_scale, seed):
+def _cmd_verify_diamagnetic(cfg, out, tol_scale):
     grid = _grid_from(cfg)
-    dia = cfg.get("diamagnetic")
-    if dia is None:
-        raise ConfigError("this command requires a 'diamagnetic' section")
+    dia = cfg["diamagnetic"]
     t = dia["t"]
-    A = _field_from(cfg, grid, seed_override=seed)
+    A = _field_from(cfg, grid)
     omega0 = random_smooth(
         grid, A.algebra, seed=dia.get("omega_seed", 1),
         amplitude=0.3, degree=dia.get("omega_degree", 2),
@@ -546,7 +511,7 @@ def _cmd_verify_diamagnetic(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _cmd_wilson(cfg, out, tol_scale, seed):
+def _cmd_wilson(cfg, out, tol_scale):
     grid = _grid_from(cfg)
     loops = _loops_from(cfg)
     opts = cfg.get("wilson", {})
@@ -555,18 +520,19 @@ def _cmd_wilson(cfg, out, tol_scale, seed):
     if ladder is None and "flow" in cfg:
         raise ConfigError("a 'flow' section needs a wilson ladder to flow to")
     bc = _boundary_from(cfg)
-    A = apply_boundary(_field_from(cfg, grid, seed_override=seed), bc)
     check_paths(grid, loops, n_steps)
-    fields = [A]
     if ladder is not None:
         check_ladder(sorted(set(ladder)))
         fl = cfg.get("flow", {})
         if "snapshot_times" in fl or fl.get("t_end", max(ladder)) != max(ladder):
             raise ConfigError("a wilson ladder sets the flow's snapshot "
                               "times and ends at its top rung")
-        fc = FlowConfig(bc, fl.get("dt", dt_ceiling(grid)), max(ladder),
-                        fl.get("variant", "YM"), tuple(sorted(ladder)))
-        traj = _flow(A, fc)
+        fc = _flow_config({"dt": dt_ceiling(grid), **fl, "t_end": max(ladder),
+                           "snapshot_times": sorted(ladder)}, bc, grid)
+    A = apply_boundary(_field_from(cfg, grid), bc)
+    fields = [A]
+    if ladder is not None:
+        traj = integrate(A, fc)
         fields += traj.fields
     # every (loop, field) pair in one call; column 0 is the t = 0 field
     hols = transport_many(fields, loops, n_steps)
@@ -593,8 +559,8 @@ def _cmd_wilson(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _cmd_washer_energy(cfg, out, tol_scale, seed):
-    wc = _washer_config(cfg)
+def _cmd_washer_energy(cfg, out, tol_scale):
+    wc = WasherConfig(**cfg.get("washer", {}))
     res = energy(wc)
     report.emit_csv(
         ("cutoff", "value", "rel_gap"),
@@ -628,20 +594,16 @@ def _cmd_washer_energy(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _cmd_washer_flux(cfg, out, tol_scale, seed):
-    wc = _washer_config(cfg)
-    fx = cfg.get("flux", {})
-    eps_ladder = sorted(fx.get("eps_ladder",
-                               [10.0 ** -k for k in range(1, 6)]),
-                        reverse=True)
-    loop = LoopCEpsilon(eps_ladder[0], r_out=fx.get("r_out", 1.5),
-                        phi_span=fx.get("phi_span", math.pi / 2))
+def _cmd_washer_flux(cfg, out, tol_scale):
+    wc = WasherConfig(**cfg.get("washer", {}))
+    loops = _rim_loops(cfg.get("flux", {}))
+    eps_ladder = [lp.eps for lp in loops]
     fluxes, tails = [], []
-    for eps in eps_ladder:
-        fluxes.append(flux_probe(eps, loop, wc))
-        probe_pt = np.array([1.0 + eps, 0.0, 0.0])
+    for lp in loops:
+        fluxes.append(flux_probe(lp.eps, lp, wc))
+        probe_pt = np.array([1.0 + lp.eps, 0.0, 0.0])
         tail = vector_potential(probe_pt, wc)["tail_bound"]
-        tails.append(tail * loop.phi_span * (1.0 + eps))
+        tails.append(tail * lp.phi_span * (1.0 + lp.eps))
     report.emit_csv(("eps", "flux", "tail_bound"),
                     zip(eps_ladder, fluxes, tails), out / "flux.csv")
     increasing = all(b > a for a, b in zip(fluxes, fluxes[1:]))
@@ -666,35 +628,29 @@ def _cmd_washer_flux(cfg, out, tol_scale, seed):
     return results, rows
 
 
-def _cmd_washer_regularize(cfg, out, tol_scale, seed):
-    wc = _washer_config(cfg)
+def _cmd_washer_regularize(cfg, out, tol_scale):
+    wc = WasherConfig(**cfg.get("washer", {}))
     grid = _grid_from(cfg)
-    reg = cfg.get("regularize")
-    if reg is None:
-        raise ConfigError("this command requires a 'regularize' section")
+    reg = cfg["regularize"]
     origin = np.asarray(reg["origin"], dtype=float)
-    r_out = reg.get("r_out", 1.5)
-    phi_span = reg.get("phi_span", math.pi / 2)
-    eps_ladder = sorted(reg.get("eps_ladder", [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]),
-                        reverse=True)
     bc = _boundary_from(cfg)
     if bc.kind != "neumann":
         raise ConfigError("washer-regularize flows under a Neumann boundary")
-    fc = _flow_config(cfg, bc)
+    fc = _flow_config(cfg["flow"], bc, grid)
     if not any(abs(s - fc.t_end) < TIME_TOL for s in fc.snapshot_times):
         fc.snapshot_times = tuple(fc.snapshot_times) + (fc.t_end,)
+    loops = _rim_loops(reg)
+    # C_eps in box coordinates, checked at line_integral's 1,025 nodes
+    paths = [lp.path(-origin) for lp in loops]
+    check_paths(grid, paths, 512)
+    flux0 = [flux_probe(lp.eps, lp, wc) for lp in loops]
     sampled = washer_to_grid(wc, grid, origin,
                              cap_u_max=reg.get("cap_u_max", 12.0))
-    traj = _flow(sampled["field"], fc)
+    traj = integrate(sampled["field"], fc)
     _monitor_csv(traj.monitors, out / "monitors.csv")
     A_t = traj.fields[-1]
-
-    flux0, flux_t = [], []
-    base_loop = LoopCEpsilon(eps_ladder[0], r_out=r_out, phi_span=phi_span)
-    for eps in eps_ladder:
-        flux0.append(flux_probe(eps, base_loop, wc))
-        path = _rim_loop_path(eps, r_out, phi_span, origin)
-        flux_t.append(float(line_integral(A_t, path)[0]))
+    flux_t = [float(line_integral(A_t, path)[0]) for path in paths]
+    eps_ladder = [lp.eps for lp in loops]
     report.emit_csv(("eps", "flux_t0", "flux_t"),
                     zip(eps_ladder, flux0, flux_t), out / "flux.csv")
 
@@ -718,24 +674,23 @@ def _cmd_washer_regularize(cfg, out, tol_scale, seed):
     return results, rows
 
 
-# each command and the top-level config sections it reads
+# each command, the top-level sections it requires and those it may read
 _DISPATCH = {
-    "flow": (_cmd_flow, {"grid", "boundary", "field", "flow", "oracle"}),
-    "verify-domination": (_cmd_verify_domination,
-                          {"grid", "boundary", "field", "flow",
-                           "domination"}),
+    "flow": (_cmd_flow, {"grid", "field", "flow"}, {"boundary", "oracle"}),
+    "verify-domination": (_cmd_verify_domination, {"grid", "field", "flow"},
+                          {"boundary", "domination"}),
     "verify-diamagnetic": (_cmd_verify_diamagnetic,
-                           {"grid", "field", "diamagnetic"}),
-    "verify-bounds": (_cmd_verify_bounds,
-                      {"grid", "boundary", "field", "flow", "constants"}),
-    "constants": (_cmd_constants, {"grid", "constants"}),
-    "wilson": (_cmd_wilson,
-               {"grid", "boundary", "field", "flow", "loops", "wilson"}),
-    "washer-energy": (_cmd_washer_energy, {"washer"}),
-    "washer-flux": (_cmd_washer_flux, {"washer", "flux"}),
+                           {"grid", "field", "diamagnetic"}, set()),
+    "verify-bounds": (_cmd_verify_bounds, {"grid", "field", "flow"},
+                      {"boundary", "constants"}),
+    "constants": (_cmd_constants, set(), {"grid", "constants"}),
+    "wilson": (_cmd_wilson, {"grid", "field", "loops"},
+               {"boundary", "flow", "wilson"}),
+    "washer-energy": (_cmd_washer_energy, set(), {"washer"}),
+    "washer-flux": (_cmd_washer_flux, set(), {"washer", "flux"}),
     "washer-regularize": (_cmd_washer_regularize,
-                          {"grid", "boundary", "washer", "flow",
-                           "regularize"}),
+                          {"grid", "flow", "regularize"},
+                          {"boundary", "washer"}),
 }
 
 COMMANDS = tuple(_DISPATCH)
@@ -743,20 +698,25 @@ COMMANDS = tuple(_DISPATCH)
 
 def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
             seed: int | None = None) -> int:
-    """Run one subcommand; write report files; return the exit status."""
-    run, sections = _DISPATCH[command]
-    unread = sorted(set(cfg) - sections)
+    """Run one subcommand on a schema-valid config (see `load_config`);
+    write report files; return the exit status."""
+    run, required, optional = _DISPATCH[command]
+    missing = sorted(required - set(cfg))
+    if missing:
+        raise ConfigError(f"{command} requires the sections {missing}")
+    unread = sorted(set(cfg) - required - optional)
     if unread:
         raise ConfigError(f"{command} does not read {unread}")
     if command != "flow" and "write_snapshots" in cfg.get("flow", {}):
         raise ConfigError("only the flow command writes snapshots")
-    if seed is not None and \
-            cfg.get("field", {}).get("kind") != "random-smooth":
-        raise ConfigError("--seed sets the seed of a random-smooth field "
-                          "only")
+    if seed is not None:
+        if cfg.get("field", {}).get("kind") != "random-smooth":
+            raise ConfigError("--seed sets the seed of a random-smooth field "
+                              "only")
+        cfg = dict(cfg, field=dict(cfg["field"], seed=seed))
     out = FilePath(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    results, rows = run(cfg, out, tol_scale, seed)
+    results, rows = run(cfg, out, tol_scale)
     doc = {
         "command": command,
         "tol_scale": tol_scale,

@@ -212,33 +212,11 @@ class KForm:
         return np.sqrt(np.sum(np.square(self.interior), axis=(0, -1)))
 
     def norm(self, kind="L2"):
-        """L2, Linf or W1 norm over the box (trapezoid-rule integrals)."""
+        """L2 or Linf norm over the box (trapezoid-rule integral)."""
         if kind == "Linf":
             return float(np.max(self.pointwise_norm()))
         if kind == "L2":
             return self._l2(self.pointwise_norm())
-        w = self.grid.trapezoid_weights()
-        if kind == "W1":
-            if self.bc is None:
-                raise ValueError("W1 norm needs filled ghosts")
-            h = self.grid.spacing
-            grad_sq = np.zeros(self.grid.shape)
-            v = self.values
-            for a in range(3):
-                sl_p = [slice(None)] * 5
-                sl_m = [slice(None)] * 5
-                for b in range(3):
-                    ax = b + 1
-                    if b == a:
-                        sl_p[ax] = slice(2, None)
-                        sl_m[ax] = slice(0, -2)
-                    else:
-                        sl_p[ax] = slice(1, -1)
-                        sl_m[ax] = slice(1, -1)
-                d = (v[tuple(sl_p)] - v[tuple(sl_m)]) / (2 * h[a])
-                grad_sq += np.sum(np.square(d), axis=(0, -1))
-            l2sq = np.sum(w * self.pointwise_norm() ** 2)
-            return float(np.sqrt(np.sum(w * grad_sq) + l2sq))
         raise ValueError(f"unknown norm kind {kind!r}")
 
     def l2_linf(self):

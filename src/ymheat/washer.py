@@ -26,6 +26,7 @@ import numpy as np
 
 from .algebra import u1
 from .grid import GridSpec, KForm
+from .transport import Path, arc_segment, line_segment
 
 __all__ = [
     "WasherConfig",
@@ -354,7 +355,7 @@ class LoopCEpsilon:
     """Boundary of an annular sector hugging the washer's outer rim.
 
     Inner arc at radius 1 + eps, outer arc at r_out, angular span phi_span,
-    joined by two radial segments; all in the z = 0 plane.
+    joined by two radial segments; all in the washer's plane.
     """
 
     eps: float
@@ -367,52 +368,46 @@ class LoopCEpsilon:
         if self.r_out <= R_OUTER + self.eps:
             raise ValueError("outer radius must clear the inner arc")
 
+    def path(self, center=(0.0, 0.0, 0.0)) -> Path:
+        """The loop about a washer centred at `center`: the inner arc, the
+        radial side at +phi_span/2, the outer arc back, the other side."""
+        c = np.asarray(center, dtype=float)
+        phi0, phi1 = -self.phi_span / 2, self.phi_span / 2
+        r_in = R_OUTER + self.eps
+
+        def radial(phi, r0, r1):
+            d = np.array([math.cos(phi), math.sin(phi), 0.0])
+            return line_segment(c + r0 * d, c + r1 * d)
+
+        return Path([
+            arc_segment(c[:2], r_in, phi0, phi1, z=c[2]),
+            radial(phi1, r_in, self.r_out),
+            arc_segment(c[:2], self.r_out, phi1, phi0, z=c[2]),
+            radial(phi0, self.r_out, r_in),
+        ])
+
 
 def flux_probe(eps: float, loop: LoopCEpsilon | None = None,
                cfg: WasherConfig | None = None, n_quad: int = 64) -> float:
     """Line integral of the potential around the rim-hugging loop.
 
     Returns +inf for eps = 0 (the loop touches the rim, where the
-    tangential potential diverges); otherwise integrates all four
-    segments by Gauss quadrature (the radial ones vanish identically up
-    to quadrature noise but are included).
+    tangential potential diverges); otherwise integrates each segment of
+    `loop.path()` by Gauss quadrature (the radial ones vanish identically
+    up to quadrature noise but are included).
     """
     cfg = cfg or WasherConfig()
-    loop = loop or LoopCEpsilon(eps)
     if eps == 0.0:
         return math.inf
-    if abs(loop.eps - eps) > 1e-15:
-        loop = LoopCEpsilon(eps, loop.r_out, loop.phi_span)
+    loop = LoopCEpsilon(eps, loop.r_out, loop.phi_span) if loop \
+        else LoopCEpsilon(eps)
     x, w = _leggauss(n_quad)
     s = 0.5 * (x + 1.0)
     ws = 0.5 * w
-    phi0, phi1 = -loop.phi_span / 2, loop.phi_span / 2
     total = 0.0
-
-    def arc_contrib(radius, a0, a1):
-        phi = a0 + s * (a1 - a0)
-        pts = np.stack([radius * np.cos(phi), radius * np.sin(phi),
-                        np.zeros_like(phi)], axis=-1)
-        tang = np.stack([-radius * np.sin(phi), radius * np.cos(phi),
-                         np.zeros_like(phi)], axis=-1) * (a1 - a0)
-        A = vector_potential(pts, cfg)["A"]
-        return float(np.sum(ws * np.einsum("ij,ij->i", A, tang)))
-
-    def radial_contrib(phi, r0, r1):
-        rr = r0 + s * (r1 - r0)
-        pts = np.stack([rr * np.cos(phi), rr * np.sin(phi),
-                        np.zeros_like(rr)], axis=-1)
-        tang = np.stack([np.cos(phi) * np.ones_like(rr),
-                         np.sin(phi) * np.ones_like(rr),
-                         np.zeros_like(rr)], axis=-1) * (r1 - r0)
-        A = vector_potential(pts, cfg)["A"]
-        return float(np.sum(ws * np.einsum("ij,ij->i", A, tang)))
-
-    r_in = R_OUTER + eps
-    total += arc_contrib(r_in, phi0, phi1)
-    total += radial_contrib(phi1, r_in, loop.r_out)
-    total += arc_contrib(loop.r_out, phi1, phi0)
-    total += radial_contrib(phi0, loop.r_out, r_in)
+    for seg in loop.path().segments:
+        A = vector_potential(seg.position(s), cfg)["A"]
+        total += float(np.sum(ws * np.einsum("ij,ij->i", A, seg.velocity(s))))
     return total
 
 

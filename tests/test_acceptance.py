@@ -12,6 +12,7 @@ import pytest
 
 from ymheat import cli
 from ymheat.algebra import su2
+from ymheat.calculus import gauge_transform
 from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import FlowConfig, FlowConstants, integrate, verify_bounds
 from ymheat.grid import DIRICHLET, GridSpec, NEUMANN, apply_boundary
@@ -33,7 +34,7 @@ from ymheat.transport import (
     arc_segment,
     deriv_bound_check,
     line_segment,
-    transport,
+    transport_many,
     wilson_trace,
 )
 from ymheat.washer import (
@@ -252,42 +253,45 @@ def test_criterion_08_transport_algebra(unit_grid):
     A = apply_boundary(
         random_smooth(unit_grid, su2(), seed=41, amplitude=0.4), NEUMANN
     )
+    # a constant gauge rotation: Wilson traces are exactly invariant on the
+    # grid (the derivative term of the transform vanishes identically)
+    coeffs = np.zeros(unit_grid.padded_shape + (3,))
+    coeffs[...] = (0.3, -0.2, 0.4)
+    A_k = apply_boundary(gauge_transform(A, A.algebra.exp(coeffs)), NEUMANN)
+    loops = _acceptance_loops()
+    n = len(loops)
+    halves = [Path([_sub_segment(seg, a, b)])
+              for loop in loops for seg in loop.segments
+              for a, b in ((0.0, 0.5), (0.5, 1.0))]
+    # one batch per step count; each holonomy has the bits it has alone
+    hols = transport_many([A, A_k], loops + [lp.reversed() for lp in loops],
+                          n_steps=2048)
+    half_hols = iter(transport_many([A], halves, n_steps=1024)[:, 0])
+    rep_hols = transport_many(
+        [A], [Loop([_reparametrized(s) for s in lp.segments]) for lp in loops],
+        n_steps=4096)[:, 0]
     worst = 0.0
-    for loop in _acceptance_loops():
-        g = transport(A, loop, n_steps=2048)
+    for i, loop in enumerate(loops):
+        g = hols[i, 0]
         # composition: product over split sub-segments
         g_comp = np.eye(2, dtype=complex)
-        for seg in loop.segments:
-            for a, b in ((0.0, 0.5), (0.5, 1.0)):
-                g_comp = g_comp @ transport(
-                    A, Path([_sub_segment(seg, a, b)]), n_steps=1024
-                )
+        for _ in range(2 * len(loop.segments)):
+            g_comp = g_comp @ next(half_hols)
         worst = max(worst, float(np.max(np.abs(g - g_comp))))
         # inverse
-        g_rev = transport(A, loop.reversed(), n_steps=2048)
+        g_rev = hols[n + i, 0]
         worst = max(worst, float(np.max(np.abs(g @ g_rev - np.eye(2)))))
         # reparametrization invariance
-        g_rep = transport(
-            A, Loop([_reparametrized(s) for s in loop.segments]),
-            n_steps=4096,
-        )
-        worst = max(worst, float(np.max(np.abs(g - g_rep))))
+        worst = max(worst, float(np.max(np.abs(g - rep_hols[i]))))
         # unitarity
         worst = max(worst, float(np.max(np.abs(np.conj(g.T) @ g - np.eye(2)))))
         worst = max(worst, abs(np.linalg.det(g) - 1.0))
-        # trace invariance under a constant gauge rotation (exact on the
-        # grid: the derivative term of the transform vanishes identically)
-        coeffs = np.zeros(unit_grid.padded_shape + (3,))
-        coeffs[...] = (0.3, -0.2, 0.4)
-        k = A.algebra.exp(coeffs)
-        from ymheat.calculus import gauge_transform
-
-        A_k = apply_boundary(gauge_transform(A, k), NEUMANN)
-        t1 = wilson_trace(A, loop, n_steps=2048)
-        t2 = wilson_trace(A_k, loop, n_steps=2048)
+        # trace invariance under the gauge rotation
+        t1 = complex(np.trace(g))
+        t2 = complex(np.trace(hols[i, 1]))
         worst = max(worst, abs(t1 - t2))
 
-    circle = _acceptance_loops()[1]
+    circle = loops[1]
     u = PathPerturbation(
         lambda s: np.array([0.0, 0.0, 0.05 * math.sin(math.pi * s) ** 2]),
         lambda s: np.array([0.0, 0.0, 0.05 * math.pi * math.sin(2 * math.pi * s)]),

@@ -613,6 +613,73 @@ def test_seed_without_random_field_is_config_error(tmp_path, capsys,
                                       command, cfg, "--seed", "5")
 
 
+# the sections each command cannot run without
+REQUIRED = {
+    "flow": ("grid", "field", "flow"),
+    "verify-bounds": ("grid", "field", "flow"),
+    "verify-domination": ("grid", "field", "flow"),
+    "verify-diamagnetic": ("grid", "field", "diamagnetic"),
+    "wilson": ("grid", "field", "loops"),
+    "washer-regularize": ("grid", "flow", "regularize"),
+}
+
+
+@pytest.mark.parametrize("command, section", [
+    (command, section) for command, sections in REQUIRED.items()
+    for section in sections])
+def test_missing_required_section_is_config_error(tmp_path, capsys,
+                                                  monkeypatch, command,
+                                                  section):
+    cfg = {k: v for k, v in SMOKE[command].items() if k != section}
+    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                      command, cfg)
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("flow", dict(BASE_FLOW, field={"kind": "random-smooth",
+                                    "algebra": "SU2"})),
+    ("flow", dict(BASE_FLOW, flow={"dt": 0.0008, "t_end": 0.004,
+                                   "snapshot_times": [0.0024]})),
+    ("washer-regularize", dict(WASHER_REGULARIZE,
+                               regularize={"origin": [-2, -2, -2],
+                                           "r_out": 1.05})),
+    # C_eps about (2.6, 2, 2) leaves the band of a 12^3 box of side 4
+    ("washer-regularize", dict(WASHER_REGULARIZE,
+                               grid={"extents": [4, 4, 4],
+                                     "shape": [12, 12, 12]},
+                               regularize={"origin": [-2.6, -2, -2]})),
+    # the elliptic kernel loses precision within ~1e-7 of the rim
+    ("washer-regularize", dict(WASHER_REGULARIZE,
+                               regularize={"origin": [-2, -2, -2],
+                                           "eps_ladder": [1e-1, 1e-9]})),
+    # 8 kernel modes cannot resolve c_N on a box of side 40
+    ("verify-bounds", dict(SMOKE["verify-bounds"],
+                           grid={"extents": [40, 40, 40],
+                                 "shape": [10, 10, 10]},
+                           flow={"dt": 1.0, "t_end": 4.0},
+                           constants={"kernel_modes": 8})),
+], ids=["oracle_su2_field", "oracle_no_snapshot_at_t_end", "rim_r_out",
+        "rim_leaves_band", "rim_eps_too_small", "kernel_modes"])
+def test_rejected_before_flowing_or_sampling(tmp_path, capsys, monkeypatch,
+                                            command, cfg):
+    for name in ("integrate", "washer_to_grid"):
+        monkeypatch.setattr(cli, name, _forbidden)
+    out = tmp_path / "o"
+    assert _run([command, "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error" in err and "Traceback" not in err
+    assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+def test_load_config_never_rechecks_the_schema(tmp_path, monkeypatch):
+    cli._Validator.check_schema(cli.CONFIG_SCHEMA)
+    monkeypatch.setattr(cli._Validator, "check_schema", _forbidden)
+    assert load_config(_write(tmp_path, BASE_FLOW)) == BASE_FLOW
+    with pytest.raises(ConfigError):
+        load_config(_write(tmp_path, dict(BASE_FLOW, boundary="periodic")))
+
+
 def _fresh_python(code):
     """Run `code` in a new interpreter that imports this checkout's ymheat;
     return what it prints, parsed as JSON."""

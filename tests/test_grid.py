@@ -127,14 +127,6 @@ def test_norms_on_constant_field(unit_grid, u1_alg):
     a.values[..., 0] = 3.0
     assert np.isclose(a.norm("Linf"), 3.0)
     assert np.isclose(a.norm("L2"), 3.0)  # unit volume
-    af = apply_boundary(a, NEUMANN)
-    assert np.isclose(af.norm("W1"), 3.0, atol=1e-12)
-
-
-def test_w1_needs_ghosts(unit_grid, u1_alg):
-    a = KForm(0, unit_grid, u1_alg)
-    with pytest.raises(ValueError):
-        a.norm("W1")
 
 
 def test_l2_scales_with_volume():
