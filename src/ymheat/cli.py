@@ -5,7 +5,8 @@ rejected), executes a single subcommand, and writes a JSON report of
 inequality checks plus CSV time series into the output directory.
 Exit status: 0 if every check passes, 1 if any check fails, 2 on a
 configuration problem (any ``ValueError``: the schema's, the builders'
-or a library input check), 3 on a numerical abort (any ``RuntimeError``).
+or a library input check; or an ``OSError`` on a file the run names), 3
+on a numerical abort (any ``RuntimeError``).
 """
 
 from __future__ import annotations
@@ -66,30 +67,43 @@ class ConfigError(ValueError):
 # Config schema
 # ---------------------------------------------------------------------------
 
+def _numbers(n):
+    return {"type": "array", "items": {"type": "number"},
+            "minItems": n, "maxItems": n}
+
+
+def _segment(kind, when, **keys):
+    """A segment of `kind` (where `when` holds) has `kind` and `keys` only."""
+    return {"if": {"properties": {"kind": {"const": kind}}, **when},
+            "then": {"properties": {"kind": {}, **keys},
+                     "required": list(keys), "additionalProperties": False}}
+
+
+_ARC_KEYS = {"radius": {"type": "number", "exclusiveMinimum": 0},
+             "phi0": {"type": "number"}, "phi1": {"type": "number"}}
+
+# a line runs from start to end; an arc turns about a 3-D center, or about
+# a 2-D center at height z
 _SEGMENT_SCHEMA = {
     "type": "object",
-    "properties": {
-        "kind": {"enum": ["line", "arc"]},
-        "start": {"type": "array", "items": {"type": "number"},
-                  "minItems": 3, "maxItems": 3},
-        "end": {"type": "array", "items": {"type": "number"},
-                "minItems": 3, "maxItems": 3},
-        "center": {"type": "array", "items": {"type": "number"},
-                   "minItems": 2, "maxItems": 3},
-        "radius": {"type": "number", "exclusiveMinimum": 0},
-        "phi0": {"type": "number"},
-        "phi1": {"type": "number"},
-        "z": {"type": "number"},
-    },
+    "properties": {"kind": {"enum": ["line", "arc"]}},
     "required": ["kind"],
-    "additionalProperties": False,
+    "allOf": [
+        _segment("line", {}, start=_numbers(3), end=_numbers(3)),
+        _segment("arc", {"required": ["z"]}, center=_numbers(2),
+                 z={"type": "number"}, **_ARC_KEYS),
+        _segment("arc", {"not": {"required": ["z"]}}, center=_numbers(3),
+                 **_ARC_KEYS),
+    ],
 }
 
 # the C_eps ladder of washer-flux and washer-regularize
 _RIM_LADDER_PROPERTIES = {
+    # the flux fit's variable log log(1/eps) needs 0 < eps < 1
     "eps_ladder": {"type": "array",
-                   "items": {"type": "number", "exclusiveMinimum": 0},
-                   "minItems": 2},
+                   "items": {"type": "number", "exclusiveMinimum": 0,
+                             "exclusiveMaximum": 1},
+                   "minItems": 2, "uniqueItems": True},
     "r_out": {"type": "number", "exclusiveMinimum": 1},
     "phi_span": {"type": "number", "exclusiveMinimum": 0, "maximum": 6.2832},
 }
@@ -152,7 +166,7 @@ CONFIG_SCHEMA = {
             "properties": {
                 "omega_kinds": {"type": "array",
                                 "items": {"enum": ["B", "A'"]},
-                                "minItems": 1},
+                                "minItems": 1, "uniqueItems": True},
             },
             "additionalProperties": False,
         },
@@ -162,7 +176,7 @@ CONFIG_SCHEMA = {
                 "t": {"type": "number", "exclusiveMinimum": 0},
                 "boundaries": {"type": "array",
                                "items": {"enum": ["neumann", "dirichlet"]},
-                               "minItems": 1},
+                               "minItems": 1, "uniqueItems": True},
                 "omega_seed": {"type": "integer", "minimum": 0},
                 "omega_degree": {"type": "integer", "minimum": 0,
                                  "maximum": 3},
@@ -183,7 +197,7 @@ CONFIG_SCHEMA = {
                 "ladder": {"type": "array",
                            "items": {"type": "number",
                                      "exclusiveMinimum": 0},
-                           "minItems": 4},
+                           "minItems": 4, "uniqueItems": True},
             },
             "additionalProperties": False,
         },
@@ -203,8 +217,7 @@ CONFIG_SCHEMA = {
         "regularize": {
             "type": "object",
             "properties": {
-                "origin": {"type": "array", "items": {"type": "number"},
-                           "minItems": 3, "maxItems": 3},
+                "origin": _numbers(3),
                 "cap_u_max": {"type": "number", "exclusiveMinimum": 0},
                 **_RIM_LADDER_PROPERTIES,
             },
@@ -238,6 +251,12 @@ def _finite_number(text):
     return x
 
 
+def _validate(cfg: dict) -> None:
+    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+    if error is not None:
+        raise ConfigError(f"config schema violation: {error.message}")
+
+
 def load_config(path) -> dict:
     """Read and schema-validate a JSON run configuration."""
     try:
@@ -248,9 +267,7 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
-    if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+    _validate(cfg)
     return cfg
 
 
@@ -339,14 +356,6 @@ def _abelian_spectral_check(traj, A0, tol: float) -> dict:
     final = traj.fields[-1]
     err = (final + (-1.0) * exact).norm("L2") / max(exact.norm("L2"), 1e-300)
     return report.check_row("abelian_spectral_equivalence", err, 0.0, tol)
-
-
-def _loops_from(cfg: dict):
-    try:
-        return [Loop([segment_from_json(s) for s in spec])
-                for spec in cfg["loops"]]
-    except KeyError as e:
-        raise ConfigError(f"loop segment lacks {e}") from e
 
 
 def _rim_loops(sec: dict) -> list:
@@ -513,7 +522,8 @@ def _cmd_verify_diamagnetic(cfg, out, tol_scale):
 
 def _cmd_wilson(cfg, out, tol_scale):
     grid = _grid_from(cfg)
-    loops = _loops_from(cfg)
+    loops = [Loop([segment_from_json(s) for s in spec])
+             for spec in cfg["loops"]]
     opts = cfg.get("wilson", {})
     n_steps = opts.get("n_steps", 256)
     ladder = opts.get("ladder")
@@ -522,7 +532,7 @@ def _cmd_wilson(cfg, out, tol_scale):
     bc = _boundary_from(cfg)
     check_paths(grid, loops, n_steps)
     if ladder is not None:
-        check_ladder(sorted(set(ladder)))
+        check_ladder(sorted(ladder))
         fl = cfg.get("flow", {})
         if "snapshot_times" in fl or fl.get("t_end", max(ladder)) != max(ladder):
             raise ConfigError("a wilson ladder sets the flow's snapshot "
@@ -549,7 +559,7 @@ def _cmd_wilson(cfg, out, tol_scale):
     ]
     results = {"traces": [[z.real, z.imag] for z in traces]}
     if ladder is not None:
-        probe = convergence_probe(traj, loops, hols[:, 1:])
+        probe = convergence_probe(traj, hols[:, 1:])
         rows.append(report.check_row(
             "trace_diffs_nonincreasing_tail",
             0.0 if probe["diffs_nonincreasing_tail"] else 1.0, 0.0, 0.0))
@@ -640,16 +650,17 @@ def _cmd_washer_regularize(cfg, out, tol_scale):
     if not any(abs(s - fc.t_end) < TIME_TOL for s in fc.snapshot_times):
         fc.snapshot_times = tuple(fc.snapshot_times) + (fc.t_end,)
     loops = _rim_loops(reg)
-    # C_eps in box coordinates, checked at line_integral's 1,025 nodes
+    # C_eps in box coordinates, integrated on the grid after the flow
     paths = [lp.path(-origin) for lp in loops]
-    check_paths(grid, paths, 512)
+    n_steps = 512
+    check_paths(grid, paths, n_steps)
     flux0 = [flux_probe(lp.eps, lp, wc) for lp in loops]
     sampled = washer_to_grid(wc, grid, origin,
                              cap_u_max=reg.get("cap_u_max", 12.0))
     traj = integrate(sampled["field"], fc)
     _monitor_csv(traj.monitors, out / "monitors.csv")
     A_t = traj.fields[-1]
-    flux_t = [float(line_integral(A_t, path)[0]) for path in paths]
+    flux_t = [float(line_integral(A_t, path, n_steps)[0]) for path in paths]
     eps_ladder = [lp.eps for lp in loops]
     report.emit_csv(("eps", "flux_t0", "flux_t"),
                     zip(eps_ladder, flux0, flux_t), out / "flux.csv")
@@ -698,8 +709,10 @@ COMMANDS = tuple(_DISPATCH)
 
 def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
             seed: int | None = None) -> int:
-    """Run one subcommand on a schema-valid config (see `load_config`);
-    write report files; return the exit status."""
+    """Run one subcommand on a config, schema-validated here as
+    `load_config` does; write report files (the first one creates
+    `out_dir`); return the exit status."""
+    _validate(cfg)
     run, required, optional = _DISPATCH[command]
     missing = sorted(required - set(cfg))
     if missing:
@@ -715,7 +728,6 @@ def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
                               "only")
         cfg = dict(cfg, field=dict(cfg["field"], seed=seed))
     out = FilePath(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     results, rows = run(cfg, out, tol_scale)
     doc = {
         "command": command,
@@ -748,7 +760,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         return execute(args.command, cfg, args.out,
                        tol_scale=args.tol_scale, seed=args.seed)
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"ymheat: config error: {e}", file=sys.stderr)
         return 2
     except RuntimeError as e:

@@ -9,6 +9,7 @@ of an identical configuration produce byte-identical files.
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 __all__ = ["format_float", "emit_json", "emit_csv", "check_row", "all_passed"]
 
@@ -37,6 +38,7 @@ def all_passed(rows) -> bool:
 
 
 def emit_json(results: dict, path) -> None:
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         json.dump(results, f, indent=2, sort_keys=True, default=str)
         f.write("\n")
@@ -44,6 +46,7 @@ def emit_json(results: dict, path) -> None:
 
 def emit_csv(columns, rows, path) -> None:
     """Write rows (sequences aligned with `columns`) with stable order."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(columns) + "\n")
         for row in rows:

@@ -25,12 +25,10 @@ __all__ = [
     "Path",
     "Loop",
     "PathPerturbation",
-    "Homotopy",
     "line_segment",
     "arc_segment",
     "segment_from_json",
     "line_integral",
-    "check_band",
     "check_paths",
     "check_ladder",
     "transport",
@@ -77,10 +75,10 @@ def line_segment(p0, p1) -> Segment:
 def arc_segment(center, radius, phi0, phi1, z=None) -> Segment:
     """Circular arc in a z = const plane from angle phi0 to phi1."""
     center = np.asarray(center, dtype=float)
-    if z is None:
-        if center.shape != (3,):
-            raise ValueError("an arc with a 2-D center needs z")
+    if center.shape == (3,) and z is None:
         z = center[2]
+    elif center.shape != (2,) or z is None:
+        raise ValueError("an arc takes a 3-D center or a 2-D center and z")
 
     def pos(s):
         s = np.asarray(s, dtype=float)
@@ -117,7 +115,7 @@ def segment_from_json(spec: dict) -> Segment:
         return line_segment(spec["start"], spec["end"])
     if kind == "arc":
         return arc_segment(
-            spec.get("center", (0.0, 0.0, 0.0)),
+            spec["center"],
             spec["radius"],
             spec["phi0"],
             spec["phi1"],
@@ -158,33 +156,25 @@ class Path:
             total += np.trapezoid(speed, s)
         return float(total)
 
-    def global_position(self, s):
-        """Position under the uniform global parameter over all segments."""
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        m = len(self.segments)
-        idx = np.minimum((s * m).astype(int), m - 1)
-        local = s * m - idx
-        out = np.empty(s.shape + (3,))
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = seg.position(local[mask])
-        return out
-
-    def global_velocity(self, s):
-        s = np.atleast_1d(np.asarray(s, dtype=float))
-        m = len(self.segments)
-        idx = np.minimum((s * m).astype(int), m - 1)
-        local = s * m - idx
-        out = np.empty(s.shape + (3,))
-        for i, seg in enumerate(self.segments):
-            mask = idx == i
-            if np.any(mask):
-                out[mask] = seg.velocity(local[mask]) * m
-        return out
-
     def as_single_segment(self) -> Segment:
-        return Segment(self.global_position, self.global_velocity)
+        """The path under the uniform global parameter: segment i of m
+        covers [i/m, (i + 1)/m], so its velocity is scaled by m."""
+        m = len(self.segments)
+
+        def sampler(attr, scale):
+            def sample(s):
+                s = np.atleast_1d(np.asarray(s, dtype=float))
+                idx = np.minimum((s * m).astype(int), m - 1)
+                local = s * m - idx
+                out = np.empty(s.shape + (3,))
+                for i, seg in enumerate(self.segments):
+                    mask = idx == i
+                    if np.any(mask):
+                        out[mask] = getattr(seg, attr)(local[mask]) * scale
+                return out
+            return sample
+
+        return Segment(sampler("position", 1), sampler("velocity", m))
 
 
 class Loop(Path):
@@ -213,17 +203,6 @@ class PathPerturbation:
         self.norm = self.sup_u + float(np.max(np.linalg.norm(ders, axis=-1)))
         if not math.isfinite(self.norm):
             raise ValueError("perturbation norm is not finite")
-
-
-class Homotopy:
-    """Radial contraction h(s, x) = x0 + s (x - x0) onto the base point."""
-
-    def __init__(self, base):
-        self.base = np.asarray(base, dtype=float)
-
-    def path_to(self, x) -> Path:
-        """The radial path s -> h(s, x) from the base point to x."""
-        return Path([line_segment(self.base, x)])
 
 
 class _FieldInterpolator:
@@ -266,26 +245,22 @@ class _FieldInterpolator:
         return np.einsum("njd,nj->nd", vals, velocities)
 
 
-def check_band(grid: GridSpec, points) -> None:
-    """Raise ValueError if a point leaves the interior band: the box
-    shrunk by one (smallest) grid spacing, where interpolation is safe."""
-    band = min(grid.spacing)
-    lo = np.min(points, axis=0)
-    hi = np.max(points, axis=0)
-    for a, L in enumerate(grid.extents):
-        if lo[a] < band * (1 - 1e-9) or hi[a] > L - band * (1 - 1e-9):
-            raise ValueError(
-                "path exits the safe interior band "
-                f"(axis {a}: range [{lo[a]:.4g}, {hi[a]:.4g}])"
-            )
-
-
 def check_paths(grid: GridSpec, paths, n_steps: int) -> None:
-    """`check_band` on the RK4 sample points of every segment of every path."""
+    """Raise ValueError if a sample point of `n_steps` RK4 steps (2 n_steps
+    + 1 points per segment) leaves the interior band: the box shrunk by one
+    (smallest) grid spacing, where interpolation is safe."""
+    band = min(grid.spacing) * (1 - 1e-9)
     s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     for path in paths:
         for seg in path.segments:
-            check_band(grid, np.asarray(seg.position(s), dtype=float))
+            pts = np.asarray(seg.position(s), dtype=float)
+            lo, hi = np.min(pts, axis=0), np.max(pts, axis=0)
+            for a, L in enumerate(grid.extents):
+                if lo[a] < band or hi[a] > L - band:
+                    raise ValueError(
+                        "path exits the safe interior band "
+                        f"(axis {a}: range [{lo[a]:.4g}, {hi[a]:.4g}])"
+                    )
 
 
 def _project_group(g: np.ndarray) -> np.ndarray:
@@ -301,19 +276,20 @@ def _project_group(g: np.ndarray) -> np.ndarray:
     return p / np.sqrt(np.linalg.det(p))[:, None, None]
 
 
-def line_integral(A: KForm, path: Path, n_nodes: int = 1025) -> np.ndarray:
-    """Coefficientwise line integral of a 1-form along a path (trapezoid).
+def line_integral(A: KForm, path: Path, n_steps: int = 512) -> np.ndarray:
+    """Coefficientwise line integral of a 1-form along a path: the
+    trapezoid rule on the 2 n_steps + 1 points `transport` would sample.
 
     For an abelian field this determines the holonomy in closed form,
     exp(integral); used as the oracle against path-ordered transport.
     """
+    check_paths(A.grid, [path], n_steps)
     interp = _FieldInterpolator(A)
     total = np.zeros(A.algebra.dim)
-    s = np.linspace(0.0, 1.0, n_nodes)
+    s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     for seg in path.segments:
         pts = np.asarray(seg.position(s), dtype=float)
         vels = np.asarray(seg.velocity(s), dtype=float)
-        check_band(A.grid, pts)
         total += np.trapezoid(interp.along(pts, vels), s, axis=0)
     return total
 
@@ -334,7 +310,7 @@ def transport_many(fields, paths, n_steps: int = 256) -> np.ndarray:
     Segment slot j advances the pairs whose path has more than j segments;
     rows are ordered longest path first, so those pairs are a leading
     slice of the stack.  The fields share one grid and algebra (snapshots
-    of one run); every segment passes `check_band` before the first step.
+    of one run); every path passes `check_paths` before the first step.
     """
     alg = fields[0].algebra
     check_paths(fields[0].grid, paths, n_steps)
@@ -393,25 +369,22 @@ def wilson_trace(A: KForm, loop: Loop, n_steps: int = 256) -> complex:
     return complex(np.trace(transport(A, loop, n_steps=n_steps)))
 
 
-def loops_to_paths(P, homotopy: Homotopy, path: Path) -> np.ndarray:
-    """Extend a loop functional P to open paths via the radial homotopy.
+def loops_to_paths(P, base, path: Path) -> np.ndarray:
+    """Extend a loop functional P to open paths via the radial homotopy
+    h(s, x) = base + s (x - base).
 
     Returns P(h_x . path . h_y^{-1}) where h_x, h_y are the radial paths
-    from the base point to the endpoints of `path`; for loops based at
-    the homotopy's base point this reduces to P(path).
+    from `base` to the endpoints of `path`; for loops based at `base`
+    this reduces to P(path).
     """
     x, y = path.start(), path.end()
-    base = homotopy.base
-    pieces = []
+    base = np.asarray(base, dtype=float)
+    segments = list(path.segments)
     if np.linalg.norm(x - base) > ENDPOINT_TOL:
-        pieces.append(homotopy.path_to(x))
-    pieces.append(path)
+        segments.insert(0, line_segment(base, x))
     if np.linalg.norm(y - base) > ENDPOINT_TOL:
-        pieces.append(homotopy.path_to(y).reversed())
-    composite = pieces[0]
-    for p in pieces[1:]:
-        composite = composite.concat(p)
-    return P(Loop(composite.segments))
+        segments.append(line_segment(base, y).reversed())
+    return P(Loop(segments))
 
 
 def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation,
@@ -427,23 +400,20 @@ def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation,
     diam = max(A.grid.extents)
 
     def perturbed(eps):
-        def pos(s):
-            s = np.asarray(s, dtype=float)
-            return gamma.position(s) + eps * np.asarray(
-                [u.u(x) for x in np.atleast_1d(s)]
-            ).reshape(s.shape + (3,))
+        def shifted(along, f):
+            def sample(s):
+                s = np.asarray(s, dtype=float)
+                return along(s) + eps * np.asarray(
+                    [f(x) for x in np.atleast_1d(s)]
+                ).reshape(s.shape + (3,))
+            return sample
 
-        def vel(s):
-            s = np.asarray(s, dtype=float)
-            return gamma.velocity(s) + eps * np.asarray(
-                [u.u_prime(x) for x in np.atleast_1d(s)]
-            ).reshape(s.shape + (3,))
+        return Path([Segment(shifted(gamma.position, u.u),
+                             shifted(gamma.velocity, u.u_prime))])
 
-        return Path([Segment(pos, vel)])
-
+    richardson_dev = 0.0
     if u.sup_u == 0.0:
         deriv_norm = 0.0
-        richardson_dev = 0.0
     else:
         epss = [es * diam for es in eps_scale]
         hols = transport_many(
@@ -453,7 +423,6 @@ def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation,
         derivs = [(hols[2 * i] - hols[2 * i + 1]) / (2 * eps)
                   for i, eps in enumerate(epss)]
         scale = max(np.linalg.norm(d, 2) for d in derivs)
-        richardson_dev = 0.0
         if scale > 0:
             for d1, d2 in zip(derivs, derivs[1:]):
                 richardson_dev = max(
@@ -489,47 +458,22 @@ def check_ladder(times) -> None:
             raise ValueError("snapshot times do not form a dyadic ladder")
 
 
-def convergence_probe(traj, loops, holonomies) -> dict:
+def convergence_probe(traj, holonomies) -> dict:
     """Wilson traces of flowed fields along a dyadic time ladder.
 
-    For each loop, records trace(t_j) and successive absolute differences
-    (expected nonincreasing as the flow smooths the field), and checks the
-    transport equicontinuity estimate ||//_g - //_e|| <= 2 b L sup|g - e|
-    across loop pairs at the final time, with b the max of ||B(t)||_inf
-    over the ladder from the monitors.  `holonomies` is
+    For each loop, records trace(t_j) and successive absolute differences,
+    expected nonincreasing as the flow smooths the field.  `holonomies` is
     `transport_many(traj.fields, loops, n_steps)`.
     """
-    ts = list(traj.times)
-    check_ladder(ts)
+    check_ladder(traj.times)
     # (n_times, n_loops)
     traces = np.trace(holonomies, axis1=-2, axis2=-1).T
     diffs = np.abs(np.diff(traces, axis=0))
-
-    m = traj.monitors
-    mask = m.t >= ts[0] - 1e-12
-    b = float(np.max(m.B_linf[mask]))
-    hols = holonomies[:, -1]
-    s = np.linspace(0.0, 1.0, 513)
-    pts = [lp.as_single_segment().position(s) for lp in loops]
-    lengths = [lp.length() for lp in loops]
-    pair_rows = []
-    for i in range(len(loops)):
-        for j in range(i + 1, len(loops)):
-            sep = float(np.max(np.linalg.norm(pts[i] - pts[j], axis=-1)))
-            lhs = float(np.linalg.norm(hols[i] - hols[j], 2))
-            L = max(lengths[i], lengths[j])
-            pair_rows.append(
-                {"pair": (i, j), "lhs": lhs, "rhs": 2 * b * L * sep,
-                 "margin": 2 * b * L * sep - lhs}
-            )
     return {
-        "times": ts,
         "traces": traces,
         "trace_diffs": diffs,
         "diffs_nonincreasing_tail": bool(
             np.all(diffs[-2] <= diffs[-3] + 1e-12)
             and np.all(diffs[-1] <= diffs[-2] + 1e-12)
         ),
-        "equicontinuity": pair_rows,
-        "b_sup": b,
     }

@@ -1,11 +1,17 @@
+import contextlib
 import importlib.util
+import io
 import json
+import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ymheat
 from ymheat import cli, flow, transport
@@ -537,7 +543,7 @@ COMPUTATION = ("integrate", "transport_many", "NeumannSemigroup",
 def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
                                       command, cfg, *args):
     """`command` on `cfg` ("SNAP" standing for a 12^3 SU(2) snapshot)
-    exits 2 with no computation started and no report written."""
+    exits 2 with no computation started and no output directory made."""
     snap = tmp_path / "field.ymf"
     snapshot_write(random_smooth(GridSpec((1, 1, 1), (12, 12, 12)), su2()),
                    0.0, snap)
@@ -548,7 +554,7 @@ def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
     assert _run([command, "--config", _write(tmp_path, cfg),
                  "--out", str(out), *args]) == 2
     assert "config error" in capsys.readouterr().err
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -670,6 +676,189 @@ def test_rejected_before_flowing_or_sampling(tmp_path, capsys, monkeypatch,
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert [p for p in out.rglob("*") if p.is_file()] == []
+
+
+ARC = CIRCLE[0]
+
+
+@pytest.mark.parametrize("segment", [
+    dict(ARC, start=[0.7, 0.5, 0.5]),
+    dict(SQUARE[0], radius=0.2),
+    # center[2] = 0.9 beside z = 0.5 was dropped
+    dict(ARC, center=[0.5, 0.5, 0.9]),
+    {k: v for k, v in ARC.items() if k != "center"},
+], ids=["arc_start", "line_radius", "arc_center_3d_and_z", "arc_no_center"])
+def test_segment_keys_follow_their_kind(tmp_path, capsys, monkeypatch,
+                                        segment):
+    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                      "wilson", dict(WILSON,
+                                                     loops=[[segment]]))
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("verify-domination", dict(SMOKE["verify-domination"],
+                               domination={"omega_kinds": ["B", "B"]})),
+    ("verify-diamagnetic", dict(SMOKE["verify-diamagnetic"], diamagnetic={
+        "t": 0.004, "boundaries": ["neumann", "neumann"]})),
+    ("washer-flux", {"flux": {"eps_ladder": [1e-1, 1e-2, 1e-2]}}),
+    # the report listed the repeated rung beside three diffs, not four
+    ("wilson", dict(WILSON, wilson={
+        "n_steps": 16, "ladder": [0.005, 0.005, 0.01, 0.02, 0.04]})),
+    # log log(1/eps) is not finite: the fit failed after flux.csv was written
+    ("washer-flux", {"flux": {"eps_ladder": [1.0, 1e-1, 1e-2],
+                              "r_out": 2.5}}),
+], ids=["omega_kinds_repeated", "boundaries_repeated", "eps_repeated",
+        "ladder_repeated", "eps_one"])
+def test_list_entry_repeated_or_outside_domain_is_config_error(
+        tmp_path, capsys, monkeypatch, command, cfg):
+    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                      command, cfg)
+
+
+def test_execute_validates_its_config(tmp_path, monkeypatch):
+    for name in COMPUTATION:
+        monkeypatch.setattr(cli, name, _forbidden)
+    out = tmp_path / "o"
+    with pytest.raises(ConfigError, match="schema violation"):
+        cli.execute("wilson", dict(WILSON, loops=[]), out)
+    assert not out.exists()
+
+
+def _section(draw, required, optional):
+    """The required items and a drawn subset of the optional ones."""
+    return dict(required, **{k: v for k, v in optional.items()
+                             if draw(st.booleans())})
+
+
+@st.composite
+def _fuzz_case(draw, command):
+    """(config, snapshot grid or None): a schema-valid config of `command`
+    on 8-10 nodes per axis and extents in [0.5, 4], flowing about four
+    steps at most.  A snapshot field's path is "SNAP" (written from the
+    snapshot grid) or "ABSENT"."""
+    _, required, optional = cli._DISPATCH[command]
+    # the rim loops fit about the washer only in a box of side 3.5 or more
+    side = st.floats(3.5 if command == "washer-regularize" else 0.5, 4.0)
+    extents = draw(st.lists(side, min_size=3, max_size=3))
+    shape = draw(st.lists(st.integers(8, 10), min_size=3, max_size=3))
+    grid = GridSpec(tuple(extents), tuple(shape))
+    ceiling = flow.dt_ceiling(grid)
+    dt = ceiling * draw(st.floats(0.25, 1.05))
+    t_end = dt * draw(st.floats(0.5, 4.0))
+    snapshot_grid = None
+    sections = {
+        "grid": {"extents": extents, "shape": shape},
+        "boundary": draw(st.sampled_from(["neumann", "neumann", "dirichlet",
+                                          "marini"])),
+        "oracle": "abelian-spectral",
+        "constants": _section(draw, {}, {
+            "kernel_modes": draw(st.integers(8, 64)),
+            "tau": draw(st.floats(0.01, 0.5))}),
+        "domination": {"omega_kinds": draw(st.lists(
+            st.sampled_from(["B", "A'"]), min_size=1, max_size=2,
+            unique=True))},
+        "diamagnetic": _section(draw, {"t": ceiling * draw(
+            st.floats(0.1, 4.0))}, {
+            "boundaries": draw(st.lists(
+                st.sampled_from(["neumann", "dirichlet"]), min_size=1,
+                max_size=2, unique=True)),
+            "omega_seed": draw(st.integers(0, 3)),
+            "omega_degree": draw(st.integers(0, 3))}),
+        "flow": _section(draw, {"dt": dt, "t_end": t_end}, {
+            "variant": draw(st.sampled_from(["YM", "ZDS"])),
+            "snapshot_times": [t_end * f for f in sorted(draw(st.lists(
+                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=5,
+                unique=True)))]}),
+        "washer": _section(draw, {}, {
+            "u_max": draw(st.floats(0.1, 40.0)),
+            "n_u": draw(st.integers(8, 32))}),
+    }
+    kind = draw(st.sampled_from(["coulomb-cosine", "random-smooth",
+                                 "snapshot"]))
+    if kind == "snapshot":
+        sections["field"] = {"kind": kind, "path": draw(
+            st.sampled_from(["SNAP", "ABSENT"]))}
+        snapshot_grid = draw(st.sampled_from([grid, GridSpec(
+            tuple(extents), (8, 8, 8))]))
+    elif kind == "coulomb-cosine":
+        sections["field"] = _section(draw, {"kind": kind}, {
+            "amplitude": draw(st.floats(0.0, 2.0))})
+    else:
+        # amplitudes of 1e5 and more abort the flow (exit 3)
+        sections["field"] = _section(draw, {"kind": kind, "amplitude": draw(
+            st.one_of(st.floats(0.0, 1.0), st.floats(1e5, 1e8)))}, {
+            "seed": draw(st.integers(0, 5)),
+            "algebra": draw(st.sampled_from(["U1", "SU2"]))})
+    rim = {
+        "eps_ladder": draw(st.lists(st.floats(1e-8, 0.99), min_size=2,
+                                    max_size=4, unique=True)),
+        "r_out": draw(st.floats(1.01, 2.0)),
+        "phi_span": draw(st.floats(0.1, 6.28))}
+    sections["flux"] = _section(draw, {}, rim)
+    sections["regularize"] = _section(draw, {"origin": [
+        -L / 2 * draw(st.floats(0.8, 1.2)) for L in extents]}, dict(
+        rim, cap_u_max=draw(st.floats(0.5, 20.0))))
+    # loops about the box centre, some of them leaving the interior band
+    loops = []
+    for _ in range(draw(st.integers(1, 3))):
+        r = min(extents) * draw(st.floats(0.05, 0.4))
+        c = [L * draw(st.floats(0.4, 0.6)) for L in extents]
+        if draw(st.booleans()):
+            loops.append([{"kind": "arc", "center": c[:2], "z": c[2],
+                           "radius": r, "phi0": 0.0, "phi1": 2 * math.pi}])
+        else:
+            corners = [[c[0] + dx * r, c[1] + dy * r, c[2]]
+                       for dx, dy in ((-1, -1), (1, -1), (1, 1), (-1, 1))]
+            loops.append([{"kind": "line", "start": a, "end": b}
+                          for a, b in zip(corners, corners[1:] + corners[:1])])
+    sections["loops"] = loops
+    t0 = ceiling * draw(st.floats(0.05, 0.5))
+    ladder = [t0, 2 * t0, 4 * t0, 8 * t0]
+    sections["wilson"] = _section(draw, {}, {
+        "n_steps": draw(st.integers(8, 32)), "ladder": ladder})
+    if command == "verify-domination":
+        sections["flow"]["snapshot_times"] = [0.0, t_end / 2, t_end]
+    if command == "flow" and draw(st.booleans()):
+        sections["flow"]["write_snapshots"] = draw(st.booleans())
+    if command == "wilson":
+        # only a ladder flows, to its top rung
+        sections["flow"] = {"dt": dt, "t_end": ladder[-1]}
+        if "ladder" not in sections["wilson"]:
+            optional = optional - {"flow"}
+    cfg = {k: sections[k] for k in sorted(required)}
+    cfg.update({k: sections[k] for k in sorted(optional)
+                if draw(st.booleans())})
+    return cfg, snapshot_grid
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_every_valid_config_ends_with_an_exit_status(command, data):
+    """Exit 0, 1, 2 or 3 and no traceback; an exit 2 makes no output
+    directory, an exit 3 writes no report."""
+    cfg, snapshot_grid = data.draw(_fuzz_case(command))
+    assert cli._VALIDATOR.is_valid(cfg)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if snapshot_grid is not None and "field" in cfg:
+            snap = tmp / "field.ymf"
+            snapshot_write(random_smooth(snapshot_grid, su2(), seed=1,
+                                         amplitude=0.1), 0.0, snap)
+            cfg["field"]["path"] = str(
+                snap if cfg["field"]["path"] == "SNAP" else tmp / "absent")
+        out = tmp / "o"
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            status = main([command, "--config", _write(tmp, cfg),
+                           "--out", str(out)])
+        assert status in (0, 1, 2, 3)
+        assert "Traceback" not in err.getvalue()
+        if status == 2:
+            assert not out.exists()
+        if status == 3:
+            assert not (out / "report.json").exists()
 
 
 def test_load_config_never_rechecks_the_schema(tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from ymheat.flow import FlowConfig, integrate
 from ymheat.grid import GridSpec, NEUMANN, apply_boundary
 from ymheat.transport import (
     CHUNK_STEPS,
-    Homotopy,
     Loop,
     Path,
     PathPerturbation,
@@ -185,21 +184,19 @@ def test_band_violation_raises(field):
 
 def test_loops_to_paths_reduces_on_based_loops(field):
     base = np.array([0.3, 0.5, 0.5])
-    hom = Homotopy(base)
     loop = Loop([
         arc_segment((0.5, 0.5), 0.2, math.pi, 3 * math.pi, z=0.5)
     ])  # starts and ends at (0.3, 0.5, 0.5) = base
     P = lambda lp: wilson_trace(field, lp, n_steps=512)
     direct = P(loop)
-    extended = loops_to_paths(P, hom, loop)
+    extended = loops_to_paths(P, base, loop)
     assert abs(direct - extended) < 1e-8
 
 
 def test_loops_to_paths_open_path_closure(field):
-    hom = Homotopy((0.5, 0.5, 0.5))
     path = Path([line_segment((0.4, 0.4, 0.5), (0.6, 0.6, 0.5))])
     P = lambda lp: wilson_trace(field, lp, n_steps=256)
-    val = loops_to_paths(P, hom, path)
+    val = loops_to_paths(P, (0.5, 0.5, 0.5), path)
     assert np.isfinite(val.real)
 
 
@@ -285,8 +282,7 @@ def test_convergence_probe_traces_match_wilson_trace():
     traj = integrate(A0, FlowConfig(NEUMANN, h * h / 8, 0.04,
                                     snapshot_times=(0.005, 0.01, 0.02, 0.04)))
     loops = [_circle(0.2), _square(0.2)]
-    probe = convergence_probe(traj, loops,
-                              transport_many(traj.fields, loops, 32))
+    probe = convergence_probe(traj, transport_many(traj.fields, loops, 32))
     expected = [[wilson_trace(F, lp, n_steps=32) for lp in loops]
                 for F in traj.fields]
     assert np.array_equal(probe["traces"], np.asarray(expected))
