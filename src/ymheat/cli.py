@@ -414,13 +414,16 @@ def _cmd_constants(cfg, out, tol_scale):
 def _cmd_flow(cfg, out, tol_scale):
     grid = _grid_from(cfg)
     fc = _flow_config(cfg["flow"], _boundary_from(cfg), grid)
-    A0 = _field_from(cfg, grid)
     oracle = cfg.get("oracle") == "abelian-spectral"
-    if oracle and A0.algebra.group_id != "U1":
-        raise ConfigError("abelian-spectral oracle needs a U1 field")
+    # the closed form is the cosine mode's, which a Dirichlet fill breaks
+    if oracle and (cfg["field"]["kind"] != "coulomb-cosine"
+                   or fc.bc.kind == "dirichlet"):
+        raise ConfigError("abelian-spectral oracle needs a coulomb-cosine "
+                          "field and a neumann or marini boundary")
     if oracle and fc.t_end - max(fc.snapshot_schedule(),
                                  default=-math.inf) > 1e-12:
         raise ConfigError("abelian-spectral oracle needs a snapshot at t_end")
+    A0 = _field_from(cfg, grid)
     traj = integrate(A0, fc)
     m = traj.monitors
     _monitor_csv(m, out / "monitors.csv")
@@ -713,6 +716,9 @@ def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
     `load_config` does; write report files (the first one creates
     `out_dir`); return the exit status."""
     _validate(cfg)
+    if not 0 < tol_scale < math.inf:
+        raise ConfigError(f"tol_scale must be finite and positive, "
+                          f"not {tol_scale}")
     run, required, optional = _DISPATCH[command]
     missing = sorted(required - set(cfg))
     if missing:

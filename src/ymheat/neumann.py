@@ -5,13 +5,13 @@ The scalar Neumann Laplacian on a box diagonalizes in the cosine basis,
 so e^{t Lap_N} is exact up to mode truncation (DCT-I on the node grid).
 Every comparison of a gauge evolution against the scalar semigroup in
 this module is therefore an oracle comparison, not a two-solver race.
+``domination_check`` spreads its DCTs over a two-thread standard-library
+pool; every traced call stays on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 
 import numpy as np
 
@@ -249,52 +249,6 @@ def _add_duhamel(sg: NeumannSemigroup, out: np.ndarray, times, g_spectra,
         prev = nxt
 
 
-def _run_on_two_threads(task, n: int) -> None:
-    """Call ``task(i)`` for every i in range(n), largest i first.
-
-    With a second CPU in this process's affinity set, one worker thread
-    and the calling thread take indices from one shared list; otherwise
-    the calling thread runs them all.  Tasks store their own results, so
-    the order in which they finish changes no value.  The worker is
-    joined before this returns or raises, and an exception raised in it
-    is raised again here.
-    """
-    todo = list(range(n))
-
-    def drain():
-        while True:
-            try:
-                i = todo.pop()
-            except IndexError:
-                return
-            task(i)
-
-    # the affinity set is Linux's; elsewhere count the machine's CPUs
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if n < 2 or cpus < 2:
-        drain()
-        return
-    failed = []
-
-    def work():
-        try:
-            drain()
-        except BaseException as e:  # handed to the caller below
-            todo.clear()
-            failed.append(e)
-
-    worker = threading.Thread(target=work, name="ymheat-domination")
-    worker.start()
-    try:
-        drain()
-    finally:
-        todo.clear()
-        worker.join()
-    if failed:
-        raise failed[0]
-
-
 def domination_check(sg: NeumannSemigroup, traj: FlowTrajectory,
                      omega_kind: str = "B") -> dict:
     """Pointwise heat-kernel domination of a gauge field along the flow.
@@ -308,12 +262,13 @@ def domination_check(sg: NeumannSemigroup, traj: FlowTrajectory,
     |omega(t_0)| and every source |h(s_j)| are transformed once and the
     spectra are evolved to each target time, so n snapshots cost
     n + 1 forward and (n - 1)(n + 4)/2 inverse DCTs.  The transforms of
-    the sources, and then the bound and margin of each target, run on
-    the calling thread and one worker thread (``_run_on_two_threads``).
-    Each target holds its bound and two Duhamel evaluations at a time and
-    keeps the serial arithmetic, so every margin has the same bits on one
-    thread or two.
+    the sources, and then the bound and margin of each target, run as
+    tasks of a two-thread pool, the largest target first so that both
+    threads finish together.  Each task keeps the serial arithmetic, so
+    every margin has the bits of a one-thread run.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     if len(traj.times) < 2:
         raise ValueError("need at least 2 snapshots")
     if not all(isinstance(r, dict) and omega_kind in r for r in traj.fields):
@@ -322,22 +277,16 @@ def domination_check(sg: NeumannSemigroup, traj: FlowTrajectory,
     omegas, sources = zip(*(r[omega_kind] for r in traj.fields))
     # the first transform checks the shape and loads scipy.fft on this thread
     omega0 = sg.spectrum(omegas[0])
-    spectra = [None] * len(sources)
 
-    def transform(j):
-        spectra[j] = dctn(sources[j], type=1)
-
-    _run_on_two_threads(transform, len(sources))
-    margins = [0.0] * (len(omegas) - 1)
-
-    def margin(k):
-        i = k + 1
+    def margin(i):
         bound = sg.evolve(ts[i] - ts[0], omega0)
         _add_duhamel(sg, bound, ts, spectra, 0, i)
         bound -= omegas[i]
-        margins[k] = float(np.min(bound))
+        return float(np.min(bound))
 
-    _run_on_two_threads(margin, len(margins))
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        spectra = list(pool.map(lambda g: dctn(g, type=1), sources))
+        margins = list(pool.map(margin, range(len(omegas) - 1, 0, -1)))[::-1]
     return {
         "min_margin": float(min(margins)),
         "per_time_margin": margins,

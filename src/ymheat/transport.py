@@ -148,9 +148,9 @@ class Path:
     def concat(self, other: "Path") -> "Path":
         return Path(self.segments + other.segments)
 
-    def length(self, n: int = 2048) -> float:
+    def length(self) -> float:
         total = 0.0
-        s = np.linspace(0.0, 1.0, n)
+        s = np.linspace(0.0, 1.0, 2048)
         for seg in self.segments:
             speed = np.linalg.norm(seg.velocity(s), axis=-1)
             total += np.trapezoid(speed, s)
@@ -190,13 +190,13 @@ class Loop(Path):
 class PathPerturbation:
     """Direction field u(s) with u(0) = u(1) = 0 for path derivatives."""
 
-    def __init__(self, u, u_prime, check_points: int = 513):
+    def __init__(self, u, u_prime):
         self.u = u
         self.u_prime = u_prime
         for s in (0.0, 1.0):
             if np.linalg.norm(np.asarray(u(s))) > ENDPOINT_TOL:
                 raise ValueError("perturbation must vanish at the endpoints")
-        s = np.linspace(0.0, 1.0, check_points)
+        s = np.linspace(0.0, 1.0, 513)
         vals = np.asarray([u(x) for x in s])
         ders = np.asarray([u_prime(x) for x in s])
         self.sup_u = float(np.max(np.linalg.norm(vals, axis=-1)))
@@ -387,8 +387,7 @@ def loops_to_paths(P, base, path: Path) -> np.ndarray:
     return P(Loop(segments))
 
 
-def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation,
-                      eps_scale=(1e-2, 5e-3, 2.5e-3), n_steps: int = 256) -> dict:
+def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation) -> dict:
     """Check the perturbation-derivative bound for loop holonomies.
 
     The directional derivative of the holonomy in the direction u is
@@ -415,10 +414,10 @@ def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation,
     if u.sup_u == 0.0:
         deriv_norm = 0.0
     else:
-        epss = [es * diam for es in eps_scale]
+        epss = [es * diam for es in (1e-2, 5e-3, 2.5e-3)]
         hols = transport_many(
             [A], [perturbed(sign * eps) for eps in epss for sign in (1, -1)],
-            n_steps=4 * n_steps,
+            n_steps=1024,
         )[:, 0]
         derivs = [(hols[2 * i] - hols[2 * i + 1]) / (2 * eps)
                   for i, eps in enumerate(epss)]

@@ -619,6 +619,13 @@ def test_seed_without_random_field_is_config_error(tmp_path, capsys,
                                       command, cfg, "--seed", "5")
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, monkeypatch,
+                                               value):
+    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                      "flow", BASE_FLOW, "--tol-scale", value)
+
+
 # the sections each command cannot run without
 REQUIRED = {
     "flow": ("grid", "field", "flow"),
@@ -646,6 +653,10 @@ def test_missing_required_section_is_config_error(tmp_path, capsys,
                                     "algebra": "SU2"})),
     ("flow", dict(BASE_FLOW, flow={"dt": 0.0008, "t_end": 0.004,
                                    "snapshot_times": [0.0024]})),
+    # the oracle's closed form holds for the cosine mode without Dirichlet
+    ("flow", dict(BASE_FLOW, field={"kind": "random-smooth",
+                                    "algebra": "U1"})),
+    ("flow", dict(BASE_FLOW, boundary="dirichlet")),
     ("washer-regularize", dict(WASHER_REGULARIZE,
                                regularize={"origin": [-2, -2, -2],
                                            "r_out": 1.05})),
@@ -664,7 +675,8 @@ def test_missing_required_section_is_config_error(tmp_path, capsys,
                                  "shape": [10, 10, 10]},
                            flow={"dt": 1.0, "t_end": 4.0},
                            constants={"kernel_modes": 8})),
-], ids=["oracle_su2_field", "oracle_no_snapshot_at_t_end", "rim_r_out",
+], ids=["oracle_su2_field", "oracle_no_snapshot_at_t_end",
+        "oracle_random_u1_field", "oracle_dirichlet", "rim_r_out",
         "rim_leaves_band", "rim_eps_too_small", "kernel_modes"])
 def test_rejected_before_flowing_or_sampling(tmp_path, capsys, monkeypatch,
                                             command, cfg):

@@ -1,5 +1,4 @@
 import json
-import os
 import sys
 import threading
 
@@ -13,7 +12,6 @@ from ymheat.grid import DIRICHLET, NEUMANN, GridSpec, apply_boundary
 from ymheat import neumann
 from ymheat.neumann import (
     NeumannSemigroup,
-    _run_on_two_threads,
     compose_lemma_check,
     diamagnetic_check,
     domination_check,
@@ -85,9 +83,23 @@ def small_su2_traj(su2_alg):
     return _small_su2_flow(su2_alg)
 
 
-@pytest.mark.parametrize("kind", ["B", "A'"])
-def test_domination_equals_per_pair_heat_apply(small_su2_traj, kind):
-    sg, traj = small_su2_traj
+@pytest.fixture(scope="module")
+def nonuniform_u1_traj(u1_alg):
+    small = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
+    A0 = random_smooth(small, u1_alg, seed=38, amplitude=0.3)
+    dt = min(small.spacing) ** 2 / 8 * 0.9
+    cfg = FlowConfig(NEUMANN, dt, 0.004,
+                     snapshot_times=(0.0, 0.0007, 0.001, 0.0025, 0.004))
+    return NeumannSemigroup(small), integrate(A0, cfg,
+                                              on_snapshot=omega_record)
+
+
+@pytest.mark.parametrize("case, kind", [
+    ("small_su2_traj", "B"), ("small_su2_traj", "A'"),
+    ("nonuniform_u1_traj", "B"), ("nonuniform_u1_traj", "A'"),
+], ids=["B", "A'", "nonuniform_u1_traj-B", "nonuniform_u1_traj-A'"])
+def test_domination_equals_per_pair_heat_apply(request, case, kind):
+    sg, traj = request.getfixturevalue(case)
     res = domination_check(sg, traj, omega_kind=kind)
     margins = _domination_by_heat_apply(sg, traj, kind)
     assert res["per_time_margin"] == margins
@@ -185,36 +197,6 @@ def test_verify_domination_computes_curvature_only_in_the_flow(
     assert count[0] == 1 + 4 * accepted
 
 
-def _cpus(monkeypatch, n):
-    """Make this process look as if it may run on n CPUs."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
-                        raising=False)
-
-
-@pytest.fixture(scope="module")
-def nonuniform_u1_traj(u1_alg):
-    small = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
-    A0 = random_smooth(small, u1_alg, seed=38, amplitude=0.3)
-    dt = min(small.spacing) ** 2 / 8 * 0.9
-    cfg = FlowConfig(NEUMANN, dt, 0.004,
-                     snapshot_times=(0.0, 0.0007, 0.001, 0.0025, 0.004))
-    return NeumannSemigroup(small), integrate(A0, cfg,
-                                              on_snapshot=omega_record)
-
-
-@pytest.mark.parametrize("kind", ["B", "A'"])
-@pytest.mark.parametrize("case", ["small_su2_traj", "nonuniform_u1_traj"])
-def test_domination_same_bits_on_one_thread_or_two(request, monkeypatch,
-                                                   case, kind):
-    sg, traj = request.getfixturevalue(case)
-    _cpus(monkeypatch, 1)
-    serial = domination_check(sg, traj, omega_kind=kind)
-    _cpus(monkeypatch, 2)
-    assert domination_check(sg, traj, omega_kind=kind) == serial
-    assert serial["per_time_margin"] == \
-        _domination_by_heat_apply(sg, traj, kind)
-
-
 @pytest.fixture()
 def dct_counts(monkeypatch):
     # the transforms of domination_check run on two threads
@@ -275,83 +257,9 @@ def test_compose_lemma_same_bits_as_listed_trapezoid(sg, monkeypatch):
         == streamed
 
 
-def _first_two_meet(n, log):
-    """A task for ``_run_on_two_threads(task, n)`` that logs (i, thread)
-    and holds the first two indices taken until both are held, so it
-    fails unless two threads run it."""
-    meet = threading.Barrier(2, timeout=30)
-
-    def task(i):
-        log.append((i, threading.current_thread()))
-        if i >= n - 2:
-            meet.wait()
-    return task
-
-
-def test_two_threads_take_indices_largest_first(monkeypatch):
-    _cpus(monkeypatch, 2)
-    before = threading.active_count()
-    log = []
-    _run_on_two_threads(_first_two_meet(7, log), 7)
-    assert threading.active_count() == before
-    assert sorted(i for i, _ in log) == list(range(7))
-    threads = {t for _, t in log}
-    assert len(threads) == 2 and threading.main_thread() in threads
-    for t in threads:
-        mine = [i for i, u in log if u is t]
-        assert mine == sorted(mine, reverse=True)
-
-
-def test_one_cpu_runs_every_index_on_the_caller(monkeypatch):
-    _cpus(monkeypatch, 1)
-    before = threading.active_count()
-    log = []
-    _run_on_two_threads(lambda i: log.append(
-        (i, threading.current_thread())), 5)
-    assert log == [(i, threading.main_thread()) for i in range(4, -1, -1)]
-    assert threading.active_count() == before
-
-
-def test_every_index_runs_once_under_fast_switching(monkeypatch):
-    _cpus(monkeypatch, 2)
-    runs = [0] * 5000
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        def task(i):
-            runs[i] += 1  # each index is one task's own slot
-        _run_on_two_threads(task, len(runs))
-    finally:
-        sys.setswitchinterval(interval)
-    assert runs == [1] * len(runs)
-
-
-class _Boom(Exception):
-    pass
-
-
-@pytest.mark.parametrize("on_worker", [True, False])
-def test_task_exception_reaches_the_caller(monkeypatch, on_worker):
-    _cpus(monkeypatch, 2)
-    before = threading.active_count()
-    log = []
-    meet = _first_two_meet(6, log)
-
-    def task(i):
-        meet(i)
-        on_main = threading.current_thread() is threading.main_thread()
-        if on_main != on_worker:
-            raise _Boom(i)
-
-    with pytest.raises(_Boom):
-        _run_on_two_threads(task, 6)
-    assert threading.active_count() == before
-
-
 def test_traced_boundaries_stay_on_the_main_thread(su2_alg, monkeypatch):
     # every binding the benchmark's tracer wraps, as it wraps them; the
     # fills and defects of the records run in the flow's snapshot hook
-    _cpus(monkeypatch, 2)
     calls = {}
 
     def on_main_only(name, fn):
@@ -396,7 +304,6 @@ def _fail_fifth_inverse(monkeypatch):
 def test_failing_transform_raises_without_hanging(small_su2_traj,
                                                   monkeypatch):
     sg, traj = small_su2_traj
-    _cpus(monkeypatch, 2)
     _fail_fifth_inverse(monkeypatch)
     before = threading.active_count()
     raised = []
@@ -424,7 +331,6 @@ def test_failing_transform_exits_3(tmp_path, monkeypatch, capsys):
     }
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(cfg))
-    _cpus(monkeypatch, 2)
     _fail_fifth_inverse(monkeypatch)
     assert cli.main(["verify-domination", "--config", str(path),
                      "--out", str(tmp_path / "o")]) == 3
