@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import sys
 import threading
@@ -94,16 +95,27 @@ def nonuniform_u1_traj(u1_alg):
                                               on_snapshot=omega_record)
 
 
-@pytest.mark.parametrize("case, kind", [
-    ("small_su2_traj", "B"), ("small_su2_traj", "A'"),
-    ("nonuniform_u1_traj", "B"), ("nonuniform_u1_traj", "A'"),
-], ids=["B", "A'", "nonuniform_u1_traj-B", "nonuniform_u1_traj-A'"])
-def test_domination_equals_per_pair_heat_apply(request, case, kind):
-    sg, traj = request.getfixturevalue(case)
+@pytest.mark.parametrize("kind", ["B", "A'"])
+def test_domination_equals_per_pair_heat_apply(small_su2_traj, kind):
+    sg, traj = small_su2_traj
     res = domination_check(sg, traj, omega_kind=kind)
     margins = _domination_by_heat_apply(sg, traj, kind)
     assert res["per_time_margin"] == margins
     assert res["min_margin"] == min(margins)
+
+
+@pytest.mark.parametrize("kind", ["B", "A'"])
+@pytest.mark.parametrize("case", ["small_su2_traj", "nonuniform_u1_traj"])
+def test_domination_same_bits_on_one_thread_or_two(request, monkeypatch,
+                                                   case, kind):
+    sg, traj = request.getfixturevalue(case)
+    two = domination_check(sg, traj, omega_kind=kind)
+    pool = concurrent.futures.ThreadPoolExecutor
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        lambda max_workers: pool(max_workers=1))
+    assert domination_check(sg, traj, omega_kind=kind) == two
+    assert two["per_time_margin"] == \
+        _domination_by_heat_apply(sg, traj, kind)
 
 
 def _omega_series_by_refill(traj, omega_kind):
