@@ -7,48 +7,4 @@ Wilson loops, and the singular washer field whose loop integrals are
 regularized by the flow.
 """
 
-from .algebra import LieAlgebraSpec, su2, u1
-from .grid import (
-    COMPONENT_AXES,
-    DIRICHLET,
-    MARINI,
-    NEUMANN,
-    BoundarySpec,
-    GridSpec,
-    KForm,
-    apply_boundary,
-)
-from .calculus import (
-    bochner_laplacian,
-    contraction_bracket,
-    curvature,
-    d_cov,
-    dstar_cov,
-    gauge_transform,
-    gauge_transform_form,
-    weitzenbock_defect,
-)
-
-__all__ = [
-    "LieAlgebraSpec",
-    "u1",
-    "su2",
-    "GridSpec",
-    "BoundarySpec",
-    "KForm",
-    "apply_boundary",
-    "COMPONENT_AXES",
-    "DIRICHLET",
-    "NEUMANN",
-    "MARINI",
-    "curvature",
-    "d_cov",
-    "dstar_cov",
-    "bochner_laplacian",
-    "weitzenbock_defect",
-    "contraction_bracket",
-    "gauge_transform",
-    "gauge_transform_form",
-]
-
 __version__ = "0.1.0"

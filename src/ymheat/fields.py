@@ -29,25 +29,24 @@ def coulomb_cosine(grid: GridSpec, amplitude: float = 1.0) -> KForm:
     return A
 
 
-def edge_bump(grid: GridSpec, power: int = 3):
-    """Separable window vanishing to high order at every face."""
+def edge_bump(grid: GridSpec):
+    """Separable window prod_i sin(pi x_i / L_i)^3, vanishing at every face."""
     X, Y, Z = grid.meshgrid(ghosts=True)
     w = np.ones_like(X)
     for coord, L in zip((X, Y, Z), grid.extents):
-        w = w * np.sin(np.pi * np.clip(coord, 0.0, L) / L) ** power
+        w = w * np.sin(np.pi * np.clip(coord, 0.0, L) / L) ** 3
     return w
 
 
 def random_smooth(grid: GridSpec, algebra: LieAlgebraSpec | None = None,
                   seed: int = 0, amplitude: float = 0.05,
-                  degree: int = 1, n_modes: int = 3,
-                  max_freq: float = 1.5) -> KForm:
+                  degree: int = 1, n_modes: int = 3) -> KForm:
     """Seeded random low-frequency field localized away from the faces.
 
-    A sum of `n_modes` separable trig modes per (component, coefficient),
-    windowed by a bump vanishing at the boundary so all face constraints
-    hold regardless of boundary kind, then rescaled so the pointwise max
-    of |field| equals `amplitude`.
+    A sum of `n_modes` separable trig modes (wavenumbers in [pi/2, 3pi/2))
+    per (component, coefficient), windowed by a bump vanishing at the
+    boundary so all face constraints hold regardless of boundary kind,
+    then rescaled so the pointwise max of |field| equals `amplitude`.
     """
     alg = algebra or su2()
     rng = np.random.default_rng(seed)
@@ -59,7 +58,7 @@ def random_smooth(grid: GridSpec, algebra: LieAlgebraSpec | None = None,
         for d in range(alg.dim):
             acc = np.zeros_like(X)
             for _ in range(n_modes):
-                k = rng.uniform(0.5, max_freq, 3) * np.pi
+                k = rng.uniform(0.5, 1.5, 3) * np.pi
                 ph = rng.uniform(0, 2 * np.pi, 3)
                 c = rng.standard_normal()
                 acc += c * np.cos(k[0] * X + ph[0]) * np.cos(

@@ -25,6 +25,7 @@ from .calculus import (
     weitzenbock_defect,
 )
 from .grid import BoundarySpec, KForm, apply_boundary
+from .report import check_row
 
 __all__ = [
     "FlowConfig",
@@ -353,12 +354,13 @@ def verify_identities(traj: FlowTrajectory) -> dict:
     return {"B_identity_residual": res_B, "Ap_identity_residual": res_Ap}
 
 
-def verify_bounds(traj: FlowTrajectory, k: FlowConstants) -> dict:
+def verify_bounds(traj: FlowTrajectory, k: FlowConstants, tol: float) -> list:
     """Check the smoothing/energy inequalities along the monitor series.
 
-    The small-data gate (2 tau)^{1/4} c ||B_0||_2 <= a is evaluated first;
-    when it fails, the t^{-3/4} bounds are reported as not applicable.
-    Each row carries (lhs, rhs, margin = rhs - lhs at the worst time).
+    The small-data gate (2 tau)^{1/4} c ||B_0||_2 <= a is judged first,
+    with no slack; when it fails, the t^{-3/4} bounds are not applicable.
+    Returns the `report` check rows; each inequality is judged within slack
+    `tol` at its worst time (lhs, rhs with the least margin rhs - lhs).
     """
     m = traj.monitors
     if len(m) == 0:
@@ -368,21 +370,12 @@ def verify_bounds(traj: FlowTrajectory, k: FlowConstants) -> dict:
     B0_l2 = m.B_l2[0]
     Ap0_l2 = m.Ap_l2[0]
     tau = k.tau
-    rows = {}
+    rows = [check_row("small_data_gate", (2 * tau) ** 0.25 * c * B0_l2, k.a,
+                      0.0)]
+    gate_ok = rows[0]["verdict"] == "pass"
 
     def row(name, lhs, rhs, applicable=True):
-        rows[name] = {
-            "lhs": float(lhs),
-            "rhs": float(rhs),
-            "margin": float(rhs - lhs),
-            "applicable": bool(applicable),
-            "passed": bool(not applicable or rhs - lhs >= 0.0),
-        }
-
-    gate_lhs = (2 * tau) ** 0.25 * c * B0_l2
-    gate_ok = gate_lhs <= k.a
-    row("small_data_gate", gate_lhs, k.a)
-    rows["small_data_gate"]["passed"] = bool(gate_ok)
+        rows.append(check_row(name, lhs, rhs, tol, applicable))
 
     def worst(mask, lhs_arr, rhs_arr):
         """(lhs, rhs) at the index of worst margin within mask."""

@@ -175,8 +175,8 @@ class KForm:
 
     # -- arithmetic (used by the time steppers) --------------------------------
 
-    def _like(self, values, bc=None):
-        return KForm(self.degree, self.grid, self.algebra, values, bc)
+    def _like(self, values):
+        return KForm(self.degree, self.grid, self.algebra, values)
 
     def __add__(self, other):
         self._check_compatible(other)

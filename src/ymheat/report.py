@@ -20,8 +20,10 @@ def format_float(x) -> str:
     return str(x)
 
 
-def check_row(name: str, lhs: float, rhs: float, tol: float) -> dict:
-    """An inequality check lhs <= rhs within slack tol."""
+def check_row(name: str, lhs: float, rhs: float, tol: float,
+              applicable: bool = True) -> dict:
+    """An inequality check lhs <= rhs within slack tol; a check whose
+    premise fails is "not-applicable", whatever its margin."""
     margin = rhs - lhs
     return {
         "name": name,
@@ -29,12 +31,14 @@ def check_row(name: str, lhs: float, rhs: float, tol: float) -> dict:
         "rhs": float(rhs),
         "margin": float(margin),
         "tol": float(tol),
-        "verdict": "pass" if margin >= -tol else "fail",
+        "verdict": ("not-applicable" if not applicable
+                    else "pass" if margin >= -tol else "fail"),
     }
 
 
 def all_passed(rows) -> bool:
-    return all(r.get("verdict", "pass") == "pass" for r in rows)
+    """No row failed (a not-applicable row does not count)."""
+    return all(r["verdict"] != "fail" for r in rows)
 
 
 def emit_json(results: dict, path) -> None:

@@ -41,6 +41,7 @@ __all__ = [
 
 ENDPOINT_TOL = 1e-12
 UNITARITY_TOL = 1e-10
+LINE_STEPS = 512  # line_integral samples 2 LINE_STEPS + 1 points a segment
 
 
 class Segment:
@@ -245,15 +246,18 @@ class _FieldInterpolator:
         return np.einsum("njd,nj->nd", vals, velocities)
 
 
-def check_paths(grid: GridSpec, paths, n_steps: int) -> None:
+def check_paths(grid: GridSpec, paths, n_steps: int) -> list:
     """Raise ValueError if a sample point of `n_steps` RK4 steps (2 n_steps
     + 1 points per segment) leaves the interior band: the box shrunk by one
-    (smallest) grid spacing, where interpolation is safe."""
+    (smallest) grid spacing, where interpolation is safe.  Returns the
+    points, one array per segment, path after path."""
     band = min(grid.spacing) * (1 - 1e-9)
     s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
+    checked = []
     for path in paths:
         for seg in path.segments:
             pts = np.asarray(seg.position(s), dtype=float)
+            checked.append(pts)
             lo, hi = np.min(pts, axis=0), np.max(pts, axis=0)
             for a, L in enumerate(grid.extents):
                 if lo[a] < band or hi[a] > L - band:
@@ -261,6 +265,7 @@ def check_paths(grid: GridSpec, paths, n_steps: int) -> None:
                         "path exits the safe interior band "
                         f"(axis {a}: range [{lo[a]:.4g}, {hi[a]:.4g}])"
                     )
+    return checked
 
 
 def _project_group(g: np.ndarray) -> np.ndarray:
@@ -276,19 +281,18 @@ def _project_group(g: np.ndarray) -> np.ndarray:
     return p / np.sqrt(np.linalg.det(p))[:, None, None]
 
 
-def line_integral(A: KForm, path: Path, n_steps: int = 512) -> np.ndarray:
-    """Coefficientwise line integral of a 1-form along a path: the
-    trapezoid rule on the 2 n_steps + 1 points `transport` would sample.
+def line_integral(A: KForm, path: Path) -> np.ndarray:
+    """Coefficientwise line integral of a 1-form along a path: the trapezoid
+    rule on the points `transport` would sample in LINE_STEPS steps.
 
     For an abelian field this determines the holonomy in closed form,
     exp(integral); used as the oracle against path-ordered transport.
     """
-    check_paths(A.grid, [path], n_steps)
+    points = check_paths(A.grid, [path], LINE_STEPS)
     interp = _FieldInterpolator(A)
     total = np.zeros(A.algebra.dim)
-    s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
-    for seg in path.segments:
-        pts = np.asarray(seg.position(s), dtype=float)
+    s = np.linspace(0.0, 1.0, 2 * LINE_STEPS + 1)
+    for seg, pts in zip(path.segments, points):
         vels = np.asarray(seg.velocity(s), dtype=float)
         total += np.trapezoid(interp.along(pts, vels), s, axis=0)
     return total

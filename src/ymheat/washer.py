@@ -46,6 +46,11 @@ R_INNER = 0.5
 R_OUTER = 1.0
 U_MIN = math.log(2.0)  # u at the inner radius
 
+# the (u, v) grid at theta0 on which the angular sandwich is fitted and checked
+SANDWICH_U = (0.001, 0.01, 0.1, 0.5)
+SANDWICH_V = (0.5, 1.0, 2.0)
+SANDWICH_THETA0 = math.pi / 4
+
 
 @dataclass
 class WasherConfig:
@@ -222,9 +227,9 @@ def _coplanar_kernel(u1, u2):
     return out
 
 
-def _tanh_sinh_nodes(n: int, levels: float = 3.0):
-    """tanh-sinh quadrature nodes/weights on (0, 1)."""
-    t = np.linspace(-levels, levels, n)
+def _tanh_sinh_nodes(n: int):
+    """tanh-sinh quadrature nodes/weights on (0, 1), t in [-3, 3]."""
+    t = np.linspace(-3.0, 3.0, n)
     ht = 0.5 * np.pi * np.sinh(t)
     x = 0.5 * (np.tanh(ht) + 1.0)
     dt = t[1] - t[0]
@@ -232,8 +237,9 @@ def _tanh_sinh_nodes(n: int, levels: float = 3.0):
     return x, w
 
 
-def energy(cfg: WasherConfig | None = None, cutoffs=None) -> dict:
-    """Field energy W with a cutoff-refinement (Cauchy) trace.
+def energy(cfg: WasherConfig | None = None) -> dict:
+    """Field energy W with a cutoff-refinement (Cauchy) trace over the
+    doubling u_max cutoffs 32, 64, ..., 4096.
 
     W = 2 pi * double integral of lambda(r) lambda(r') K(r, r') with the
     elliptic kernel K; computed over the symmetric triangle r' <= r with
@@ -242,8 +248,7 @@ def energy(cfg: WasherConfig | None = None, cutoffs=None) -> dict:
     increasing and Cauchy for the energy to qualify as finite.
     """
     cfg = cfg or WasherConfig()
-    if cutoffs is None:
-        cutoffs = [32.0 * 2 ** k for k in range(8)]
+    cutoffs = [32.0 * 2 ** k for k in range(8)]
     xs, ws = _tanh_sinh_nodes(24 * 8)
     values = []
     for u_hi in cutoffs:
@@ -264,7 +269,7 @@ def energy(cfg: WasherConfig | None = None, cutoffs=None) -> dict:
     gaps = [abs(b - a) / abs(b) for a, b in zip(values, values[1:])]
     return {
         "W": values[-1],
-        "cutoffs": list(cutoffs),
+        "cutoffs": cutoffs,
         "values": values,
         "rel_gaps": gaps,
         "cauchy": bool(gaps and gaps[-1] <= 1e-3),
@@ -308,13 +313,11 @@ class BoundFit:
     c2: float
     C1: float
     C2: float
-    grid_u: tuple
-    grid_v: tuple
 
 
-def fit_theta_bounds(us=(0.5, 0.1, 0.01, 0.001), vs=(0.5, 1.0, 2.0),
-                     theta0: float = math.pi / 4) -> BoundFit:
-    """Fit c1 + c2 log(1/u) <= I(u, v) <= C1 + C2 log(1/u) over a grid.
+def fit_theta_bounds() -> BoundFit:
+    """Fit c1 + c2 log(1/u) <= I(u, v) <= C1 + C2 log(1/u) over the
+    SANDWICH_U x SANDWICH_V grid at SANDWICH_THETA0.
 
     I is the cos-weighted angular integral; the constants are chosen from
     the extreme empirical slopes so the sandwich holds at every grid
@@ -322,18 +325,17 @@ def fit_theta_bounds(us=(0.5, 0.1, 0.01, 0.001), vs=(0.5, 1.0, 2.0),
     """
     from scipy.integrate import quad
 
-    us = sorted(us)
-    vals = np.empty((len(us), len(vs)))
-    for i, u in enumerate(us):
-        for j, v in enumerate(vs):
+    vals = np.empty((len(SANDWICH_U), len(SANDWICH_V)))
+    for i, u in enumerate(SANDWICH_U):
+        for j, v in enumerate(SANDWICH_V):
             vals[i, j], _ = quad(
                 lambda th: math.cos(th)
                 / math.sqrt(u * u + 2 * v * v * (1 - math.cos(th))),
-                -theta0, theta0, limit=500,
+                -SANDWICH_THETA0, SANDWICH_THETA0, limit=500,
             )
-    logs = np.log(1.0 / np.asarray(us))
+    logs = np.log(1.0 / np.asarray(SANDWICH_U))
     slopes = []
-    for j in range(len(vs)):
+    for j in range(len(SANDWICH_V)):
         d = np.diff(vals[:, j]) / np.diff(logs)
         slopes.extend(d.tolist())
     c2 = 0.5 * min(slopes)
@@ -342,7 +344,7 @@ def fit_theta_bounds(us=(0.5, 0.1, 0.01, 0.001), vs=(0.5, 1.0, 2.0),
         raise ValueError("no positive lower slope; grid too coarse")
     c1 = float(np.min(vals - c2 * logs[:, None]))
     C1 = float(np.max(vals - C2 * logs[:, None]))
-    fit = BoundFit(c1, c2, C1, C2, tuple(us), tuple(vs))
+    fit = BoundFit(c1, c2, C1, C2)
     lower_ok = np.all(fit.c1 + fit.c2 * logs[:, None] <= vals + 1e-12)
     upper_ok = np.all(vals <= fit.C1 + fit.C2 * logs[:, None] + 1e-12)
     if not (lower_ok and upper_ok and fit.c2 > 0 and fit.C2 > 0):

@@ -166,14 +166,10 @@ def test_criterion_05_diamagnetic(grid12, sg12):
 def test_criterion_06_smoothing_and_energy_bounds(small_data_run,
                                                   constants12):
     traj, dt, h = small_data_run
-    rows = verify_bounds(traj, constants12)
     tol = margin_tol(h, dt)
-    gate = rows["small_data_gate"]["passed"]
+    rows = {r["name"]: r for r in verify_bounds(traj, constants12, tol)}
     names = ("B_linf_early", "B_linf_late", "energy_dissipation")
-    ok = gate and all(
-        rows[n]["applicable"] is not False and rows[n]["margin"] >= -tol
-        for n in names
-    )
+    ok = all(rows[n]["verdict"] == "pass" for n in ("small_data_gate", *names))
     worst = min(rows[n]["margin"] for n in names)
     _verdict(6, f"gate passed, smoothing/energy margins >= {worst:.3e} "
                 f"(tol -{tol:.3e})", ok)

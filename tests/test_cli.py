@@ -527,6 +527,27 @@ def test_every_command_runs(tmp_path, command):
     assert doc["command"] == command and doc["checks"]
 
 
+@pytest.mark.parametrize("amplitude, status", [(0.04, 0), (1.0, 1)])
+def test_verify_bounds_report_holds_the_library_rows(tmp_path, monkeypatch,
+                                                     amplitude, status):
+    """report.json's checks are the rows `flow.verify_bounds` returned,
+    verdicts included; at amplitude 1.0 the small-data gate fails, which
+    makes the t^{-3/4} rows not applicable."""
+    returned = []
+
+    def keep(*args):
+        returned.append(flow.verify_bounds(*args))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, "verify_bounds", keep)
+    cfg = SMOKE["verify-bounds"]
+    cfg = dict(cfg, field=dict(cfg["field"], amplitude=amplitude))
+    assert cli.execute("verify-bounds", cfg, tmp_path) == status
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert returned == [checks]
+    assert ("not-applicable" in {r["verdict"] for r in checks}) == bool(status)
+
+
 SNAPSHOT_FLOW = {k: v for k, v in BASE_FLOW.items() if k != "oracle"}
 RANDOM_FIELD = {"kind": "random-smooth", "seed": 3, "amplitude": 0.05}
 
@@ -705,6 +726,17 @@ def test_segment_keys_follow_their_kind(tmp_path, capsys, monkeypatch,
     _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
                                       "wilson", dict(WILSON,
                                                      loops=[[segment]]))
+
+
+@pytest.mark.parametrize("command, cfg", [
+    ("flow", dict(BASE_FLOW, field={"amplitude": 1.0})),
+    ("wilson", dict(WILSON, loops=[[{k: v for k, v in ARC.items()
+                                     if k != "kind"}]])),
+], ids=["field", "segment"])
+def test_object_without_kind_reports_the_missing_kind(tmp_path, capsys,
+                                                      command, cfg):
+    assert _run([command, "--config", _write(tmp_path, cfg)]) == 2
+    assert "'kind' is a required property" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, cfg", [

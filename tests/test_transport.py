@@ -14,6 +14,7 @@ from ymheat.transport import (
     Loop,
     Path,
     PathPerturbation,
+    Segment,
     arc_segment,
     convergence_probe,
     deriv_bound_check,
@@ -100,6 +101,23 @@ def test_segment_from_json_roundtrip():
 def test_path_length_circle():
     loop = _circle(0.2)
     assert abs(loop.length() - 2 * math.pi * 0.2) < 1e-6
+
+
+def test_line_integral_samples_each_segment_once(abelian):
+    loop = _loop_battery()[4]
+    calls = []
+
+    def counted(seg):
+        def position(s):
+            calls.append(seg)
+            return seg.position(s)
+        return Segment(position, seg.velocity)
+
+    path = Path([counted(seg) for seg in loop.segments])
+    calls.clear()  # Path checks that its segments join
+    assert np.array_equal(line_integral(abelian, path),
+                          line_integral(abelian, loop))
+    assert calls == loop.segments
 
 
 def test_abelian_transport_matches_closed_form(abelian):

@@ -8,6 +8,7 @@ from ymheat import washer
 from ymheat.algebra import u1
 from ymheat.grid import GridSpec, KForm
 from ymheat.washer import (
+    SANDWICH_U,
     LoopCEpsilon,
     WasherConfig,
     energy,
@@ -112,7 +113,7 @@ def test_theta_bounds_rejects_out_of_range():
 def test_fit_theta_bounds_constants():
     fit = fit_theta_bounds()
     assert fit.c2 > 0 and fit.C2 >= fit.c2
-    logs = np.log(1.0 / np.asarray(fit.grid_u))
+    logs = np.log(1.0 / np.asarray(SANDWICH_U))
     # the sandwich re-verification is built in; sanity-check the growth
     assert fit.c2 * logs.max() > fit.c2 * logs.min()
 
