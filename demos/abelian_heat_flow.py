@@ -25,17 +25,17 @@ print(f"grid {grid.shape}, spacing {h:.4f}, discrete rate {lam:.6f} "
       f"(continuum {2 * math.pi ** 2:.6f})")
 
 t_end = 0.01
-traj = integrate(A0, FlowConfig(NEUMANN, 5e-4, t_end, snapshot_times=(t_end,)))
+traj = integrate(A0, FlowConfig(NEUMANN, 5e-4, t_end))
 exact = math.exp(-lam * t_end) * A0
-err = (traj.fields[-1] - exact).norm("L2") / exact.norm("L2")
+err = (traj.final - exact).norm("L2") / exact.norm("L2")
 print(f"t = {t_end}: rel L2 error vs spectral solution = {err:.3e}")
 
 # halving dt shows the fourth-order convergence of the time stepper
 errs = []
 for dt in (5e-4, 2.5e-4):
-    t = integrate(A0, FlowConfig(NEUMANN, dt, 0.005, snapshot_times=(0.005,)))
+    t = integrate(A0, FlowConfig(NEUMANN, dt, 0.005))
     ex = math.exp(-lam * 0.005) * A0
-    errs.append((t.fields[-1] - ex).norm("L2"))
+    errs.append((t.final - ex).norm("L2"))
 print(f"dt-halving errors {errs[0]:.3e} -> {errs[1]:.3e}, "
       f"observed order {math.log2(errs[0] / errs[1]):.2f}")
 

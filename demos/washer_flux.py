@@ -35,8 +35,7 @@ for eps in (1e-2, 1e-4, 1e-6):
 
 # the flux ladder: strictly increasing, consistent with a + b loglog(1/eps)
 eps_ladder = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-loop = LoopCEpsilon(eps_ladder[0])
-fluxes = [flux_probe(e, loop) for e in eps_ladder]
+fluxes = [flux_probe(LoopCEpsilon(e)) for e in eps_ladder]
 x = np.log(np.log(1.0 / np.asarray(eps_ladder)))
 b, a = np.polyfit(x, fluxes, 1)
 print("flux through C_eps:")

@@ -24,9 +24,7 @@ print(f"sampled washer field: {sampled['capped_nodes']} capped nodes, "
       f"sup |A| = {A0.norm('Linf'):.3f}")
 
 t_end = 0.01
-traj = integrate(A0, FlowConfig(NEUMANN, 0.002, t_end,
-                                snapshot_times=(t_end,)))
-A_t = traj.fields[-1]
+traj = integrate(A0, FlowConfig(NEUMANN, 0.002, t_end))
 print(f"flowed to t = {t_end}: ||B||_2 {traj.monitors.B_l2[0]:.3f} -> "
       f"{traj.monitors.B_l2[-1]:.3f}")
 
@@ -36,9 +34,9 @@ print(f"{'eps':>8s} {'flux(t=0)':>12s} {'flux(t=0.01)':>14s}")
 flux_t = []
 for eps in eps_ladder:
     loop = LoopCEpsilon(eps)
-    f0 = flux_probe(eps, loop)
+    f0 = flux_probe(loop)
     # the same loop C_eps, about the washer centre in box coordinates
-    ft = float(line_integral(A_t, loop.path(-origin))[0])
+    ft = float(line_integral(traj.final, loop.path(-origin))[0])
     flux_t.append(ft)
     print(f"{eps:8.0e} {f0:12.4f} {ft:14.6f}")
 

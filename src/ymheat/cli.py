@@ -23,8 +23,8 @@ import jsonschema
 from . import report
 from .algebra import su2, u1
 from .fields import coulomb_cosine, random_smooth
-from .flow import (TIME_TOL, FlowConfig, FlowConstants, dt_ceiling,
-                   integrate, verify_bounds)
+from .flow import (FlowConfig, FlowConstants, dt_ceiling, integrate,
+                   verify_bounds)
 from .grid import BoundarySpec, GridSpec, apply_boundary
 from .neumann import (
     NeumannSemigroup,
@@ -76,31 +76,27 @@ def _numbers(n):
             "minItems": n, "maxItems": n}
 
 
-def _kind(kind, required, when=None, **keys):
-    """An object of `kind` (where `when` holds) has `kind` and `keys` only,
-    with those named in `required`.  One without 'kind' matches no kind, so
-    the error reported is the missing 'kind'."""
-    return {"if": {"allOf": [{"properties": {"kind": {"const": kind}},
-                              "required": ["kind"]}, when or {}]},
+def _kind(kind, required, **keys):
+    """An object of `kind` has `kind` and `keys` only, with those named in
+    `required`.  One without 'kind' matches no kind, so the error reported
+    is the missing 'kind'."""
+    return {"if": {"properties": {"kind": {"const": kind}},
+                   "required": ["kind"]},
             "then": {"properties": {"kind": {}, **keys},
                      "required": required, "additionalProperties": False}}
 
 
-_ARC_KEYS = {"radius": {"type": "number", "exclusiveMinimum": 0},
-             "phi0": {"type": "number"}, "phi1": {"type": "number"}}
-
-# a line runs from start to end; an arc turns about a 3-D center, or about
-# a 2-D center at height z
+# a line runs from start to end; an arc turns about a 2-D center at height z
 _SEGMENT_SCHEMA = {
     "type": "object",
     "properties": {"kind": {"enum": ["line", "arc"]}},
     "required": ["kind"],
     "allOf": [
         _kind("line", ["start", "end"], start=_numbers(3), end=_numbers(3)),
-        _kind("arc", ["center", "z", *_ARC_KEYS], {"required": ["z"]},
-              center=_numbers(2), z={"type": "number"}, **_ARC_KEYS),
-        _kind("arc", ["center", *_ARC_KEYS], {"not": {"required": ["z"]}},
-              center=_numbers(3), **_ARC_KEYS),
+        _kind("arc", ["center", "z", "radius", "phi0", "phi1"],
+              center=_numbers(2), z={"type": "number"},
+              radius={"type": "number", "exclusiveMinimum": 0},
+              phi0={"type": "number"}, phi1={"type": "number"}),
     ],
 }
 
@@ -267,7 +263,7 @@ def _validate(cfg: dict) -> None:
 
 
 def load_config(path) -> dict:
-    """Read and schema-validate a JSON run configuration."""
+    """Read a JSON run configuration; `execute` validates it."""
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f, parse_float=_finite_number,
@@ -276,7 +272,6 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {e}") from e
     except json.JSONDecodeError as e:
         raise ConfigError(f"config is not valid JSON: {e}") from e
-    _validate(cfg)
     return cfg
 
 
@@ -315,13 +310,8 @@ def _field_from(cfg: dict, grid: GridSpec):
 def _flow_config(fl: dict, bc: BoundarySpec, grid: GridSpec) -> FlowConfig:
     """A 'flow' section as a FlowConfig, validated against the grid before
     any field is built."""
-    fc = FlowConfig(
-        bc=bc,
-        dt=fl["dt"],
-        t_end=fl["t_end"],
-        variant=fl.get("variant", "YM"),
-        snapshot_times=tuple(fl.get("snapshot_times", ())),
-    )
+    fc = FlowConfig(bc, **{k: v for k, v in fl.items()
+                           if k != "write_snapshots"})
     fc.validate(grid)
     return fc
 
@@ -337,8 +327,7 @@ def _abelian_spectral_check(traj, A0, tol: float) -> dict:
 
     For divergence-free abelian data each cosine mode decays with the
     central-difference dispersion sum_i (sin(k_i h)/h)^2, so the end
-    state has an independent closed form on the same grid.  The last
-    snapshot is the field at t_end (checked before the flow).
+    state has an independent closed form on the same grid.
     """
     grid = A0.grid
     t = traj.monitors.t[-1]
@@ -349,8 +338,8 @@ def _abelian_spectral_check(traj, A0, tol: float) -> dict:
         for L, hh in zip((L1, L2), h[:2])
     )
     exact = math.exp(-lam * t) * A0
-    final = traj.fields[-1]
-    err = (final + (-1.0) * exact).norm("L2") / max(exact.norm("L2"), 1e-300)
+    err = ((traj.final + (-1.0) * exact).norm("L2")
+           / max(exact.norm("L2"), 1e-300))
     return report.check_row("abelian_spectral_equivalence", err, 0.0, tol)
 
 
@@ -416,9 +405,6 @@ def _cmd_flow(cfg, out, tol_scale):
                    or fc.bc.kind == "dirichlet"):
         raise ConfigError("abelian-spectral oracle needs a coulomb-cosine "
                           "field and a neumann or marini boundary")
-    if oracle and fc.t_end - max(fc.snapshot_schedule(),
-                                 default=-math.inf) > 1e-12:
-        raise ConfigError("abelian-spectral oracle needs a snapshot at t_end")
     A0 = _field_from(cfg, grid)
     traj = integrate(A0, fc)
     m = traj.monitors
@@ -601,7 +587,7 @@ def _cmd_washer_flux(cfg, out, tol_scale):
     eps_ladder = [lp.eps for lp in loops]
     fluxes, tails = [], []
     for lp in loops:
-        fluxes.append(flux_probe(lp.eps, lp, wc))
+        fluxes.append(flux_probe(lp, wc))
         probe_pt = np.array([1.0 + lp.eps, 0.0, 0.0])
         tail = vector_potential(probe_pt, wc)["tail_bound"]
         tails.append(tail * lp.phi_span * (1.0 + lp.eps))
@@ -638,19 +624,16 @@ def _cmd_washer_regularize(cfg, out, tol_scale):
     if bc.kind != "neumann":
         raise ConfigError("washer-regularize flows under a Neumann boundary")
     fc = _flow_config(cfg["flow"], bc, grid)
-    if not any(abs(s - fc.t_end) < TIME_TOL for s in fc.snapshot_times):
-        fc.snapshot_times = tuple(fc.snapshot_times) + (fc.t_end,)
     loops = _rim_loops(reg)
     # C_eps in box coordinates, integrated on the grid after the flow
     paths = [lp.path(-origin) for lp in loops]
     check_paths(grid, paths, LINE_STEPS)
-    flux0 = [flux_probe(lp.eps, lp, wc) for lp in loops]
+    flux0 = [flux_probe(lp, wc) for lp in loops]
     sampled = washer_to_grid(wc, grid, origin,
                              cap_u_max=reg.get("cap_u_max", 12.0))
     traj = integrate(sampled["field"], fc)
     _monitor_csv(traj.monitors, out / "monitors.csv")
-    A_t = traj.fields[-1]
-    flux_t = [float(line_integral(A_t, path)[0]) for path in paths]
+    flux_t = [float(line_integral(traj.final, path)[0]) for path in paths]
     eps_ladder = [lp.eps for lp in loops]
     report.emit_csv(("eps", "flux_t0", "flux_t"),
                     zip(eps_ladder, flux0, flux_t), out / "flux.csv")
@@ -699,9 +682,9 @@ COMMANDS = tuple(_DISPATCH)
 
 def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
             seed: int | None = None) -> int:
-    """Run one subcommand on a config, schema-validated here as
-    `load_config` does; write report files (the first one creates
-    `out_dir`); return the exit status."""
+    """Run one subcommand on a config, schema-validated here (and again
+    after `seed` is merged into its field); write report files (the first
+    one creates `out_dir`); return the exit status."""
     _validate(cfg)
     if seed is not None:
         if "field" not in cfg:

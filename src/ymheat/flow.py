@@ -156,6 +156,7 @@ class FlowTrajectory:
     fields: list  # integrate's on_snapshot values; by default the filled A
     monitors: MonitorSeries
     config: FlowConfig
+    final: KForm | None = None  # the filled A at t_end
 
     def __post_init__(self):
         if any(t2 <= t1 for t1, t2 in zip(self.times, self.times[1:])):
@@ -217,6 +218,8 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     Each snapshot stores ``on_snapshot(A, Ap, B)``, by default A.copy():
     the filled state, its unfilled direction and its filled curvature feed
     the next step, so the hook (run on this thread) must not modify them.
+    ``final`` is the filled A at t_end itself, not a copy: RK stages are new
+    arrays and k1 is left untouched, so no passed state is written into.
     """
     cfg.validate(A0.grid)
     on_snapshot = on_snapshot or (lambda A, Ap, B: A.copy())
@@ -233,14 +236,15 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     step = 0
     k1, B = rhs(A, bc)
     B_norms = B.l2_linf()
-    _record(monitors, t, A, k1, B_norms, bc)
-    if snap_queue and abs(snap_queue[0] - t) < TIME_TOL:
-        times.append(t)
-        fields.append(on_snapshot(A, k1, B))
-        snap_queue.pop(0)
-
-    # a snapshot within TIME_TOL of the last one still gets its own step
-    while t < cfg.t_end - TIME_TOL or snap_queue:
+    while True:
+        _record(monitors, t, A, k1, B_norms, bc)
+        if snap_queue and t >= snap_queue[0] - TIME_TOL:
+            times.append(t)
+            fields.append(on_snapshot(A, k1, B))
+            snap_queue.pop(0)
+        # a snapshot within TIME_TOL of the last one still gets its own step
+        if t >= cfg.t_end - TIME_TOL and not snap_queue:
+            break
         target = cfg.t_end
         if snap_queue:
             target = min(target, snap_queue[0])
@@ -263,13 +267,8 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
         A, k1, B, B_norms = A_new, k1_new, B_new, B_norms_new
         t += dt_step
         step += 1
-        _record(monitors, t, A, k1, B_norms, bc)
-        if snap_queue and t >= snap_queue[0] - TIME_TOL:
-            times.append(t)
-            fields.append(on_snapshot(A, k1, B))
-            snap_queue.pop(0)
 
-    return FlowTrajectory(times, fields, monitors.finalize(), cfg)
+    return FlowTrajectory(times, fields, monitors.finalize(), cfg, A)
 
 
 def _axpy(A, s, k):

@@ -18,7 +18,7 @@ import math
 import numpy as np
 
 from .calculus import curvature
-from .grid import GridSpec, KForm, apply_boundary
+from .grid import GridSpec, KForm
 
 __all__ = [
     "Segment",
@@ -73,13 +73,12 @@ def line_segment(p0, p1) -> Segment:
     return Segment(pos, vel)
 
 
-def arc_segment(center, radius, phi0, phi1, z=None) -> Segment:
-    """Circular arc in a z = const plane from angle phi0 to phi1."""
+def arc_segment(center, radius, phi0, phi1, z) -> Segment:
+    """Circular arc about the 2-D `center` in the plane at height z, from
+    angle phi0 to phi1."""
     center = np.asarray(center, dtype=float)
-    if center.shape == (3,) and z is None:
-        z = center[2]
-    elif center.shape != (2,) or z is None:
-        raise ValueError("an arc takes a 3-D center or a 2-D center and z")
+    if center.shape != (2,):
+        raise ValueError("an arc takes a 2-D center and z")
 
     def pos(s):
         s = np.asarray(s, dtype=float)
@@ -120,7 +119,7 @@ def segment_from_json(spec: dict) -> Segment:
             spec["radius"],
             spec["phi0"],
             spec["phi1"],
-            z=spec.get("z"),
+            spec["z"],
         )
     raise ValueError(f"unknown segment kind {kind!r}")
 
@@ -399,6 +398,7 @@ def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation) -> dict:
     Richardson consistency requirement (10%), and its operator norm is
     compared against ||B||_inf sup|u| Length(loop).
     """
+    b_inf = curvature(A).norm("Linf")  # refuses an unfilled A up front
     gamma = loop.as_single_segment()
     diam = max(A.grid.extents)
 
@@ -440,8 +440,6 @@ def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation) -> dict:
         deriv = (4.0 * derivs[-1] - derivs[-2]) / 3.0
         deriv_norm = float(np.linalg.norm(deriv, 2))
 
-    B = curvature(apply_boundary(A, A.bc) if A.bc else A)
-    b_inf = B.norm("Linf")
     bound = b_inf * u.sup_u * loop.length()
     return {
         "derivative_norm": deriv_norm,

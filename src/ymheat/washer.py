@@ -258,8 +258,6 @@ def energy(cfg: WasherConfig | None = None) -> dict:
         for u_i, w_i in zip(u_out, w_out):
             # inner integral over u' in [U_MIN, u_i] via xi' = log u'
             hi = math.log(u_i)
-            if hi <= lo:
-                continue
             xi_p = lo + (hi - lo) * xs
             w_p = (hi - lo) * ws
             u_p = np.exp(xi_p)
@@ -389,20 +387,18 @@ class LoopCEpsilon:
         ])
 
 
-def flux_probe(eps: float, loop: LoopCEpsilon | None = None,
-               cfg: WasherConfig | None = None, n_quad: int = 64) -> float:
+def flux_probe(loop: LoopCEpsilon, cfg: WasherConfig | None = None,
+               n_quad: int = 64) -> float:
     """Line integral of the potential around the rim-hugging loop.
 
-    Returns +inf for eps = 0 (the loop touches the rim, where the
+    Returns +inf for loop.eps = 0 (the loop touches the rim, where the
     tangential potential diverges); otherwise integrates each segment of
     `loop.path()` by Gauss quadrature (the radial ones vanish identically
     up to quadrature noise but are included).
     """
     cfg = cfg or WasherConfig()
-    if eps == 0.0:
+    if loop.eps == 0.0:
         return math.inf
-    loop = LoopCEpsilon(eps, loop.r_out, loop.phi_span) if loop \
-        else LoopCEpsilon(eps)
     x, w = _leggauss(n_quad)
     s = 0.5 * (x + 1.0)
     ws = 0.5 * w

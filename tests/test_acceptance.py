@@ -312,8 +312,7 @@ def test_criterion_09_washer_battery():
     )
 
     eps = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-    loop = LoopCEpsilon(eps[0])
-    fluxes = [flux_probe(e, loop) for e in eps]
+    fluxes = [flux_probe(LoopCEpsilon(e)) for e in eps]
     increasing = all(b > a for a, b in zip(fluxes, fluxes[1:]))
     x = np.log(np.log(1.0 / np.asarray(eps)))
     coef = np.polyfit(x, fluxes, 1)

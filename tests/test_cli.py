@@ -184,11 +184,12 @@ def test_washer_flux_csv(tmp_path):
     assert len(lines) == 4
 
 
-def test_load_config_rejects_bad_boundary(tmp_path):
+def test_load_config_rejects_bad_boundary(tmp_path, capsys):
     p = tmp_path / "c.json"
     p.write_text(json.dumps({"boundary": "periodic"}))
-    with pytest.raises(ConfigError):
-        load_config(p)
+    assert _run(["constants", "--config", str(p),
+                 "--out", str(tmp_path / "o")]) == 2
+    assert "config schema violation" in capsys.readouterr().err
 
 
 def test_grid_below_library_minimum_is_config_error(tmp_path, capsys):
@@ -672,8 +673,6 @@ def test_missing_required_section_is_config_error(tmp_path, capsys,
 @pytest.mark.parametrize("command, cfg", [
     ("flow", dict(BASE_FLOW, field={"kind": "random-smooth",
                                     "algebra": "SU2"})),
-    ("flow", dict(BASE_FLOW, flow={"dt": 0.0008, "t_end": 0.004,
-                                   "snapshot_times": [0.0024]})),
     # the oracle's closed form holds for the cosine mode without Dirichlet
     ("flow", dict(BASE_FLOW, field={"kind": "random-smooth",
                                     "algebra": "U1"})),
@@ -696,9 +695,8 @@ def test_missing_required_section_is_config_error(tmp_path, capsys,
                                  "shape": [10, 10, 10]},
                            flow={"dt": 1.0, "t_end": 4.0},
                            constants={"kernel_modes": 8})),
-], ids=["oracle_su2_field", "oracle_no_snapshot_at_t_end",
-        "oracle_random_u1_field", "oracle_dirichlet", "rim_r_out",
-        "rim_leaves_band", "rim_eps_too_small", "kernel_modes"])
+], ids=["oracle_su2_field", "oracle_random_u1_field", "oracle_dirichlet",
+        "rim_r_out", "rim_leaves_band", "rim_eps_too_small", "kernel_modes"])
 def test_rejected_before_flowing_or_sampling(tmp_path, capsys, monkeypatch,
                                             command, cfg):
     for name in ("integrate", "washer_to_grid"):
@@ -720,7 +718,10 @@ ARC = CIRCLE[0]
     # center[2] = 0.9 beside z = 0.5 was dropped
     dict(ARC, center=[0.5, 0.5, 0.9]),
     {k: v for k, v in ARC.items() if k != "center"},
-], ids=["arc_start", "line_radius", "arc_center_3d_and_z", "arc_no_center"])
+    # the same circle as a 3-D center without z
+    dict({k: v for k, v in ARC.items() if k != "z"}, center=[0.5, 0.5, 0.5]),
+], ids=["arc_start", "line_radius", "arc_center_3d_and_z", "arc_no_center",
+        "arc_center_3d"])
 def test_segment_keys_follow_their_kind(tmp_path, capsys, monkeypatch,
                                         segment):
     _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
@@ -909,8 +910,44 @@ def test_load_config_never_rechecks_the_schema(tmp_path, monkeypatch):
     cli._Validator.check_schema(cli.CONFIG_SCHEMA)
     monkeypatch.setattr(cli._Validator, "check_schema", _forbidden)
     assert load_config(_write(tmp_path, BASE_FLOW)) == BASE_FLOW
-    with pytest.raises(ConfigError):
-        load_config(_write(tmp_path, dict(BASE_FLOW, boundary="periodic")))
+    assert cli.execute("flow", BASE_FLOW, tmp_path / "o") == 0
+    with pytest.raises(ConfigError, match="schema violation"):
+        cli.execute("flow", dict(BASE_FLOW, boundary="periodic"),
+                    tmp_path / "p")
+
+
+@pytest.mark.parametrize("args, calls", [([], 1), (["--seed", "5"], 2)],
+                         ids=["no_seed", "seed"])
+def test_main_validates_each_config_once(tmp_path, monkeypatch, args, calls):
+    """`main` leaves the schema to `execute`, which checks the config it is
+    given and, with --seed, the config with the seed merged in."""
+    seen = []
+    validate = cli._validate
+
+    def counted(cfg):
+        seen.append(cfg["field"].get("seed"))
+        validate(cfg)
+
+    monkeypatch.setattr(cli, "_validate", counted)
+    assert _run(["flow", "--config", _write(tmp_path, RANDOM_FLOW),
+                 "--out", str(tmp_path / "o"), *args]) == 0
+    assert seen == [None, 5][:calls]
+
+
+def test_oracle_runs_without_a_snapshot_at_t_end(tmp_path):
+    """The oracle reads the flow's end state, so a run without a snapshot
+    at t_end reports the row of one with it: that snapshot changes no
+    step."""
+    rows = []
+    for snaps in ([0.0024], [0.0024, 0.004]):
+        out = tmp_path / f"o{len(snaps)}"
+        cfg = _with(BASE_FLOW, "flow", "snapshot_times", snaps)
+        assert _run(["flow", "--config", _write(tmp_path, cfg),
+                     "--out", str(out)]) == 0
+        checks = json.loads((out / "report.json").read_text())["checks"]
+        rows.append([r for r in checks
+                     if r["name"] == "abelian_spectral_equivalence"])
+    assert len(rows[0]) == 1 and rows[0] == rows[1]
 
 
 def _fresh_python(code):

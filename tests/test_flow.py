@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ymheat.algebra import LieAlgebraSpec, su2
+from ymheat.algebra import LieAlgebraSpec, su2, u1
 from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import (
     DT_FLOOR,
@@ -141,6 +141,18 @@ def test_every_validated_snapshot_time_is_recorded(coarse_grid, su2_alg,
     traj = integrate(A0, cfg)
     assert traj.times == cfg.snapshot_schedule()
     assert len(traj.times) == 3 and traj.times[-1] == 0.004
+
+
+@pytest.mark.parametrize("algebra", [su2, u1], ids=["SU2", "U1"])
+def test_final_is_the_state_at_t_end(coarse_grid, algebra):
+    A0 = random_smooth(coarse_grid, algebra(), seed=24, amplitude=0.05)
+    dt = _dt_max(coarse_grid) * 0.9
+    snapped = integrate(A0, FlowConfig(NEUMANN, dt, 0.004,
+                                       snapshot_times=(0.0, 0.004)))
+    assert np.array_equal(snapped.final.values, snapped.fields[-1].values)
+    bare = integrate(A0, FlowConfig(NEUMANN, dt, 0.004))
+    assert bare.times == [] and bare.final.bc == NEUMANN
+    assert np.array_equal(bare.final.values, snapped.final.values)
 
 
 def test_config_rejects_snapshot_time_past_tolerance(unit_grid):

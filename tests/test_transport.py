@@ -9,6 +9,7 @@ from ymheat.fields import random_smooth
 from ymheat.calculus import gauge_transform, gauge_transform_form
 from ymheat.flow import FlowConfig, integrate
 from ymheat.grid import GridSpec, NEUMANN, apply_boundary
+from ymheat import transport as transport_module
 from ymheat.transport import (
     CHUNK_STEPS,
     Loop,
@@ -224,17 +225,32 @@ def test_perturbation_must_vanish_at_endpoints():
                          lambda s: np.zeros(3))
 
 
-def test_deriv_bound_holds(field):
-    loop = _circle(0.2)
-    u = PathPerturbation(
+def _lift():
+    """A vertical bump along the loop, vanishing at its base point."""
+    return PathPerturbation(
         lambda s: np.array([0.0, 0.0, 0.05 * math.sin(math.pi * s) ** 2]),
         lambda s: np.array(
             [0.0, 0.0, 0.05 * math.pi * math.sin(2 * math.pi * s)]
         ),
     )
-    res = deriv_bound_check(field, loop, u)
+
+
+def test_deriv_bound_holds(field):
+    res = deriv_bound_check(field, _circle(0.2), _lift())
     assert res["margin"] >= -1e-6
     assert res["richardson_deviation"] <= 0.10
+
+
+def test_deriv_bound_refuses_an_unfilled_field_before_transporting(
+        field, monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("transport started")
+
+    monkeypatch.setattr(transport_module, "transport_many", forbidden)
+    unfilled = field.copy()
+    unfilled.bc = None
+    with pytest.raises(ValueError, match="ghost fill"):
+        deriv_bound_check(unfilled, _circle(0.2), _lift())
 
 
 def test_deriv_bound_zero_perturbation(field):

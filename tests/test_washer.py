@@ -119,13 +119,12 @@ def test_fit_theta_bounds_constants():
 
 
 def test_flux_zero_eps_is_infinite():
-    assert flux_probe(0.0) == math.inf
+    assert flux_probe(LoopCEpsilon(0.0)) == math.inf
 
 
 def test_flux_ladder_increases_with_loglog_rate():
     eps = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
-    loop = LoopCEpsilon(eps[0])
-    fluxes = [flux_probe(e, loop) for e in eps]
+    fluxes = [flux_probe(LoopCEpsilon(e)) for e in eps]
     assert all(b > a for a, b in zip(fluxes, fluxes[1:]))
     x = np.log(np.log(1.0 / np.asarray(eps)))
     coef = np.polyfit(x, fluxes, 1)
