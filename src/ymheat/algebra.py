@@ -34,25 +34,20 @@ class LieAlgebraSpec:
     group_id : str
         "U1" or "SU2".
     basis : array_like, shape (dim, rep_dim, rep_dim)
-        Anti-hermitian generators.
+        Anti-hermitian generators, orthonormal under the inner product.
     trace_scale : float
         The inner product is ``<m1, m2> = -trace_scale * Re tr(m1 m2)``.
-        The basis must be orthonormal under it.
+    c : float
+        The commutator constant.
     """
 
-    def __init__(self, group_id: str, basis, trace_scale: float):
+    def __init__(self, group_id: str, basis, trace_scale: float, c: float):
         self.group_id = group_id
         self.basis = np.asarray(basis, dtype=complex)
         self.trace_scale = float(trace_scale)
+        self.c = float(c)
         self.dim = self.basis.shape[0]
         self.rep_dim = self.basis.shape[1]
-
-        gram = np.array(
-            [[self.inner(x, y) for y in self.basis] for x in self.basis]
-        )
-        if not np.allclose(gram, np.eye(self.dim), atol=1e-13):
-            raise ValueError("basis is not orthonormal under the inner product")
-        self.c = {"SU2": 1.0, "U1": 0.0}[group_id]
 
     # -- coefficient/matrix conversions ------------------------------------
 
@@ -109,20 +104,19 @@ class LieAlgebraSpec:
             # xi = i*a with a real; exp is the unit complex number e^{ia}.
             a = coeffs[..., 0]
             return np.exp(1j * a)[..., None, None]
-        if self.group_id == "SU2":
-            # xi = (i/2) a.sigma; exp = cos(|a|/2) I + i sin(|a|/2) (a_hat.sigma)
-            a = coeffs
-            theta = np.sqrt(np.sum(a * a, axis=-1))
-            with np.errstate(invalid="ignore"):
-                ahat = np.where(theta[..., None] > 0, a / np.where(theta[..., None] > 0, theta[..., None], 1.0), 0.0)
-            eye = np.eye(2, dtype=complex)
-            sig = np.einsum("...k,kab->...ab", ahat, _PAULI)
-            half = 0.5 * theta
-            return (
-                np.cos(half)[..., None, None] * eye
-                + 1j * np.sin(half)[..., None, None] * sig
-            )
-        raise ValueError(f"unknown group {self.group_id!r}")
+        # SU2: xi = (i/2) a.sigma; exp = cos(|a|/2) I + i sin(|a|/2) ahat.sigma
+        a = coeffs
+        theta = np.sqrt(np.sum(a * a, axis=-1))
+        pos = theta[..., None] > 0
+        with np.errstate(invalid="ignore"):
+            ahat = np.where(pos, a / np.where(pos, theta[..., None], 1.0), 0.0)
+        eye = np.eye(2, dtype=complex)
+        sig = np.einsum("...k,kab->...ab", ahat, _PAULI)
+        half = 0.5 * theta
+        return (
+            np.cos(half)[..., None, None] * eye
+            + 1j * np.sin(half)[..., None, None] * sig
+        )
 
     def maximizing_pair(self):
         """Unit elements xi, eta with |[xi, eta]| = c: basis vectors e0, e1
@@ -136,10 +130,10 @@ class LieAlgebraSpec:
 
 def u1() -> LieAlgebraSpec:
     """u(1) realized as imaginary scalars, basis {i}."""
-    return LieAlgebraSpec("U1", [[[1j]]], trace_scale=1.0)
+    return LieAlgebraSpec("U1", [[[1j]]], trace_scale=1.0, c=0.0)
 
 
 def su2() -> LieAlgebraSpec:
     """su(2) with basis i*sigma_k/2 and inner product -2 tr(xi eta)."""
     basis = 0.5j * _PAULI
-    return LieAlgebraSpec("SU2", basis, trace_scale=2.0)
+    return LieAlgebraSpec("SU2", basis, trace_scale=2.0, c=1.0)

@@ -461,6 +461,7 @@ def _cmd_verify_domination(cfg, out, tol_scale):
     kinds = cfg.get("domination", {}).get("omega_kinds", ["B", "A'"])
     traj = integrate(_field_from(cfg, grid), fc,
                      on_snapshot=lambda A, Ap, B: omega_record(A, Ap, B, kinds))
+    traj.final = None  # the check reads only the records: free the end state
     _monitor_csv(traj.monitors, out / "monitors.csv")
     sg = NeumannSemigroup(grid)
     h = min(grid.spacing)
@@ -629,8 +630,8 @@ def _cmd_washer_regularize(cfg, out, tol_scale):
     paths = [lp.path(-origin) for lp in loops]
     check_paths(grid, paths, LINE_STEPS)
     flux0 = [flux_probe(lp, wc) for lp in loops]
-    sampled = washer_to_grid(wc, grid, origin,
-                             cap_u_max=reg.get("cap_u_max", 12.0))
+    cap_u_max = reg.get("cap_u_max", 12.0)
+    sampled = washer_to_grid(wc, grid, origin, cap_u_max=cap_u_max)
     traj = integrate(sampled["field"], fc)
     _monitor_csv(traj.monitors, out / "monitors.csv")
     flux_t = [float(line_integral(traj.final, path)[0]) for path in paths]
@@ -653,7 +654,7 @@ def _cmd_washer_regularize(cfg, out, tol_scale):
         "flux_t": flux_t,
         "t": float(traj.monitors.t[-1]),
         "capped_nodes": sampled["capped_nodes"],
-        "cap_u_max": sampled["cap_u_max"],
+        "cap_u_max": cap_u_max,
     }
     return results, rows
 

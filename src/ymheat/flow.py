@@ -215,14 +215,14 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     stage, so a step costs 4 curvature evaluations (plus 1 at t = 0).
     The L2 and Linf norms of B come from one pointwise norm, taken for
     the energy test and carried into the monitors and the next test.
-    Each snapshot stores ``on_snapshot(A, Ap, B)``, by default A.copy():
-    the filled state, its unfilled direction and its filled curvature feed
+    Each snapshot stores ``on_snapshot(A, Ap, B)``, by default A itself:
+    the filled state, its filled direction and its filled curvature feed
     the next step, so the hook (run on this thread) must not modify them.
-    ``final`` is the filled A at t_end itself, not a copy: RK stages are new
-    arrays and k1 is left untouched, so no passed state is written into.
+    Neither a snapshot nor ``final`` (the filled A at t_end) is a copy: RK
+    stages are new arrays and k1 is left untouched.
     """
     cfg.validate(A0.grid)
-    on_snapshot = on_snapshot or (lambda A, Ap, B: A.copy())
+    on_snapshot = on_snapshot or (lambda A, Ap, B: A)
     rhs = _rhs_for(cfg.variant)
     bc = cfg.bc
 
@@ -237,11 +237,12 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     k1, B = rhs(A, bc)
     B_norms = B.l2_linf()
     while True:
-        _record(monitors, t, A, k1, B_norms, bc)
+        k1f = _record(monitors, t, A, k1, B_norms, bc)
         if snap_queue and t >= snap_queue[0] - TIME_TOL:
             times.append(t)
-            fields.append(on_snapshot(A, k1, B))
+            fields.append(on_snapshot(A, k1f, B))
             snap_queue.pop(0)
+        del k1f  # the step needs only k1: do not hold a field through it
         # a snapshot within TIME_TOL of the last one still gets its own step
         if t >= cfg.t_end - TIME_TOL and not snap_queue:
             break
@@ -300,10 +301,11 @@ def _rk4_step(A, dt, rhs, bc, step, t, k1=None):
 
 def _record(monitors, t, A, Ap, B_norms, bc):
     """Append the monitors of the filled state A with flow direction Ap and
-    curvature norms B_norms = (L2, Linf)."""
+    curvature norms B_norms = (L2, Linf); returns the filled Ap."""
     Apf = apply_boundary(Ap, bc)
     Bp = d_cov(A, Apf)  # dB/dt = d_A A'
     monitors.record(t, *B_norms, *Apf.l2_linf(), Bp.norm("L2"))
+    return Apf
 
 
 # ---------------------------------------------------------------------------

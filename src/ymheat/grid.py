@@ -8,7 +8,7 @@ field per increasing multi-index, shape ``(ncomp, n1+2, n2+2, n3+2, dim)``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -69,16 +69,12 @@ class GridSpec:
         axes = [self.axis_coords(a, ghosts) for a in range(3)]
         return np.meshgrid(*axes, indexing="ij")
 
+    @cached_property
     def trapezoid_weights(self):
-        """Volume quadrature weights on the non-ghost nodes, shape self.shape.
-
-        Built on the first call and cached on the grid, read-only.
-        """
-        w = self.__dict__.get("_trapezoid_weights")
-        if w is None:
-            w = _trapezoid_weights(self)
-            w.flags.writeable = False
-            object.__setattr__(self, "_trapezoid_weights", w)
+        """Volume quadrature weights on the non-ghost nodes, shape self.shape;
+        built on first use and cached on the grid, read-only."""
+        w = _trapezoid_weights(self)
+        w.flags.writeable = False
         return w
 
     @property
@@ -96,6 +92,7 @@ def _trapezoid_weights(grid: GridSpec) -> np.ndarray:
     return ws[0][:, None, None] * ws[1][None, :, None] * ws[2][None, None, :]
 
 
+@dataclass(frozen=True)
 class BoundarySpec:
     """Reflection-parity table implementing Dirichlet/Neumann/Marini fills.
 
@@ -108,13 +105,12 @@ class BoundarySpec:
       the Neumann table, which zeroes the normal face values of B.
     """
 
+    kind: str
     KINDS = ("dirichlet", "neumann", "marini")
 
-    def __init__(self, kind: str):
-        kind = kind.lower()
-        if kind not in self.KINDS:
-            raise ValueError(f"unknown boundary kind {kind!r}")
-        self.kind = kind
+    def __post_init__(self):
+        if self.kind not in self.KINDS:
+            raise ValueError(f"unknown boundary kind {self.kind!r}")
 
     def parity(self, degree: int, comp_axes, face_axis: int) -> int:
         normal = face_axis in comp_axes
@@ -126,15 +122,6 @@ class BoundarySpec:
         if degree == 1:
             return 1
         return -1 if normal else 1
-
-    def __eq__(self, other):
-        return isinstance(other, BoundarySpec) and self.kind == other.kind
-
-    def __hash__(self):
-        return hash(self.kind)
-
-    def __repr__(self):
-        return f"BoundarySpec({self.kind!r})"
 
 
 DIRICHLET = BoundarySpec("dirichlet")
@@ -226,7 +213,7 @@ class KForm:
         return self._l2(pw), float(np.max(pw))
 
     def _l2(self, pw):
-        return float(np.sqrt(np.sum(self.grid.trapezoid_weights() * pw ** 2)))
+        return float(np.sqrt(np.sum(self.grid.trapezoid_weights * pw ** 2)))
 
     def max_interior_norm(self, margin=0):
         """Max |omega| over nodes at least `margin` cells from every face."""

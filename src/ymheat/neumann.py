@@ -212,18 +212,17 @@ def monotone_lemma_check(sg: NeumannSemigroup, psi: np.ndarray, t: float,
 
 def omega_record(A: KForm, Ap: KForm, B: KForm, kinds=("B", "A'")) -> dict:
     """{kind: (|omega|, |h|)} nodal fields of one flow state, from the
-    filled A, its direction Ap and filled curvature B that ``integrate``
-    hands its snapshot hook (none is modified).  omega = B with source
-    h = (curvature defect of B), or omega = A' with h = defect(A') +
-    [A' . B], matching the evolution identities.
+    filled A, its filled direction Ap and filled curvature B that
+    ``integrate`` hands its snapshot hook (none is modified).  omega = B
+    with source h = (curvature defect of B), or omega = A' with
+    h = defect(A') + [A' . B], matching the evolution identities.
     """
     record = {}
     for kind in kinds:
         if kind == "B":
             w, h = B, weitzenbock_defect(A, B)
         elif kind == "A'":
-            w = apply_boundary(Ap, A.bc)
-            h = weitzenbock_defect(A, w) + contraction_bracket(w, B)
+            w, h = Ap, weitzenbock_defect(A, Ap) + contraction_bracket(Ap, B)
         else:
             raise ValueError("omega_kind must be 'B' or \"A'\"")
         record[kind] = (w.pointwise_norm(), h.pointwise_norm())

@@ -76,11 +76,9 @@ def snapshot_write(field: KForm, t: float, path) -> None:
         "time": float(t),
         "boundary": field.bc.kind if field.bc is not None else None,
     }
-    planes = []
-    ncomp = field.values.shape[0]
-    for ci in range(ncomp):
-        for d in range(field.algebra.dim):
-            planes.append(field.interior[ci, ..., d])
+    # one (x, y, z) plane per (component, coefficient), components outer
+    planes = np.moveaxis(field.interior, -1, 1).reshape(
+        (-1,) + field.grid.shape)
     write_raw(header, planes, path)
 
 
@@ -102,22 +100,16 @@ def snapshot_read(path):
         raise SnapshotError(f"unknown group {group!r}")
     grid = GridSpec(extents, shape)
     field = KForm(degree, grid, alg)
-    ncomp = field.values.shape[0]
-    n_vals = int(np.prod(shape))
-    expected = ncomp * alg.dim * n_vals * 8
+    expected = field.interior.size * 8
     if len(payload) != expected:
         raise SnapshotError(
             f"payload length {len(payload)} != expected {expected} "
             f"(missing {expected - len(payload)} bytes)"
         )
-    off = 0
-    for ci in range(ncomp):
-        for d in range(alg.dim):
-            plane = np.frombuffer(
-                payload[off : off + n_vals * 8], dtype="<f8"
-            ).reshape(shape, order="F")
-            field.values[ci, 1:-1, 1:-1, 1:-1, d] = plane
-            off += n_vals * 8
+    # each plane is x-fastest, so it reads as a C-order (z, y, x) array
+    planes = np.frombuffer(payload, dtype="<f8").reshape(
+        (-1, alg.dim) + shape[::-1])
+    field.interior[...] = planes.transpose(0, 4, 3, 2, 1)
     bc = header.get("boundary")
     if bc is not None:
         field = apply_boundary(field, BoundarySpec(bc))

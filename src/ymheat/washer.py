@@ -103,11 +103,11 @@ def _leggauss(n: int):
     return x, w
 
 
-def _u_nodes(cfg: WasherConfig, u_max: float | None = None):
-    """Gauss-Legendre nodes in xi = log u: returns (u, s = 1-r, weight)
-    with the weight absorbing lambda(r) dr = u^{-2} du = u^{-1} dxi."""
-    u_hi = cfg.u_max if u_max is None else u_max
-    x, w = _leggauss(cfg.n_u)
+def _u_nodes(n_u: int, u_hi: float):
+    """n_u Gauss-Legendre nodes in xi = log u up to the cutoff u_hi: returns
+    (u, s = 1-r, weight) with the weight absorbing
+    lambda(r) dr = u^{-2} du = u^{-1} dxi."""
+    x, w = _leggauss(n_u)
     lo, hi = math.log(U_MIN), math.log(u_hi)
     xi = 0.5 * (hi - lo) * x + 0.5 * (hi + lo)
     wq = 0.5 * (hi - lo) * w
@@ -126,48 +126,41 @@ def _azimuthal_integral(alpha2, beta2):
     alpha2 = np.asarray(alpha2, dtype=float)
     beta2 = np.asarray(beta2, dtype=float)
     A = alpha2 + beta2
-    out = np.zeros(np.broadcast(alpha2, beta2).shape)
     mask = beta2 > 0
-    if np.any(mask):
-        m = 2.0 * beta2 / (A + beta2)
-        m = np.where(mask, m, 0.0)
-        pref = 4.0 / np.sqrt(A + beta2)
-        val = pref * (((2.0 / np.where(mask, m, 1.0)) - 1.0) * ellipk(m)
-                      - (2.0 / np.where(mask, m, 1.0)) * ellipe(m))
-        out = np.where(mask, val, 0.0)
-    return out
+    # m = 1 off the mask keeps 2/m finite there; those entries read 0
+    m = np.where(mask, 2.0 * beta2 / (A + beta2), 1.0)
+    pref = 4.0 / np.sqrt(A + beta2)
+    val = pref * ((2.0 / m - 1.0) * ellipk(m) - (2.0 / m) * ellipe(m))
+    return np.where(mask, val, 0.0)
 
 
-def _a_phi(rho, z, cfg: WasherConfig, u_max: float | None = None):
-    """Azimuthal component of the potential at cylinder coordinates (rho, z).
-
-    Returns (value, tail_bound): the truncated u-integral and a bound on
-    the neglected current's contribution.
-    """
+def _a_phi(rho, z, n_u: int, u_hi: float):
+    """Azimuthal component of the potential at cylinder coordinates (rho, z):
+    the u-integral truncated at u_hi, on n_u nodes."""
     rho = np.asarray(rho, dtype=float)
     z = np.asarray(z, dtype=float)
-    _, s, w = _u_nodes(cfg, u_max)
+    _, s, w = _u_nodes(n_u, u_hi)
     # rho - r = (rho - 1) + s keeps precision for points hugging the rim
     alpha2 = ((rho[..., None] - R_OUTER) + s) ** 2 + z[..., None] ** 2
     beta2 = 2.0 * rho[..., None] * (1.0 - s)
     kern = _azimuthal_integral(alpha2, beta2)
-    val = (kern * w).sum(axis=-1) / (4.0 * math.pi)
-    # the neglected current beyond u_max is exactly 1/u_max and sits on the
-    # rim circle; its kernel is bounded by the kernel at the rim distance
-    u_hi = cfg.u_max if u_max is None else u_max
-    dist2 = (rho - R_OUTER) ** 2 + z ** 2
-    rim_kern = _azimuthal_integral(np.maximum(dist2, 1e-300),
-                                   2.0 * rho * R_OUTER)
-    tail = np.where(dist2 > 0,
-                    np.abs(rim_kern) / (4.0 * math.pi * u_hi), np.inf)
-    return val, tail
+    return (kern * w).sum(axis=-1) / (4.0 * math.pi)
+
+
+def _azimuthal(x, y, rho):
+    """Unit vectors phi-hat = (-y, x, 0) / rho at points of cylinder radius
+    rho; the callers zero the field on the axis, where rho = 0."""
+    safe_rho = np.where(rho > 0, rho, 1.0)
+    return np.stack([-y / safe_rho, x / safe_rho, np.zeros_like(rho)],
+                    axis=-1)
 
 
 def vector_potential(x, cfg: WasherConfig | None = None) -> dict:
     """Potential vector at a point (or array of points) off the washer.
 
     The field is azimuthal about the z axis by symmetry; points on the
-    closed washer surface itself are rejected.
+    closed washer surface itself are rejected.  The tail bound covers the
+    current neglected beyond cfg.u_max.
     """
     cfg = cfg or WasherConfig()
     x = np.asarray(x, dtype=float)
@@ -178,20 +171,20 @@ def vector_potential(x, cfg: WasherConfig | None = None) -> dict:
     on_washer = (np.abs(z) == 0.0) & (rho >= R_INNER) & (rho <= R_OUTER)
     if np.any(on_washer):
         raise ValueError("point lies on the closed washer surface")
-    a_phi, tail = _a_phi(rho, z, cfg)
+    a_phi = _a_phi(rho, z, cfg.n_u, cfg.u_max)
     if not np.all(np.isfinite(a_phi)):
         raise ValueError(
             "elliptic kernel lost precision (point closer than ~1e-7 "
             "to the rim circle)"
         )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        phi_hat = np.stack(
-            [-pts[:, 1] / np.where(rho > 0, rho, 1.0),
-             pts[:, 0] / np.where(rho > 0, rho, 1.0),
-             np.zeros_like(rho)],
-            axis=-1,
-        )
-    vec = a_phi[:, None] * phi_hat
+    # the neglected current beyond u_max is exactly 1/u_max and sits on the
+    # rim circle; its kernel is bounded by the kernel at the rim distance
+    dist2 = (rho - R_OUTER) ** 2 + z ** 2
+    rim_kern = _azimuthal_integral(np.maximum(dist2, 1e-300),
+                                   2.0 * rho * R_OUTER)
+    tail = np.where(dist2 > 0,
+                    np.abs(rim_kern) / (4.0 * math.pi * cfg.u_max), np.inf)
+    vec = a_phi[:, None] * _azimuthal(pts[:, 0], pts[:, 1], rho)
     vec[rho == 0] = 0.0
     if single:
         return {"A": vec[0], "tail_bound": float(tail[0])}
@@ -252,7 +245,7 @@ def energy(cfg: WasherConfig | None = None) -> dict:
     xs, ws = _tanh_sinh_nodes(24 * 8)
     values = []
     for u_hi in cutoffs:
-        u_out, _, w_out = _u_nodes(cfg, u_hi)
+        u_out, _, w_out = _u_nodes(cfg.n_u, u_hi)
         total = 0.0
         lo = math.log(U_MIN)
         for u_i, w_i in zip(u_out, w_out):
@@ -427,8 +420,7 @@ def washer_to_grid(cfg: WasherConfig, grid: GridSpec, origin,
     if cap_u_max is not None and cap_u_max <= U_MIN:
         raise ValueError("cap_u_max must exceed log 2")
     origin = np.asarray(origin, dtype=float)
-    alg = u1()
-    A = KForm(1, grid, alg)
+    A = KForm(1, grid, u1())
     x, y, z = (grid.axis_coords(a, ghosts=True) + origin[a] for a in range(3))
     rho_xy = np.hypot(x[:, None], y[None, :])
     rho_u, rho_idx = np.unique(rho_xy, return_inverse=True)
@@ -448,17 +440,14 @@ def washer_to_grid(cfg: WasherConfig, grid: GridSpec, origin,
             "and no cap policy is set"
         )
     a_t = np.empty(rho_t.shape)
-    a_t[~close_t], _ = _a_phi(rho_t[~close_t], z_t[~close_t], cfg)
+    a_t[~close_t] = _a_phi(rho_t[~close_t], z_t[~close_t], cfg.n_u,
+                           cfg.u_max)
     if np.any(close_t):
-        a_t[close_t], _ = _a_phi(rho_t[close_t], z_t[close_t], cfg,
-                                 u_max=cap_u_max)
+        a_t[close_t] = _a_phi(rho_t[close_t], z_t[close_t], cfg.n_u,
+                              cap_u_max)
     a_phi = a_t[node]
-    safe_rho = np.where(rho_xy > 0, rho_xy, 1.0)
-    phi_hat = np.stack([-y[None, :] / safe_rho, x[:, None] / safe_rho,
-                        np.zeros_like(rho_xy)], axis=-1)
+    phi_hat = _azimuthal(x[:, None], y[None, :], rho_xy)
     vec = phi_hat[:, :, None, :] * a_phi[..., None]
     vec[rho_xy == 0] = 0.0
-    for j in range(3):
-        A.values[j, ..., 0] = vec[..., j]
-    return {"field": A, "capped_nodes": int(close.sum()),
-            "cap_u_max": cap_u_max}
+    A.values[..., 0] = np.moveaxis(vec, -1, 0)
+    return {"field": A, "capped_nodes": int(close.sum())}

@@ -549,6 +549,22 @@ def test_verify_bounds_report_holds_the_library_rows(tmp_path, monkeypatch,
     assert ("not-applicable" in {r["verdict"] for r in checks}) == bool(status)
 
 
+def test_verify_domination_frees_the_end_state(tmp_path, monkeypatch):
+    """domination_check reads only the times and the omega records, so the
+    command drops the trajectory's end state before the check."""
+    finals = []
+    check = cli.domination_check
+
+    def capture(sg, traj, omega_kind):
+        finals.append(traj.final)
+        return check(sg, traj, omega_kind=omega_kind)
+
+    monkeypatch.setattr(cli, "domination_check", capture)
+    assert cli.execute("verify-domination", SMOKE["verify-domination"],
+                       tmp_path) == 0
+    assert finals == [None, None]
+
+
 SNAPSHOT_FLOW = {k: v for k, v in BASE_FLOW.items() if k != "oracle"}
 RANDOM_FIELD = {"kind": "random-smooth", "seed": 3, "amplitude": 0.05}
 

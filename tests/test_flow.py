@@ -155,6 +155,35 @@ def test_final_is_the_state_at_t_end(coarse_grid, algebra):
     assert np.array_equal(bare.final.values, snapped.final.values)
 
 
+def test_default_snapshot_at_t_end_is_final(coarse_grid, su2_alg):
+    # integrate never writes into a state it has passed, so the default
+    # hook stores the state itself, not a copy
+    A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+    traj = integrate(A0, FlowConfig(NEUMANN, _dt_max(coarse_grid) * 0.9, 0.004,
+                                    snapshot_times=(0.0, 0.004)))
+    assert traj.fields[-1] is traj.final
+
+
+@pytest.mark.parametrize("variant, rhs", [("YM", ym_rhs), ("ZDS", zds_rhs)])
+def test_snapshot_hook_gets_the_filled_state(coarse_grid, su2_alg, variant,
+                                             rhs):
+    A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+    cfg = FlowConfig(NEUMANN, _dt_max(coarse_grid) * 0.9, 0.004,
+                     variant=variant, snapshot_times=(0.0, 0.002, 0.004))
+    seen = []
+
+    def hook(A, Ap, B):
+        assert A.bc == Ap.bc == B.bc == cfg.bc
+        Ap_ref, B_ref = rhs(A, cfg.bc)
+        assert np.array_equal(Ap.values,
+                              apply_boundary(Ap_ref, cfg.bc).values)
+        assert np.array_equal(B.values, B_ref.values)
+        seen.append(True)
+
+    integrate(A0, cfg, on_snapshot=hook)
+    assert len(seen) == 3
+
+
 def test_config_rejects_snapshot_time_past_tolerance(unit_grid):
     cfg = FlowConfig(NEUMANN, dt=1e-4, t_end=0.004,
                      snapshot_times=(0.0, 0.002, 0.004 + 50 * TIME_TOL))

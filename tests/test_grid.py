@@ -36,12 +36,20 @@ def test_axis_coords_hit_both_faces():
 
 def test_trapezoid_weights_integrate_constants():
     g = GridSpec((2.0, 3.0, 0.5), (9, 9, 9))
-    assert np.isclose(g.trapezoid_weights().sum(), g.volume, rtol=1e-14)
+    assert np.isclose(g.trapezoid_weights.sum(), g.volume, rtol=1e-14)
 
 
 def test_unknown_boundary_kind():
     with pytest.raises(ValueError):
         BoundarySpec("periodic")
+
+
+def test_boundary_spec_is_a_lowercase_value():
+    assert BoundarySpec("neumann") == NEUMANN != DIRICHLET
+    assert hash(BoundarySpec("neumann")) == hash(NEUMANN)
+    assert repr(NEUMANN) == "BoundarySpec(kind='neumann')"
+    with pytest.raises(ValueError):
+        BoundarySpec("Neumann")
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])

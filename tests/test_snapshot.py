@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ymheat.fields import random_smooth
-from ymheat.grid import GridSpec, NEUMANN, apply_boundary
+from ymheat.grid import GridSpec, KForm, NEUMANN, apply_boundary
 from ymheat.snapshot import (
     MAGIC,
     SnapshotError,
@@ -35,6 +35,27 @@ def test_roundtrip_bitwise(tmp_path, unit_grid, su2_alg):
                           A.values[:, 1:-1, 1:-1, 0])
     assert back.degree == 1 and back.algebra.group_id == "SU2"
     assert back.bc == NEUMANN
+
+
+def test_payload_planes_in_component_coefficient_order(tmp_path, su2_alg):
+    """Plane ci * dim + d of the payload holds component ci, coefficient d,
+    x varying fastest; a round trip alone cannot see a consistent
+    permutation of the planes."""
+    g = GridSpec((1.0, 1.0, 1.0), (8, 9, 10))
+    A = KForm(1, g, su2_alg)
+    x, y, z = (np.arange(n, dtype=float) for n in g.shape)
+    ramp = (x[:, None, None] + 10.0 * y[None, :, None]
+            + 100.0 * z[None, None, :])
+    for ci in range(3):
+        for d in range(3):
+            A.interior[ci, ..., d] = 1000.0 * (3 * ci + d) + ramp
+    p = tmp_path / "field.ymf"
+    snapshot_write(A, 0.0, p)
+    planes = np.frombuffer(read_raw(p)[1], dtype="<f8").reshape(9, -1)
+    x_fastest = (x[None, None, :] + 10.0 * y[None, :, None]
+                 + 100.0 * z[:, None, None]).ravel()
+    for k in range(9):
+        assert np.array_equal(planes[k], 1000.0 * k + x_fastest)
 
 
 def test_write_read_write_identical_bytes(tmp_path, unit_grid, u1_alg):

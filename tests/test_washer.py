@@ -184,10 +184,9 @@ def _per_node_washer_to_grid(cfg, grid, origin, cap_u_max=None):
             "and no cap policy is set"
         )
     a_phi = np.empty(len(pts))
-    a_phi[~close], _ = washer._a_phi(rho[~close], z[~close], cfg)
+    a_phi[~close] = washer._a_phi(rho[~close], z[~close], cfg.n_u, cfg.u_max)
     if np.any(close):
-        a_phi[close], _ = washer._a_phi(rho[close], z[close], cfg,
-                                        u_max=cap_u_max)
+        a_phi[close] = washer._a_phi(rho[close], z[close], cfg.n_u, cap_u_max)
     safe_rho = np.where(rho > 0, rho, 1.0)
     vec = np.stack([-pts[:, 1] / safe_rho, pts[:, 0] / safe_rho,
                     np.zeros_like(rho)], axis=-1) * a_phi[:, None]
@@ -235,15 +234,35 @@ def test_washer_to_grid_evaluates_each_rho_z_pair_once(monkeypatch):
     rows = []
     a_phi = washer._a_phi
 
-    def counting(rho, z, cfg, u_max=None):
+    def counting(rho, z, n_u, u_hi):
         rows.append(np.size(rho))
-        return a_phi(rho, z, cfg, u_max)
+        return a_phi(rho, z, n_u, u_hi)
 
     monkeypatch.setattr(washer, "_a_phi", counting)
     washer_to_grid(WasherConfig(), WORKLOAD_GRID, (-2.0, -2.0, -2.0),
                    cap_u_max=12.0)
     # 168 distinct rho times 20 distinct |z|, not 34**3 = 39,304 nodes
     assert sum(rows) == 3360
+
+
+def test_washer_to_grid_evaluates_no_tail_bound(monkeypatch):
+    # one elliptic kernel per potential evaluation: the rim tail bound is
+    # vector_potential's, and washer_to_grid has no use for it
+    calls = {"a_phi": 0, "kernel": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(washer, "_a_phi", counted("a_phi", washer._a_phi))
+    monkeypatch.setattr(washer, "_azimuthal_integral",
+                        counted("kernel", washer._azimuthal_integral))
+    grid = GridSpec((4.0, 4.0, 4.0), (16, 16, 16))
+    washer_to_grid(WasherConfig(n_u=16), grid, (-2.0, -2.0, -2.0),
+                   cap_u_max=10.0)
+    assert calls["kernel"] == calls["a_phi"] == 2  # capped and uncapped
 
 
 def test_washer_to_grid_peak_memory_is_small():
