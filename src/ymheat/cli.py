@@ -60,7 +60,7 @@ from .washer import (
     washer_to_grid,
 )
 
-__all__ = ["main", "execute", "load_config", "CONFIG_SCHEMA"]
+__all__ = ["main", "execute", "load_config"]
 
 
 class ConfigError(ValueError):
@@ -71,167 +71,104 @@ class ConfigError(ValueError):
 # Config schema
 # ---------------------------------------------------------------------------
 
-def _numbers(n):
-    return {"type": "array", "items": {"type": "number"},
-            "minItems": n, "maxItems": n}
+_NUMBER = {"type": "number"}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
 
 
-def _kind(kind, required, **keys):
-    """An object of `kind` has `kind` and `keys` only, with those named in
-    `required`.  One without 'kind' matches no kind, so the error reported
-    is the missing 'kind'."""
-    return {"if": {"properties": {"kind": {"const": kind}},
-                   "required": ["kind"]},
-            "then": {"properties": {"kind": {}, **keys},
-                     "required": required, "additionalProperties": False}}
+def _numbers(n, items=_NUMBER):
+    return {"type": "array", "items": items, "minItems": n, "maxItems": n}
 
 
-# a line runs from start to end; an arc turns about a 2-D center at height z
-_SEGMENT_SCHEMA = {
-    "type": "object",
-    "properties": {"kind": {"enum": ["line", "arc"]}},
-    "required": ["kind"],
-    "allOf": [
-        _kind("line", ["start", "end"], start=_numbers(3), end=_numbers(3)),
-        _kind("arc", ["center", "z", "radius", "phi0", "phi1"],
-              center=_numbers(2), z={"type": "number"},
-              radius={"type": "number", "exclusiveMinimum": 0},
-              phi0={"type": "number"}, phi1={"type": "number"}),
-    ],
-}
+def _unique(items, min_items):
+    return {"type": "array", "items": items, "minItems": min_items,
+            "uniqueItems": True}
+
+
+def _strict(required=(), **properties):
+    """An object with `properties` only, those in `required` among them."""
+    return {"type": "object", "properties": properties,
+            "required": list(required), "additionalProperties": False}
+
+
+def _kinds(kinds):
+    """An object whose 'kind' names one of `kinds` and whose other keys are
+    that kind's: `kinds` maps each to its (required, properties).  One
+    without 'kind' matches no kind, so the error reported is the missing
+    'kind'."""
+    return {"type": "object", "properties": {"kind": {"enum": list(kinds)}},
+            "required": ["kind"],
+            "allOf": [{"if": {"properties": {"kind": {"const": kind}},
+                              "required": ["kind"]},
+                       "then": _strict(required, kind={}, **properties)}
+                      for kind, (required, properties) in kinds.items()]}
+
 
 # the C_eps ladder of washer-flux and washer-regularize
-_RIM_LADDER_PROPERTIES = {
+_RIM_LADDER = dict(
     # the flux fit's variable log log(1/eps) needs 0 < eps < 1
-    "eps_ladder": {"type": "array",
-                   "items": {"type": "number", "exclusiveMinimum": 0,
-                             "exclusiveMaximum": 1},
-                   "minItems": 2, "uniqueItems": True},
-    "r_out": {"type": "number", "exclusiveMinimum": 1},
-    "phi_span": {"type": "number", "exclusiveMinimum": 0, "maximum": 6.2832},
+    eps_ladder=_unique(dict(_POSITIVE, exclusiveMaximum=1), 2),
+    r_out={"type": "number", "exclusiveMinimum": 1},
+    phi_span=dict(_POSITIVE, maximum=6.2832),
+)
+_FLOW = dict(dt=_POSITIVE, t_end=_POSITIVE, variant={"enum": ["YM", "ZDS"]})
+# the flow keys of the commands that read the flow's snapshots
+_SNAPSHOT_FLOW = dict(_FLOW, snapshot_times={"type": "array",
+                                             "items": _NUMBER})
+# an absent boundary is Neumann too
+_NEUMANN = {"const": "neumann"}
+
+# each top-level section as every command that reads it takes it, unless
+# the command's schema restates it
+_SECTIONS = {
+    "grid": _strict(["extents", "shape"], extents=_numbers(3, _POSITIVE),
+                    shape=_numbers(3, {"type": "integer", "minimum": 8})),
+    "boundary": {"enum": ["neumann", "dirichlet", "marini"]},
+    "field": _kinds({
+        "coulomb-cosine": ([], {"amplitude": _NUMBER}),
+        "random-smooth": ([], {"amplitude": _NUMBER,
+                               "seed": {"type": "integer", "minimum": 0},
+                               "algebra": {"enum": ["U1", "SU2"]}}),
+        "snapshot": (["path"], {"path": {"type": "string"}})}),
+    "flow": _strict(["dt", "t_end"], **_FLOW),
+    "oracle": {"enum": ["abelian-spectral"]},
+    "constants": _strict(kernel_modes={"type": "integer", "minimum": 8},
+                         tau=dict(_POSITIVE, maximum=0.5)),
+    "domination": _strict(omega_kinds=_unique({"enum": ["B", "A'"]}, 1)),
+    "diamagnetic": _strict(
+        ["t"], t=_POSITIVE,
+        boundaries=_unique({"enum": ["neumann", "dirichlet"]}, 1),
+        omega_seed={"type": "integer", "minimum": 0},
+        omega_degree={"type": "integer", "minimum": 0, "maximum": 3}),
+    # a line runs from start to end; an arc turns about a 2-D center at
+    # height z
+    "loops": {"type": "array", "minItems": 1, "items": {
+        "type": "array", "minItems": 1, "items": _kinds({
+            "line": (["start", "end"], {"start": _numbers(3),
+                                        "end": _numbers(3)}),
+            "arc": (["center", "z", "radius", "phi0", "phi1"],
+                    {"center": _numbers(2), "z": _NUMBER,
+                     "radius": _POSITIVE, "phi0": _NUMBER,
+                     "phi1": _NUMBER})})}},
+    "wilson": _strict(n_steps={"type": "integer", "minimum": 8},
+                      ladder=_unique(_POSITIVE, 4)),
+    "washer": _strict(u_max=_POSITIVE, n_u={"type": "integer", "minimum": 8}),
+    "flux": _strict(**_RIM_LADDER),
+    "regularize": _strict(["origin"], origin=_numbers(3),
+                          cap_u_max=_POSITIVE, **_RIM_LADDER),
 }
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "grid": {
-            "type": "object",
-            "properties": {
-                "extents": {"type": "array", "items":
-                            {"type": "number", "exclusiveMinimum": 0},
-                            "minItems": 3, "maxItems": 3},
-                "shape": {"type": "array", "items":
-                          {"type": "integer", "minimum": 8},
-                          "minItems": 3, "maxItems": 3},
-            },
-            "required": ["extents", "shape"],
-            "additionalProperties": False,
-        },
-        "boundary": {"enum": ["neumann", "dirichlet", "marini"]},
-        "field": {
-            "type": "object",
-            "properties": {
-                "kind": {"enum": ["coulomb-cosine", "random-smooth",
-                                  "snapshot"]},
-            },
-            "required": ["kind"],
-            "allOf": [
-                _kind("coulomb-cosine", [], amplitude={"type": "number"}),
-                _kind("random-smooth", [], amplitude={"type": "number"},
-                      seed={"type": "integer", "minimum": 0},
-                      algebra={"enum": ["U1", "SU2"]}),
-                _kind("snapshot", ["path"], path={"type": "string"}),
-            ],
-        },
-        "flow": {
-            "type": "object",
-            "properties": {
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-                "t_end": {"type": "number", "exclusiveMinimum": 0},
-                "variant": {"enum": ["YM", "ZDS"]},
-                "snapshot_times": {"type": "array",
-                                   "items": {"type": "number"}},
-                "write_snapshots": {"type": "boolean"},
-            },
-            "required": ["dt", "t_end"],
-            "additionalProperties": False,
-        },
-        "oracle": {"enum": ["abelian-spectral"]},
-        "constants": {
-            "type": "object",
-            "properties": {
-                "kernel_modes": {"type": "integer", "minimum": 8},
-                "tau": {"type": "number", "exclusiveMinimum": 0,
-                        "maximum": 0.5},
-            },
-            "additionalProperties": False,
-        },
-        "domination": {
-            "type": "object",
-            "properties": {
-                "omega_kinds": {"type": "array",
-                                "items": {"enum": ["B", "A'"]},
-                                "minItems": 1, "uniqueItems": True},
-            },
-            "additionalProperties": False,
-        },
-        "diamagnetic": {
-            "type": "object",
-            "properties": {
-                "t": {"type": "number", "exclusiveMinimum": 0},
-                "boundaries": {"type": "array",
-                               "items": {"enum": ["neumann", "dirichlet"]},
-                               "minItems": 1, "uniqueItems": True},
-                "omega_seed": {"type": "integer", "minimum": 0},
-                "omega_degree": {"type": "integer", "minimum": 0,
-                                 "maximum": 3},
-            },
-            "required": ["t"],
-            "additionalProperties": False,
-        },
-        "loops": {
-            "type": "array",
-            "items": {"type": "array", "items": _SEGMENT_SCHEMA,
-                      "minItems": 1},
-            "minItems": 1,
-        },
-        "wilson": {
-            "type": "object",
-            "properties": {
-                "n_steps": {"type": "integer", "minimum": 8},
-                "ladder": {"type": "array",
-                           "items": {"type": "number",
-                                     "exclusiveMinimum": 0},
-                           "minItems": 4, "uniqueItems": True},
-            },
-            "additionalProperties": False,
-        },
-        "washer": {
-            "type": "object",
-            "properties": {
-                "u_max": {"type": "number", "exclusiveMinimum": 0},
-                "n_u": {"type": "integer", "minimum": 8},
-            },
-            "additionalProperties": False,
-        },
-        "flux": {
-            "type": "object",
-            "properties": _RIM_LADDER_PROPERTIES,
-            "additionalProperties": False,
-        },
-        "regularize": {
-            "type": "object",
-            "properties": {
-                "origin": _numbers(3),
-                "cap_u_max": {"type": "number", "exclusiveMinimum": 0},
-                **_RIM_LADDER_PROPERTIES,
-            },
-            "required": ["origin"],
-            "additionalProperties": False,
-        },
-    },
-    "additionalProperties": False,
-}
+
+def _config(required, optional=(), premise=None, **sections):
+    """One command's config schema: the sections in `required`, any of
+    those in `optional` and no other, each as `_SECTIONS` states it unless
+    `sections` restates it.  A `premise` (section, then) makes a config
+    that holds `section` match `then` too."""
+    schema = _strict(required, **{k: sections.get(k, _SECTIONS[k])
+                                  for k in (*required, *optional)})
+    if premise is not None:
+        schema["if"] = {"required": [premise[0]]}
+        schema["then"] = premise[1]
+    return schema
 
 
 # an "integer" is a JSON integer: the stock checker also takes an
@@ -242,9 +179,6 @@ _Validator = jsonschema.validators.extend(
         "integer",
         lambda checker, x: isinstance(x, int) and not isinstance(x, bool)),
 )
-# built once: jsonschema.validate would re-check the constant schema
-# against its meta-schema on every call
-_VALIDATOR = _Validator(CONFIG_SCHEMA)
 
 
 def _finite_number(text):
@@ -256,10 +190,14 @@ def _finite_number(text):
     return x
 
 
-def _validate(cfg: dict) -> None:
-    error = jsonschema.exceptions.best_match(_VALIDATOR.iter_errors(cfg))
+def _validate(command: str, cfg: dict) -> None:
+    error = jsonschema.exceptions.best_match(
+        _VALIDATORS[command].iter_errors(cfg))
     if error is not None:
-        raise ConfigError(f"config schema violation: {error.message}")
+        where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                              for k in error.absolute_path)
+        raise ConfigError(f"config schema violation at {where}: "
+                          f"{error.message}")
 
 
 def load_config(path) -> dict:
@@ -290,8 +228,9 @@ def _boundary_from(cfg: dict) -> BoundarySpec:
 
 
 def _field_from(cfg: dict, grid: GridSpec):
-    f = cfg["field"]
-    kind = f["kind"]
+    """The run's initial field; the library states each kind's defaults."""
+    f = dict(cfg["field"])
+    kind = f.pop("kind")
     if kind == "snapshot":
         field, _t = snapshot_read(f["path"])
         if field.grid != grid or field.degree != 1:
@@ -301,10 +240,10 @@ def _field_from(cfg: dict, grid: GridSpec):
             )
         return field
     if kind == "coulomb-cosine":
-        return coulomb_cosine(grid, amplitude=f.get("amplitude", 1.0))
-    alg = {"U1": u1, "SU2": su2}[f.get("algebra", "SU2")]()
-    return random_smooth(grid, alg, seed=f.get("seed", 0),
-                         amplitude=f.get("amplitude", 0.05))
+        return coulomb_cosine(grid, **f)
+    if "algebra" in f:
+        f["algebra"] = {"U1": u1, "SU2": su2}[f["algebra"]]()
+    return random_smooth(grid, **f)
 
 
 def _flow_config(fl: dict, bc: BoundarySpec, grid: GridSpec) -> FlowConfig:
@@ -399,12 +338,6 @@ def _cmd_constants(cfg, out, tol_scale):
 def _cmd_flow(cfg, out, tol_scale):
     grid = _grid_from(cfg)
     fc = _flow_config(cfg["flow"], _boundary_from(cfg), grid)
-    oracle = cfg.get("oracle") == "abelian-spectral"
-    # the closed form is the cosine mode's, which a Dirichlet fill breaks
-    if oracle and (cfg["field"]["kind"] != "coulomb-cosine"
-                   or fc.bc.kind == "dirichlet"):
-        raise ConfigError("abelian-spectral oracle needs a coulomb-cosine "
-                          "field and a neumann or marini boundary")
     A0 = _field_from(cfg, grid)
     traj = integrate(A0, fc)
     m = traj.monitors
@@ -420,7 +353,7 @@ def _cmd_flow(cfg, out, tol_scale):
         report.check_row("action_bound", m.action[-1],
                          m.B_l2[0] ** 2 * (1 + 1e-3), 0.0),
     ]
-    if oracle:
+    if "oracle" in cfg:
         rows.append(_abelian_spectral_check(traj, A0, tol_scale * 1e-4))
     results = {
         "steps": len(m) - 1,
@@ -452,10 +385,7 @@ def _cmd_verify_bounds(cfg, out, tol_scale):
 
 def _cmd_verify_domination(cfg, out, tol_scale):
     grid = _grid_from(cfg)
-    bc = _boundary_from(cfg)
-    if bc.kind != "neumann":
-        raise ConfigError("heat-kernel domination is a Neumann check")
-    fc = _flow_config(cfg["flow"], bc, grid)
+    fc = _flow_config(cfg["flow"], _boundary_from(cfg), grid)
     if len(fc.snapshot_schedule()) < 3:
         raise ConfigError("domination needs >= 3 snapshot times")
     kinds = cfg.get("domination", {}).get("omega_kinds", ["B", "A'"])
@@ -505,16 +435,13 @@ def _cmd_wilson(cfg, out, tol_scale):
     opts = cfg.get("wilson", {})
     n_steps = opts.get("n_steps", 256)
     ladder = opts.get("ladder")
-    if ladder is None and "flow" in cfg:
-        raise ConfigError("a 'flow' section needs a wilson ladder to flow to")
     bc = _boundary_from(cfg)
     check_paths(grid, loops, n_steps)
     if ladder is not None:
         check_ladder(sorted(ladder))
         fl = cfg.get("flow", {})
-        if "snapshot_times" in fl or fl.get("t_end", max(ladder)) != max(ladder):
-            raise ConfigError("a wilson ladder sets the flow's snapshot "
-                              "times and ends at its top rung")
+        if fl.get("t_end", max(ladder)) != max(ladder):
+            raise ConfigError("a wilson ladder ends the flow at its top rung")
         fc = _flow_config({"dt": dt_ceiling(grid), **fl, "t_end": max(ladder),
                            "snapshot_times": sorted(ladder)}, bc, grid)
     A = apply_boundary(_field_from(cfg, grid), bc)
@@ -621,10 +548,7 @@ def _cmd_washer_regularize(cfg, out, tol_scale):
     grid = _grid_from(cfg)
     reg = cfg["regularize"]
     origin = np.asarray(reg["origin"], dtype=float)
-    bc = _boundary_from(cfg)
-    if bc.kind != "neumann":
-        raise ConfigError("washer-regularize flows under a Neumann boundary")
-    fc = _flow_config(cfg["flow"], bc, grid)
+    fc = _flow_config(cfg["flow"], _boundary_from(cfg), grid)
     loops = _rim_loops(reg)
     # C_eps in box coordinates, integrated on the grid after the flow
     paths = [lp.path(-origin) for lp in loops]
@@ -659,52 +583,61 @@ def _cmd_washer_regularize(cfg, out, tol_scale):
     return results, rows
 
 
-# each command, the top-level sections it requires and those it may read
+# each command and the schema of its config, the one judge of its shape
 _DISPATCH = {
-    "flow": (_cmd_flow, {"grid", "field", "flow"}, {"boundary", "oracle"}),
-    "verify-domination": (_cmd_verify_domination, {"grid", "field", "flow"},
-                          {"boundary", "domination"}),
+    "flow": (_cmd_flow, _config(
+        ["grid", "field", "flow"], ["boundary", "oracle"],
+        # the oracle's closed form is the cosine mode's, which a Dirichlet
+        # fill breaks
+        premise=("oracle", {"properties": {
+            "field": {"properties": {"kind": {"const": "coulomb-cosine"}}},
+            "boundary": {"enum": ["neumann", "marini"]}}}),
+        flow=_strict(["dt", "t_end"], **_SNAPSHOT_FLOW,
+                     write_snapshots={"type": "boolean"}))),
+    # heat-kernel domination is a Neumann check
+    "verify-domination": (_cmd_verify_domination, _config(
+        ["grid", "field", "flow"], ["boundary", "domination"],
+        boundary=_NEUMANN, flow=_strict(["dt", "t_end"], **_SNAPSHOT_FLOW))),
     "verify-diamagnetic": (_cmd_verify_diamagnetic,
-                           {"grid", "field", "diamagnetic"}, set()),
-    "verify-bounds": (_cmd_verify_bounds, {"grid", "field", "flow"},
-                      {"boundary", "constants"}),
-    "constants": (_cmd_constants, set(), {"grid", "constants"}),
-    "wilson": (_cmd_wilson, {"grid", "field", "loops"},
-               {"boundary", "flow", "wilson"}),
-    "washer-energy": (_cmd_washer_energy, set(), {"washer"}),
-    "washer-flux": (_cmd_washer_flux, set(), {"washer", "flux"}),
-    "washer-regularize": (_cmd_washer_regularize,
-                          {"grid", "flow", "regularize"},
-                          {"boundary", "washer"}),
+                           _config(["grid", "field", "diamagnetic"])),
+    "verify-bounds": (_cmd_verify_bounds, _config(
+        ["grid", "field", "flow"], ["boundary", "constants"])),
+    "constants": (_cmd_constants, _config([], ["grid", "constants"])),
+    # a ladder sets the flow's snapshot times, so only a ladder flows
+    "wilson": (_cmd_wilson, _config(
+        ["grid", "field", "loops"], ["boundary", "flow", "wilson"],
+        premise=("flow", {"required": ["wilson"], "properties": {
+            "wilson": {"required": ["ladder"]}}}))),
+    "washer-energy": (_cmd_washer_energy, _config([], ["washer"])),
+    "washer-flux": (_cmd_washer_flux, _config([], ["washer", "flux"])),
+    "washer-regularize": (_cmd_washer_regularize, _config(
+        ["grid", "flow", "regularize"], ["boundary", "washer"],
+        boundary=_NEUMANN)),
 }
 
+# built once: jsonschema.validate would re-check each constant schema
+# against its meta-schema on every call
+_VALIDATORS = {command: _Validator(schema)
+               for command, (_, schema) in _DISPATCH.items()}
 COMMANDS = tuple(_DISPATCH)
 
 
 def execute(command: str, cfg: dict, out_dir, tol_scale: float = 1.0,
             seed: int | None = None) -> int:
-    """Run one subcommand on a config, schema-validated here (and again
-    after `seed` is merged into its field); write report files (the first
-    one creates `out_dir`); return the exit status."""
-    _validate(cfg)
+    """Run one subcommand on a config, checked here against the command's
+    schema (and again after `seed` is merged into its field); write report
+    files (the first one creates `out_dir`); return the exit status."""
+    _validate(command, cfg)
     if seed is not None:
         if "field" not in cfg:
             raise ConfigError("--seed sets the seed of a random-smooth field "
                               "only")
         cfg = dict(cfg, field=dict(cfg["field"], seed=seed))
-        _validate(cfg)
+        _validate(command, cfg)
     if not 0 < tol_scale < math.inf:
         raise ConfigError(f"tol_scale must be finite and positive, "
                           f"not {tol_scale}")
-    run, required, optional = _DISPATCH[command]
-    missing = sorted(required - set(cfg))
-    if missing:
-        raise ConfigError(f"{command} requires the sections {missing}")
-    unread = sorted(set(cfg) - required - optional)
-    if unread:
-        raise ConfigError(f"{command} does not read {unread}")
-    if command != "flow" and "write_snapshots" in cfg.get("flow", {}):
-        raise ConfigError("only the flow command writes snapshots")
+    run, _ = _DISPATCH[command]
     out = FilePath(out_dir)
     results, rows = run(cfg, out, tol_scale)
     doc = {

@@ -186,10 +186,10 @@ def test_washer_flux_csv(tmp_path):
 
 def test_load_config_rejects_bad_boundary(tmp_path, capsys):
     p = tmp_path / "c.json"
-    p.write_text(json.dumps({"boundary": "periodic"}))
-    assert _run(["constants", "--config", str(p),
+    p.write_text(json.dumps(dict(BASE_FLOW, boundary="periodic")))
+    assert _run(["flow", "--config", str(p),
                  "--out", str(tmp_path / "o")]) == 2
-    assert "config schema violation" in capsys.readouterr().err
+    assert "config schema violation at $.boundary" in capsys.readouterr().err
 
 
 def test_grid_below_library_minimum_is_config_error(tmp_path, capsys):
@@ -581,7 +581,8 @@ COMPUTATION = ("integrate", "transport_many", "NeumannSemigroup",
 def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
                                       command, cfg, *args):
     """`command` on `cfg` ("SNAP" standing for a 12^3 SU(2) snapshot)
-    exits 2 with no computation started and no output directory made."""
+    exits 2 with no computation started and no output directory made;
+    returns its stderr."""
     snap = tmp_path / "field.ymf"
     snapshot_write(random_smooth(GridSpec((1, 1, 1), (12, 12, 12)), su2()),
                    0.0, snap)
@@ -591,8 +592,10 @@ def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
     out = tmp_path / "o"
     assert _run([command, "--config", _write(tmp_path, cfg),
                  "--out", str(out), *args]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err
     assert not out.exists()
+    return err
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -643,6 +646,47 @@ def test_ignored_config_key_is_config_error(tmp_path, capsys, monkeypatch,
                                             command, cfg):
     _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
                                       command, cfg)
+
+
+DOMINATION = SMOKE["verify-domination"]
+
+
+@pytest.mark.parametrize("command, cfg, where", [
+    ("flow", dict(BASE_FLOW, field=RANDOM_FIELD), "$.field.kind"),
+    ("flow", dict(BASE_FLOW, boundary="dirichlet"), "$.boundary"),
+    ("verify-domination", dict(DOMINATION, boundary="dirichlet"),
+     "$.boundary"),
+    ("washer-regularize", dict(WASHER_REGULARIZE, boundary="marini"),
+     "$.boundary"),
+    ("wilson", dict(WILSON, wilson={"n_steps": 16},
+                    flow={"dt": 0.0005, "t_end": 0.01}), "$.wilson"),
+    ("wilson", dict(WILSON, flow={"dt": 0.0005, "t_end": 0.04,
+                                  "snapshot_times": [0.04]}), "$.flow"),
+    ("verify-bounds", dict(SMOKE["verify-bounds"],
+                           flow={"dt": 0.001, "t_end": 0.004,
+                                 "write_snapshots": True}), "$.flow"),
+    ("verify-bounds", {k: v for k, v in SMOKE["verify-bounds"].items()
+                       if k != "field"}, "$"),
+    ("verify-domination", dict(DOMINATION, constants={"kernel_modes": 128}),
+     "$"),
+    ("verify-bounds", dict(SMOKE["verify-bounds"],
+                           flow={"dt": 0.001, "t_end": 0.004,
+                                 "snapshot_times": [0.002]}), "$.flow"),
+    ("washer-regularize", dict(WASHER_REGULARIZE,
+                               flow={"dt": 0.002, "t_end": 0.01,
+                                     "snapshot_times": [0.01]}), "$.flow"),
+], ids=["oracle_random_field", "oracle_dirichlet", "domination_dirichlet",
+        "washer_regularize_marini", "wilson_flow_without_ladder",
+        "wilson_snapshot_times", "verify_bounds_write_snapshots",
+        "verify_bounds_without_field", "verify_domination_constants",
+        "verify_bounds_snapshot_times", "washer_regularize_snapshot_times"])
+def test_schema_refuses_at_the_location(tmp_path, capsys, monkeypatch,
+                                        command, cfg, where):
+    """Each command's schema states which boundary, flow keys and sections
+    it takes; a refusal names where the config breaks the rule."""
+    err = _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                            command, cfg)
+    assert f"config schema violation at {where}: " in err
 
 
 @pytest.mark.parametrize("command, cfg", [
@@ -793,11 +837,13 @@ def _section(draw, required, optional):
 
 @st.composite
 def _fuzz_case(draw, command):
-    """(config, snapshot grid or None): a schema-valid config of `command`
-    on 8-10 nodes per axis and extents in [0.5, 4], flowing about four
-    steps at most.  A snapshot field's path is "SNAP" (written from the
-    snapshot grid) or "ABSENT"."""
-    _, required, optional = cli._DISPATCH[command]
+    """(config, snapshot grid or None): a config that `command`'s schema
+    accepts, on 8-10 nodes per axis and extents in [0.5, 4], flowing about
+    four steps at most.  A snapshot field's path is "SNAP" (written from
+    the snapshot grid) or "ABSENT"."""
+    schema = cli._DISPATCH[command][1]
+    required = set(schema["required"])
+    optional = set(schema["properties"]) - required
     # the rim loops fit about the washer only in a box of side 3.5 or more
     side = st.floats(3.5 if command == "washer-regularize" else 0.5, 4.0)
     extents = draw(st.lists(side, min_size=3, max_size=3))
@@ -809,8 +855,11 @@ def _fuzz_case(draw, command):
     snapshot_grid = None
     sections = {
         "grid": {"extents": extents, "shape": shape},
-        "boundary": draw(st.sampled_from(["neumann", "neumann", "dirichlet",
-                                          "marini"])),
+        # domination and the washer's regularization are Neumann checks
+        "boundary": draw(st.sampled_from(
+            ["neumann"] if command in ("verify-domination",
+                                       "washer-regularize")
+            else ["neumann", "neumann", "dirichlet", "marini"])),
         "oracle": "abelian-spectral",
         "constants": _section(draw, {}, {
             "kernel_modes": draw(st.integers(8, 64)),
@@ -826,10 +875,7 @@ def _fuzz_case(draw, command):
             "omega_seed": draw(st.integers(0, 3)),
             "omega_degree": draw(st.integers(0, 3))}),
         "flow": _section(draw, {"dt": dt, "t_end": t_end}, {
-            "variant": draw(st.sampled_from(["YM", "ZDS"])),
-            "snapshot_times": [t_end * f for f in sorted(draw(st.lists(
-                st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]), max_size=5,
-                unique=True)))]}),
+            "variant": draw(st.sampled_from(["YM", "ZDS"]))}),
         "washer": _section(draw, {}, {
             "u_max": draw(st.floats(0.1, 40.0)),
             "n_u": draw(st.integers(8, 32))}),
@@ -877,10 +923,19 @@ def _fuzz_case(draw, command):
     ladder = [t0, 2 * t0, 4 * t0, 8 * t0]
     sections["wilson"] = _section(draw, {}, {
         "n_steps": draw(st.integers(8, 32)), "ladder": ladder})
+    # only flow and verify-domination read snapshots
     if command == "verify-domination":
         sections["flow"]["snapshot_times"] = [0.0, t_end / 2, t_end]
     if command == "flow" and draw(st.booleans()):
+        sections["flow"]["snapshot_times"] = [
+            t_end * f for f in sorted(draw(st.lists(st.sampled_from(
+                [0.0, 0.25, 0.5, 0.75, 1.0]), max_size=5, unique=True)))]
+    if command == "flow" and draw(st.booleans()):
         sections["flow"]["write_snapshots"] = draw(st.booleans())
+    # the oracle's closed form is the cosine mode's, off a Dirichlet fill
+    if sections["field"]["kind"] != "coulomb-cosine" \
+            or sections["boundary"] == "dirichlet":
+        optional = optional - {"oracle"}
     if command == "wilson":
         # only a ladder flows, to its top rung
         sections["flow"] = {"dt": dt, "t_end": ladder[-1]}
@@ -889,6 +944,8 @@ def _fuzz_case(draw, command):
     cfg = {k: sections[k] for k in sorted(required)}
     cfg.update({k: sections[k] for k in sorted(optional)
                 if draw(st.booleans())})
+    if command == "wilson" and "flow" in cfg:
+        cfg["wilson"] = sections["wilson"]
     return cfg, snapshot_grid
 
 
@@ -900,7 +957,7 @@ def test_every_valid_config_ends_with_an_exit_status(command, data):
     """Exit 0, 1, 2 or 3 and no traceback; an exit 2 makes no output
     directory, an exit 3 writes no report."""
     cfg, snapshot_grid = data.draw(_fuzz_case(command))
-    assert cli._VALIDATOR.is_valid(cfg)
+    assert cli._VALIDATORS[command].is_valid(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         if snapshot_grid is not None and "field" in cfg:
@@ -923,7 +980,8 @@ def test_every_valid_config_ends_with_an_exit_status(command, data):
 
 
 def test_load_config_never_rechecks_the_schema(tmp_path, monkeypatch):
-    cli._Validator.check_schema(cli.CONFIG_SCHEMA)
+    for _, schema in cli._DISPATCH.values():
+        cli._Validator.check_schema(schema)
     monkeypatch.setattr(cli._Validator, "check_schema", _forbidden)
     assert load_config(_write(tmp_path, BASE_FLOW)) == BASE_FLOW
     assert cli.execute("flow", BASE_FLOW, tmp_path / "o") == 0
@@ -940,9 +998,9 @@ def test_main_validates_each_config_once(tmp_path, monkeypatch, args, calls):
     seen = []
     validate = cli._validate
 
-    def counted(cfg):
+    def counted(command, cfg):
         seen.append(cfg["field"].get("seed"))
-        validate(cfg)
+        validate(command, cfg)
 
     monkeypatch.setattr(cli, "_validate", counted)
     assert _run(["flow", "--config", _write(tmp_path, RANDOM_FLOW),
