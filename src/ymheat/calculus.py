@@ -74,16 +74,6 @@ def _d2(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _first_derivative(f: np.ndarray, axis: int, h: float) -> np.ndarray:
-    """Central first derivative of a padded component field.
-
-    Output has the same padded shape; ghost entries are zero.
-    """
-    out = np.zeros_like(f)
-    _d1(f, axis, h, out[_INTERIOR])
-    return out
-
-
 def _interior_buffer(form: KForm) -> np.ndarray:
     """Scratch array for one component at the interior nodes."""
     return np.empty(form.grid.shape + (form.algebra.dim,))
@@ -170,7 +160,8 @@ def dstar_cov(A: KForm, omega: KForm) -> KForm:
 
 def bochner_laplacian(A: KForm, omega: KForm) -> KForm:
     """Sum over j of (d_j + ad A_j)^2 applied componentwise on the flat box:
-    d_j^2 w + [d_j A_j, w] + 2 [A_j, d_j w] + [A_j, [A_j, w]]."""
+    d_j^2 w + [d_j A_j, w] + 2 [A_j, d_j w] + [A_j, [A_j, w]], at the
+    interior nodes (the ghost entries are zero)."""
     _require_ghosts(A, omega)
     h = omega.grid.spacing
     alg = omega.algebra
@@ -178,19 +169,21 @@ def bochner_laplacian(A: KForm, omega: KForm) -> KForm:
     out = KForm(omega.degree, omega.grid, alg)
     tmp = _interior_buffer(omega)
     if nonabelian:
-        dA = [_first_derivative(A.values[j], j, h[j]) for j in range(3)]
+        Ai = [A.values[j][_INTERIOR] for j in range(3)]
+        dA = [_d1(A.values[j], j, h[j], _interior_buffer(A))
+              for j in range(3)]
     for ci in range(omega.values.shape[0]):
         w = omega.values[ci]
-        acc = out.values[ci]
+        wi = w[_INTERIOR]
+        acc = out.values[ci][_INTERIOR]
         for j in range(3):
-            acc[_INTERIOR] += _d2(w, j, h[j], tmp)
+            acc += _d2(w, j, h[j], tmp)
             if nonabelian:
-                Aj = A.values[j]
-                acc += alg.bracket(dA[j], w)
-                t = alg.bracket(Aj, _first_derivative(w, j, h[j]))
+                acc += alg.bracket(dA[j], wi)
+                t = alg.bracket(Ai[j], _d1(w, j, h[j], tmp))
                 t *= 2.0
                 acc += t
-                acc += alg.bracket(Aj, alg.bracket(Aj, w))
+                acc += alg.bracket(Ai[j], alg.bracket(Ai[j], wi))
     return out
 
 
@@ -263,12 +256,14 @@ def gauge_transform(A: KForm, k: np.ndarray) -> KForm:
         raise ValueError(f"group field not unitary (deviation {dev:.3e})")
     h = A.grid.spacing
     out = KForm(1, A.grid, alg)
+    dk = np.empty(A.grid.shape + k.shape[-2:], dtype=complex)
     for j in range(3):
         M = alg.to_matrices(A.values[j])
         conj = _conjugate(kh, k, M)
-        dk = _first_derivative(k, j, h[j])
-        maurer = np.einsum("...ab,...bc->...ac", kh, dk)
-        out.values[j] = alg.to_coeffs(conj + maurer)
+        # the Maurer-Cartan term at the interior nodes
+        conj[_INTERIOR] += np.einsum("...ab,...bc->...ac", kh[_INTERIOR],
+                                     _d1(k, j, h[j], dk))
+        out.values[j] = alg.to_coeffs(conj)
     return out
 
 

@@ -270,12 +270,8 @@ def _abelian_spectral_check(traj, A0, tol: float) -> dict:
     """
     grid = A0.grid
     t = traj.monitors.t[-1]
-    L1, L2, _ = grid.extents
-    h = grid.spacing
-    lam = sum(
-        (math.sin(math.pi / L * hh) / hh) ** 2
-        for L, hh in zip((L1, L2), h[:2])
-    )
+    lam = sum((math.sin(math.pi / L * hh) / hh) ** 2
+              for L, hh in zip(grid.extents[:2], grid.spacing[:2]))
     exact = math.exp(-lam * t) * A0
     err = ((traj.final + (-1.0) * exact).norm("L2")
            / max(exact.norm("L2"), 1e-300))
@@ -439,10 +435,8 @@ def _cmd_wilson(cfg, out, tol_scale):
     check_paths(grid, loops, n_steps)
     if ladder is not None:
         check_ladder(sorted(ladder))
-        fl = cfg.get("flow", {})
-        if fl.get("t_end", max(ladder)) != max(ladder):
-            raise ConfigError("a wilson ladder ends the flow at its top rung")
-        fc = _flow_config({"dt": dt_ceiling(grid), **fl, "t_end": max(ladder),
+        fc = _flow_config({"dt": dt_ceiling(grid), **cfg.get("flow", {}),
+                           "t_end": max(ladder),
                            "snapshot_times": sorted(ladder)}, bc, grid)
     A = apply_boundary(_field_from(cfg, grid), bc)
     fields = [A]
@@ -470,7 +464,7 @@ def _cmd_wilson(cfg, out, tol_scale):
             0.0 if probe["diffs_nonincreasing_tail"] else 1.0, 0.0, 0.0))
         results["ladder"] = sorted(ladder)
         results["ladder_diffs"] = [list(map(float, d))
-                                   for d in np.atleast_2d(probe["trace_diffs"])]
+                                   for d in probe["trace_diffs"]]
     return results, rows
 
 
@@ -603,11 +597,12 @@ _DISPATCH = {
     "verify-bounds": (_cmd_verify_bounds, _config(
         ["grid", "field", "flow"], ["boundary", "constants"])),
     "constants": (_cmd_constants, _config([], ["grid", "constants"])),
-    # a ladder sets the flow's snapshot times, so only a ladder flows
+    # a ladder sets the flow's end and snapshot times, so only a ladder flows
     "wilson": (_cmd_wilson, _config(
         ["grid", "field", "loops"], ["boundary", "flow", "wilson"],
         premise=("flow", {"required": ["wilson"], "properties": {
-            "wilson": {"required": ["ladder"]}}}))),
+            "wilson": {"required": ["ladder"]}}}),
+        flow=_strict(dt=_POSITIVE, variant=_FLOW["variant"]))),
     "washer-energy": (_cmd_washer_energy, _config([], ["washer"])),
     "washer-flux": (_cmd_washer_flux, _config([], ["washer", "flux"])),
     "washer-regularize": (_cmd_washer_regularize, _config(

@@ -12,7 +12,7 @@ the smoothing functional beta) recorded at every accepted step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -279,11 +279,10 @@ def _axpy(A, s, k):
     return A._like(v)
 
 
-def _rk4_step(A, dt, rhs, bc, step, t, k1=None):
-    """One classical RK4 step; A + (dt/6)(k1 + 2 k2 + 2 k3 + k4) is summed
-    in that order, in place in the stage arrays (k1 is left untouched)."""
-    if k1 is None:
-        k1 = rhs(A, bc)
+def _rk4_step(A, dt, rhs, bc, step, t, k1):
+    """One classical RK4 step from k1 = rhs(A, bc); A + (dt/6)(k1 + 2 k2 +
+    2 k3 + k4) is summed in that order, in place in the stage arrays (k1 is
+    left untouched)."""
     k2 = rhs(_axpy(A, 0.5 * dt, k1), bc)
     k3 = rhs(_axpy(A, 0.5 * dt, k2), bc)
     k4 = rhs(_axpy(A, dt, k3), bc)
@@ -389,8 +388,7 @@ def verify_bounds(traj: FlowTrajectory, k: FlowConstants, tol: float) -> list:
 
     R = 2 * k.c_N * B0_l2
     pos = t > 0
-    with np.errstate(divide="ignore"):
-        lhs1 = np.where(pos, t, 1.0) ** 0.75 * m.B_linf
+    lhs1 = np.where(pos, t, 1.0) ** 0.75 * m.B_linf
     row("B_linf_early", *worst(pos & (t <= 2 * tau), lhs1, np.full_like(t, R)),
         applicable=gate_ok)
     row("B_linf_late", *worst(t >= tau, m.B_linf,

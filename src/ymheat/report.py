@@ -11,13 +11,7 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-__all__ = ["format_float", "emit_json", "emit_csv", "check_row", "all_passed"]
-
-
-def format_float(x) -> str:
-    if isinstance(x, float):
-        return "%.17g" % x
-    return str(x)
+__all__ = ["emit_json", "emit_csv", "check_row", "all_passed"]
 
 
 def check_row(name: str, lhs: float, rhs: float, tol: float,
@@ -49,9 +43,11 @@ def emit_json(results: dict, path) -> None:
 
 
 def emit_csv(columns, rows, path) -> None:
-    """Write rows (sequences aligned with `columns`) with stable order."""
+    """Write rows (sequences aligned with `columns`) with stable order;
+    floats with 17 significant digits, other values as `str` gives them."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
         f.write(",".join(columns) + "\n")
         for row in rows:
-            f.write(",".join(format_float(v) for v in row) + "\n")
+            f.write(",".join("%.17g" % v if isinstance(v, float) else str(v)
+                             for v in row) + "\n")

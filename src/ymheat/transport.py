@@ -58,17 +58,18 @@ class Segment:
         )
 
 
-def line_segment(p0, p1) -> Segment:
-    p0 = np.asarray(p0, dtype=float)
-    p1 = np.asarray(p1, dtype=float)
+def line_segment(start, end) -> Segment:
+    """Straight segment from `start` to `end`."""
+    start = np.asarray(start, dtype=float)
+    end = np.asarray(end, dtype=float)
 
     def pos(s):
         s = np.asarray(s, dtype=float)[..., None]
-        return p0 + s * (p1 - p0)
+        return start + s * (end - start)
 
     def vel(s):
         s = np.asarray(s, dtype=float)
-        return np.broadcast_to(p1 - p0, s.shape + (3,)).copy()
+        return np.broadcast_to(end - start, s.shape + (3,)).copy()
 
     return Segment(pos, vel)
 
@@ -109,19 +110,13 @@ def arc_segment(center, radius, phi0, phi1, z) -> Segment:
 
 
 def segment_from_json(spec: dict) -> Segment:
-    """Build a segment from {"kind": "line"|"arc", ...} geometry JSON."""
-    kind = spec.get("kind")
-    if kind == "line":
-        return line_segment(spec["start"], spec["end"])
-    if kind == "arc":
-        return arc_segment(
-            spec["center"],
-            spec["radius"],
-            spec["phi0"],
-            spec["phi1"],
-            spec["z"],
-        )
-    raise ValueError(f"unknown segment kind {kind!r}")
+    """Build a segment from {"kind": "line"|"arc", ...} geometry JSON: the
+    other keys are the builder's arguments."""
+    geometry = dict(spec)
+    kind = geometry.pop("kind", None)
+    if kind not in ("line", "arc"):
+        raise ValueError(f"unknown segment kind {kind!r}")
+    return (line_segment if kind == "line" else arc_segment)(**geometry)
 
 
 class Path:

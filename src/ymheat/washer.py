@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,7 +52,7 @@ SANDWICH_V = (0.5, 1.0, 2.0)
 SANDWICH_THETA0 = math.pi / 4
 
 
-@dataclass
+@dataclass(frozen=True)
 class WasherConfig:
     """Quadrature parameters for the washer integrals.
 
@@ -76,7 +76,7 @@ def lambda_profile(r):
     return 1.0 / (one_minus * np.log(1.0 / one_minus) ** 2)
 
 
-def total_current(cfg: WasherConfig | None = None) -> dict:
+def total_current(cfg: WasherConfig = WasherConfig()) -> dict:
     """Total circulating current: exact antiderivative vs quadrature.
 
     The antiderivative of lambda is -1/log(1/(1-r)), so the exact total
@@ -85,7 +85,6 @@ def total_current(cfg: WasherConfig | None = None) -> dict:
     """
     from scipy.integrate import quad
 
-    cfg = cfg or WasherConfig()
     exact = 1.0 / math.log(2.0)
     quad_val, _ = quad(lambda u: u ** -2, U_MIN, cfg.u_max, limit=500)
     quad_val += 1.0 / cfg.u_max  # exact tail of the u^{-2} integrand
@@ -155,14 +154,13 @@ def _azimuthal(x, y, rho):
                     axis=-1)
 
 
-def vector_potential(x, cfg: WasherConfig | None = None) -> dict:
+def vector_potential(x, cfg: WasherConfig = WasherConfig()) -> dict:
     """Potential vector at a point (or array of points) off the washer.
 
     The field is azimuthal about the z axis by symmetry; points on the
     closed washer surface itself are rejected.  The tail bound covers the
     current neglected beyond cfg.u_max.
     """
-    cfg = cfg or WasherConfig()
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     pts = np.atleast_2d(x)
@@ -230,7 +228,7 @@ def _tanh_sinh_nodes(n: int):
     return x, w
 
 
-def energy(cfg: WasherConfig | None = None) -> dict:
+def energy(cfg: WasherConfig = WasherConfig()) -> dict:
     """Field energy W with a cutoff-refinement (Cauchy) trace over the
     doubling u_max cutoffs 32, 64, ..., 4096.
 
@@ -240,7 +238,6 @@ def energy(cfg: WasherConfig | None = None) -> dict:
     Returns the value at each u_max cutoff; the sequence must be
     increasing and Cauchy for the energy to qualify as finite.
     """
-    cfg = cfg or WasherConfig()
     cutoffs = [32.0 * 2 ** k for k in range(8)]
     xs, ws = _tanh_sinh_nodes(24 * 8)
     values = []
@@ -290,7 +287,6 @@ def theta_bounds_check(u: float, v: float, theta0: float) -> dict:
         "lower": lower,
         "integral": mid,
         "upper": upper,
-        "a_squared": a * a,
         "passed": lower <= mid + 1e-8 and mid <= upper + 1e-8,
     }
 
@@ -380,7 +376,7 @@ class LoopCEpsilon:
         ])
 
 
-def flux_probe(loop: LoopCEpsilon, cfg: WasherConfig | None = None,
+def flux_probe(loop: LoopCEpsilon, cfg: WasherConfig = WasherConfig(),
                n_quad: int = 64) -> float:
     """Line integral of the potential around the rim-hugging loop.
 
@@ -389,7 +385,6 @@ def flux_probe(loop: LoopCEpsilon, cfg: WasherConfig | None = None,
     `loop.path()` by Gauss quadrature (the radial ones vanish identically
     up to quadrature noise but are included).
     """
-    cfg = cfg or WasherConfig()
     if loop.eps == 0.0:
         return math.inf
     x, w = _leggauss(n_quad)

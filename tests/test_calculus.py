@@ -377,6 +377,38 @@ def test_operators_match_plain_evaluation_bit_for_bit(group, bc):
         assert np.array_equal(got.interior, ref.interior)
 
 
+def _ref_gauge_transform(A, k):
+    """k^-1 A k + k^-1 dk with dk a full-size derivative array."""
+    alg, h = A.algebra, A.grid.spacing
+    kh = np.conj(np.swapaxes(k, -1, -2))
+    out = KForm(1, A.grid, alg)
+    for j in range(3):
+        conj = np.einsum("...ab,...bc,...cd->...ad", kh,
+                         alg.to_matrices(A.values[j]), k)
+        maurer = np.einsum("...ab,...bc->...ac", kh, _ref_diff(k, j, h[j]))
+        out.values[j] = alg.to_coeffs(conj + maurer)
+    return out
+
+
+@pytest.mark.parametrize("group", sorted(_ALGEBRAS))
+def test_gauge_transform_matches_plain_evaluation_bit_for_bit(group):
+    alg = _ALGEBRAS[group]
+    A = _noise(1, alg, 9)
+    k = alg.exp(_noise(0, alg, 10).values[0])
+    assert np.array_equal(gauge_transform(A, k).interior,
+                          _ref_gauge_transform(A, k).interior)
+
+
+@pytest.mark.parametrize("group", sorted(_ALGEBRAS))
+def test_bochner_laplacian_leaves_ghosts_zero(group):
+    alg = _ALGEBRAS[group]
+    A = apply_boundary(_noise(1, alg, 11), NEUMANN)
+    out = bochner_laplacian(A, apply_boundary(_noise(2, alg, 12), NEUMANN))
+    ghosts = np.ones(_BOX.padded_shape, bool)
+    ghosts[_CTR] = False
+    assert not np.any(out.values[:, ghosts])
+
+
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
 @pytest.mark.parametrize("bc", sorted(_BCS))
 @pytest.mark.parametrize("group", sorted(_ALGEBRAS))

@@ -1,9 +1,12 @@
 import contextlib
+import importlib
 import importlib.util
+import inspect
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -254,8 +257,10 @@ WILSON = {
     {"wilson": {"n_steps": 16, "ladder": [0.005, 0.01, 0.02, 0.05]}},
     {"flow": {"dt": 0.001, "t_end": 0.04, "snapshot_times": [0.04]}},
     {"flow": {"dt": 0.001, "t_end": 0.03}},
+    {"flow": {"dt": 0.001, "t_end": 0.04}},
 ], ids=["unclosed", "leaves_band", "ladder_not_dyadic",
-        "ladder_with_snapshot_times", "ladder_t_end_not_top_rung"])
+        "ladder_with_snapshot_times", "ladder_t_end_not_top_rung",
+        "ladder_t_end_top_rung"])
 def test_wilson_rejects_before_flowing(tmp_path, capsys, monkeypatch,
                                        change):
     def forbidden(*args, **kwargs):
@@ -289,6 +294,31 @@ def test_wilson_transports_each_pair_once(tmp_path, monkeypatch):
     n_fields = 1 + len(WILSON["wilson"]["ladder"])
     assert len(pairs) == len(set(pairs)) == n_fields * len(WILSON["loops"])
     assert projections[0] == len(SQUARE) * WILSON["wilson"]["n_steps"]
+
+
+@pytest.fixture(scope="module")
+def wilson_without_flow(tmp_path_factory):
+    out = tmp_path_factory.mktemp("wilson")
+    assert cli.execute("wilson", WILSON, out) == 0
+    return out
+
+
+@pytest.mark.parametrize("flow_section, same_bytes", [
+    ({}, True),
+    ({"dt": 1 / 9 * (1 / 9) / 8}, True),  # h^2/8, h = 1/9 on a 10^3 unit box
+    ({"dt": 0.0005}, False),
+], ids=["empty", "dt_ceiling", "dt"])
+def test_wilson_flow_section_takes_dt_alone(tmp_path, wilson_without_flow,
+                                            flow_section, same_bytes):
+    """Beside a ladder, which sets the flow's end and snapshot times, a
+    flow section takes dt and variant; an absent dt is the step ceiling."""
+    cfg = dict(WILSON, flow=flow_section)
+    assert _run(["wilson", "--config", _write(tmp_path, cfg),
+                 "--out", str(tmp_path / "o")]) == 0
+    if same_bytes:
+        for name in ("report.json", "traces.csv"):
+            assert (tmp_path / "o" / name).read_bytes() \
+                == (wilson_without_flow / name).read_bytes()
 
 
 def _drift(ref, new, where="report", scale=0.0):
@@ -662,6 +692,7 @@ DOMINATION = SMOKE["verify-domination"]
                     flow={"dt": 0.0005, "t_end": 0.01}), "$.wilson"),
     ("wilson", dict(WILSON, flow={"dt": 0.0005, "t_end": 0.04,
                                   "snapshot_times": [0.04]}), "$.flow"),
+    ("wilson", dict(WILSON, flow={"dt": 0.0005, "t_end": 0.04}), "$.flow"),
     ("verify-bounds", dict(SMOKE["verify-bounds"],
                            flow={"dt": 0.001, "t_end": 0.004,
                                  "write_snapshots": True}), "$.flow"),
@@ -677,7 +708,8 @@ DOMINATION = SMOKE["verify-domination"]
                                      "snapshot_times": [0.01]}), "$.flow"),
 ], ids=["oracle_random_field", "oracle_dirichlet", "domination_dirichlet",
         "washer_regularize_marini", "wilson_flow_without_ladder",
-        "wilson_snapshot_times", "verify_bounds_write_snapshots",
+        "wilson_snapshot_times", "wilson_t_end",
+        "verify_bounds_write_snapshots",
         "verify_bounds_without_field", "verify_domination_constants",
         "verify_bounds_snapshot_times", "washer_regularize_snapshot_times"])
 def test_schema_refuses_at_the_location(tmp_path, capsys, monkeypatch,
@@ -937,8 +969,8 @@ def _fuzz_case(draw, command):
             or sections["boundary"] == "dirichlet":
         optional = optional - {"oracle"}
     if command == "wilson":
-        # only a ladder flows, to its top rung
-        sections["flow"] = {"dt": dt, "t_end": ladder[-1]}
+        # only a ladder flows, and it sets the end and the snapshot times
+        sections["flow"] = {"dt": dt} if draw(st.booleans()) else {}
         if "ladder" not in sections["wilson"]:
             optional = optional - {"flow"}
     cfg = {k: sections[k] for k in sorted(required)}
@@ -1050,6 +1082,22 @@ def test_cli_import_loads_no_scipy_and_every_traced_module():
     spec.loader.exec_module(tracing)
     traced = {mod for _name, mod, _attr in tracing.BOUNDARIES}
     assert traced <= set(loaded)
+    # every traced callable resolves as the tracer patches it, with each
+    # argument its hook reads by name
+    for name, mod, attr in tracing.BOUNDARIES:
+        owner = importlib.import_module(mod)
+        if "." in attr:
+            cls, meth = attr.split(".")
+            fn = vars(getattr(owner, cls))[meth]
+        else:
+            fn = getattr(owner, attr)
+        hook = tracing.HOOKS.get(name)
+        read = re.findall(r'\["(\w+)"\]', inspect.getsource(hook)) \
+            if hook else []
+        assert set(read) <= set(inspect.signature(fn).parameters), name
+    # the names the benchmark's runner and set-up probe call
+    for attr in ("execute", "load_config", "su2", "u1"):
+        assert callable(getattr(cli, attr))
     # importing starts no thread and loads no executor machinery
     assert _fresh_python(
         "import ymheat.cli\nimport json, sys, threading\n"
