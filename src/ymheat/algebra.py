@@ -51,18 +51,9 @@ class LieAlgebraSpec:
 
     # -- coefficient/matrix conversions ------------------------------------
 
-    def inner(self, m1, m2):
-        """Ad-invariant inner product of two algebra matrices."""
-        return -self.trace_scale * np.real(np.einsum("...ij,...ji->...", m1, m2))
-
     def to_matrices(self, coeffs):
         """Coefficient vectors (..., dim) -> matrices (..., rep_dim, rep_dim)."""
         return np.einsum("...i,iab->...ab", np.asarray(coeffs), self.basis)
-
-    def to_coeffs(self, mats):
-        """Matrices (..., rep_dim, rep_dim) -> coefficient vectors (..., dim)."""
-        mats = np.asarray(mats, dtype=complex)
-        return np.stack([self.inner(mats, b) for b in self.basis], axis=-1)
 
     def bracket(self, x, y):
         """Pointwise commutator on coefficient arrays (..., dim).
@@ -90,39 +81,6 @@ class LieAlgebraSpec:
         np.multiply(a1, b0, out=tmp)
         c2 -= tmp
         return out
-
-    def norm(self, coeffs):
-        """Pointwise algebra norm of a coefficient array, shape (...,)."""
-        return np.sqrt(np.sum(np.square(coeffs), axis=-1))
-
-    # -- group exponential --------------------------------------------------
-
-    def exp(self, coeffs):
-        """Group element exp(xi) for xi given by coefficients (..., dim)."""
-        coeffs = np.asarray(coeffs, dtype=float)
-        if self.group_id == "U1":
-            # xi = i*a with a real; exp is the unit complex number e^{ia}.
-            a = coeffs[..., 0]
-            return np.exp(1j * a)[..., None, None]
-        # SU2: xi = (i/2) a.sigma; exp = cos(|a|/2) I + i sin(|a|/2) ahat.sigma
-        a = coeffs
-        theta = np.sqrt(np.sum(a * a, axis=-1))
-        pos = theta[..., None] > 0
-        with np.errstate(invalid="ignore"):
-            ahat = np.where(pos, a / np.where(pos, theta[..., None], 1.0), 0.0)
-        eye = np.eye(2, dtype=complex)
-        sig = np.einsum("...k,kab->...ab", ahat, _PAULI)
-        half = 0.5 * theta
-        return (
-            np.cos(half)[..., None, None] * eye
-            + 1j * np.sin(half)[..., None, None] * sig
-        )
-
-    def maximizing_pair(self):
-        """Unit elements xi, eta with |[xi, eta]| = c: basis vectors e0, e1
-        for SU2 (their bracket is -e2), and (e0, e0) for the abelian U1."""
-        e = np.eye(self.dim)
-        return (e[0], e[1]) if self.group_id == "SU2" else (e[0], e[0])
 
     def __repr__(self):
         return f"LieAlgebraSpec({self.group_id}, dim={self.dim}, c={self.c:.6g})"

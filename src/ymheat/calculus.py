@@ -31,8 +31,6 @@ __all__ = [
     "bochner_laplacian",
     "weitzenbock_defect",
     "contraction_bracket",
-    "gauge_transform",
-    "gauge_transform_form",
 ]
 
 _COMP_INDEX = {
@@ -225,55 +223,3 @@ def contraction_bracket(alpha: KForm, B: KForm) -> KForm:
                 acc -= alg.bracket(alpha.values[i], B.values[_COMP_INDEX[2][(j, i)]])
     return out
 
-
-def _conjugate(k_inv, k, mats):
-    """k^-1 M k for matrix fields M, with k unitary so k^-1 = k^H."""
-    return np.einsum("...ab,...bc,...cd->...ad", k_inv, mats, k)
-
-
-def gauge_transform(A: KForm, k: np.ndarray) -> KForm:
-    """Gauge transform A^k = k^-1 A k + k^-1 dk of a connection 1-form.
-
-    Parameters
-    ----------
-    A : KForm of degree 1
-    k : complex ndarray, shape grid.padded_shape + (rep_dim, rep_dim)
-        Group-valued 0-form sampled on all nodes including ghosts.
-
-    The result has unfilled ghosts (bc is None).
-    """
-    if A.degree != 1:
-        raise ValueError("gauge_transform expects a 1-form")
-    alg = A.algebra
-    k = np.asarray(k, dtype=complex)
-    expected = A.grid.padded_shape + (alg.rep_dim, alg.rep_dim)
-    if k.shape != expected:
-        raise ValueError(f"group field shape {k.shape} != {expected}")
-    kh = np.conj(np.swapaxes(k, -1, -2))
-    dev = np.max(np.abs(np.einsum("...ab,...bc->...ac", kh, k)
-                        - np.eye(alg.rep_dim)))
-    if dev > 1e-10:
-        raise ValueError(f"group field not unitary (deviation {dev:.3e})")
-    h = A.grid.spacing
-    out = KForm(1, A.grid, alg)
-    dk = np.empty(A.grid.shape + k.shape[-2:], dtype=complex)
-    for j in range(3):
-        M = alg.to_matrices(A.values[j])
-        conj = _conjugate(kh, k, M)
-        # the Maurer-Cartan term at the interior nodes
-        conj[_INTERIOR] += np.einsum("...ab,...bc->...ac", kh[_INTERIOR],
-                                     _d1(k, j, h[j], dk))
-        out.values[j] = alg.to_coeffs(conj)
-    return out
-
-
-def gauge_transform_form(omega: KForm, k: np.ndarray) -> KForm:
-    """Pointwise conjugation k^-1 omega k for forms of any degree."""
-    alg = omega.algebra
-    k = np.asarray(k, dtype=complex)
-    kh = np.conj(np.swapaxes(k, -1, -2))
-    out = KForm(omega.degree, omega.grid, alg)
-    for ci in range(omega.values.shape[0]):
-        M = alg.to_matrices(omega.values[ci])
-        out.values[ci] = alg.to_coeffs(_conjugate(kh, k, M))
-    return out

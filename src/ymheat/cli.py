@@ -315,8 +315,9 @@ def _cmd_constants(cfg, out, tol_scale):
                          0.0, tol_scale * 1e-8),
         report.check_row("c_N_mode_doubling_stability",
                          abs(c_N2 - c_N) / c_N, 0.0, tol_scale * 0.01),
-        report.check_row("c_N_constant_mode_lower_bound", 1.0, c_N2,
-                         tol_scale * 1e-9),
+        # the constant mode alone gives c_N >= |Omega|^{-1/2}
+        report.check_row("c_N_constant_mode_lower_bound",
+                         grid.volume ** -0.5, c_N2, tol_scale * 1e-9),
     ]
     results = {
         "c_N": c_N2,

@@ -16,14 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .calculus import (
-    bochner_laplacian,
-    contraction_bracket,
-    curvature,
-    d_cov,
-    dstar_cov,
-    weitzenbock_defect,
-)
+from .calculus import curvature, d_cov, dstar_cov
 from .grid import BoundarySpec, KForm, apply_boundary
 from .report import check_row
 
@@ -39,7 +32,6 @@ __all__ = [
     "ym_rhs",
     "zds_rhs",
     "integrate",
-    "verify_identities",
     "verify_bounds",
 ]
 
@@ -308,50 +300,8 @@ def _record(monitors, t, A, Ap, B_norms, bc):
 
 
 # ---------------------------------------------------------------------------
-# Verification of the differential identities and the smoothing bounds
+# Verification of the smoothing bounds
 # ---------------------------------------------------------------------------
-
-
-def verify_identities(traj: FlowTrajectory) -> dict:
-    """Residuals of the evolution identities for B and A' along a trajectory.
-
-    Central-difference time derivatives from >= 3 uniformly spaced
-    snapshots are compared against the Bochner form of the right sides:
-    dB/dt = sum_j (grad_j^A)^2 B + (curvature defect of B), and
-    dA'/dt = sum_j (grad_j^A)^2 A' + defect(A') + [A' . B].
-    Returns the max pointwise residual for each identity.
-    """
-    ts = traj.times
-    if len(ts) < 3:
-        raise ValueError("need at least 3 snapshots")
-    gaps = np.diff(ts)
-    if np.max(np.abs(gaps - gaps[0])) > 1e-10 * gaps[0]:
-        raise ValueError("snapshots are not uniformly spaced")
-    dt = gaps[0]
-    bc = traj.config.bc
-    rhs = _rhs_for(traj.config.variant)
-    # (filled A, filled A', B) of each stored A, from one RHS call each
-    states = []
-    for f in traj.fields:
-        Ap, B = rhs(f, bc)
-        states.append((apply_boundary(f, bc), apply_boundary(Ap, bc), B))
-
-    res_B = res_Ap = 0.0
-    for (_, Ap0, B0), (A, Ap, B), (_, Ap2, B2) in zip(states, states[1:],
-                                                     states[2:]):
-        Bdot = (1.0 / (2 * dt)) * (B2 - B0)
-        rhs_B = bochner_laplacian(A, B) + weitzenbock_defect(A, B)
-        res_B = max(res_B, (Bdot - rhs_B).max_interior_norm(1))
-
-        Apdot = (1.0 / (2 * dt)) * (Ap2 - Ap0)
-        rhs_Ap = (
-            bochner_laplacian(A, Ap)
-            + weitzenbock_defect(A, Ap)
-            + contraction_bracket(Ap, B)
-        )
-        res_Ap = max(res_Ap, (Apdot - rhs_Ap).max_interior_norm(1))
-
-    return {"B_identity_residual": res_B, "Ap_identity_residual": res_Ap}
 
 
 def verify_bounds(traj: FlowTrajectory, k: FlowConstants, tol: float) -> list:

@@ -20,9 +20,7 @@ __all__ = [
     "KForm",
     "apply_boundary",
     "COMPONENT_AXES",
-    "DIRICHLET",
     "NEUMANN",
-    "MARINI",
 ]
 
 # Increasing multi-indices per degree; axes are 0,1,2.
@@ -124,9 +122,7 @@ class BoundarySpec:
         return -1 if normal else 1
 
 
-DIRICHLET = BoundarySpec("dirichlet")
 NEUMANN = BoundarySpec("neumann")
-MARINI = BoundarySpec("marini")
 
 
 class KForm:
@@ -214,12 +210,6 @@ class KForm:
 
     def _l2(self, pw):
         return float(np.sqrt(np.sum(self.grid.trapezoid_weights * pw ** 2)))
-
-    def max_interior_norm(self, margin=0):
-        """Max |omega| over nodes at least `margin` cells from every face."""
-        m = 1 + margin
-        sub = self.values[:, m:-m, m:-m, m:-m, :]
-        return float(np.max(np.sqrt(np.sum(np.square(sub), axis=(0, -1)))))
 
     def __repr__(self):
         return (f"KForm(degree={self.degree}, grid={self.grid.shape}, "

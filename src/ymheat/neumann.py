@@ -32,11 +32,9 @@ from .grid import GridSpec, KForm, apply_boundary
 __all__ = [
     "NeumannSemigroup",
     "a4_constant",
-    "monotone_lemma_check",
     "omega_record",
     "domination_check",
     "diamagnetic_check",
-    "compose_lemma_check",
 ]
 
 
@@ -108,11 +106,6 @@ class NeumannSemigroup:
         """
         return self.evolve(t, self.spectrum(f))
 
-    def laplacian_apply(self, f: np.ndarray) -> np.ndarray:
-        """Spectral Neumann Laplacian of nodal values."""
-        coeffs = dctn(np.asarray(f, dtype=float), type=1)
-        return idctn(self._neg_eigenvalues * coeffs, type=1)
-
     # -- the 2->inf norm and c_N --------------------------------------------
 
     def norm_2_to_inf(self, t: float) -> float:
@@ -161,48 +154,6 @@ def a4_constant() -> float:
 # ---------------------------------------------------------------------------
 # Inequality checkers
 # ---------------------------------------------------------------------------
-
-
-def _one_sided_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:
-    """Laplacian with 3-point interior stencils and one-sided face stencils."""
-    out = np.zeros_like(psi)
-    for a, h in enumerate(grid.spacing):
-        p, o = np.moveaxis(psi, a, 0), np.moveaxis(out, a, 0)
-        o[1:-1] += (p[2:] - 2 * p[1:-1] + p[:-2]) / h ** 2
-        # one-sided 2nd-order second derivative at the two faces
-        o[0] += (2 * p[0] - 5 * p[1] + 4 * p[2] - p[3]) / h ** 2
-        o[-1] += (2 * p[-1] - 5 * p[-2] + 4 * p[-3] - p[-4]) / h ** 2
-    return out
-
-
-def _normal_derivatives(psi: np.ndarray, grid: GridSpec):
-    """Outward normal derivative at every face node (one-sided, 2nd order)."""
-    vals = []
-    for a, h in enumerate(grid.spacing):
-        p = np.moveaxis(psi, a, 0)
-        # outward at the low face is -e_a
-        vals.append(-((-3 * p[0] + 4 * p[1] - p[2]) / (2 * h)))
-        vals.append((3 * p[-1] - 4 * p[-2] + p[-3]) / (2 * h))
-    return vals
-
-
-def monotone_lemma_check(sg: NeumannSemigroup, psi: np.ndarray, t: float,
-                         tol: float = 1e-12) -> dict:
-    """Margin of the monotonicity e^{t Lap_N} (Lap psi) <= Lap_N e^{t Lap_N} psi.
-
-    Requires an inward-sloping psi (outward normal derivative <= tol at
-    every face node); the left side uses one-sided face stencils for the
-    plain Laplacian, the right side is fully spectral.
-    """
-    psi = np.asarray(psi, dtype=float)
-    worst_normal = max(float(np.max(d)) for d in _normal_derivatives(psi, sg.grid))
-    if worst_normal > max(tol, 1e-12):
-        raise ValueError(
-            f"normal derivative positive somewhere (max {worst_normal:.3e})"
-        )
-    lhs = sg.heat_apply(t, _one_sided_laplacian(psi, sg.grid))
-    rhs = sg.laplacian_apply(sg.heat_apply(t, psi))
-    return {"min_margin": float(np.min(rhs - lhs))}
 
 
 def omega_record(A: KForm, Ap: KForm, B: KForm, kinds=("B", "A'")) -> dict:
@@ -321,50 +272,3 @@ def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
     margin = scalar - w.pointwise_norm()
     return {"min_margin": float(np.min(margin))}
 
-
-def compose_lemma_check(sg: NeumannSemigroup, times, u_fields, g_fields,
-                        partition, tol: float = 0.0) -> dict:
-    """Verify the interval-composition argument for semigroup domination.
-
-    Given nodal samples u(t_i), g(t_i) >= 0 at times ``times`` and a
-    partition a_0 < a_1 < ... < a_n of indices into ``times``, walks the
-    subintervals once: each is checked on its own, and its bound is
-    composed with the semigroup onto the bound so far (the induction
-    step), which reproduces the inequality on the full interval; the worst
-    intermediate margin is reported.
-
-    Each g(t_i) is transformed once, and each subinterval's Duhamel term
-    is evaluated once and serves both its own margin and the composed
-    bound.  For m + 1 times and n subintervals that is m + 1 + 2n forward
-    and m + 3n inverse DCTs.
-    """
-    times = np.asarray(times, dtype=float)
-    part = list(partition)
-    if len(part) < 2 or part[0] != 0 or part[-1] != len(times) - 1:
-        raise ValueError("partition must run from the first to the last index")
-    g_spectra = [sg.spectrum(g) for g in g_fields]
-
-    sub_margins = []
-    # induction: propagate the composed bound from a_0 through each a_k
-    composed = u_fields[0]
-    worst = math.inf
-    for i0, i1 in zip(part, part[1:]):
-        term = np.zeros(sg.grid.shape)
-        _add_duhamel(sg, term, times, g_spectra, i0, i1)
-        bound = sg.heat_apply(times[i1] - times[i0], u_fields[i0])
-        bound += term
-        m = float(np.min(bound - u_fields[i1]))
-        sub_margins.append(m)
-        if m < -abs(tol):
-            raise ValueError(
-                f"subinterval [{times[i0]:g}, {times[i1]:g}] fails (margin {m:.3e})"
-            )
-        composed = sg.heat_apply(times[i1] - times[i0], composed)
-        composed += term
-        worst = min(worst, float(np.min(composed - u_fields[i1])))
-
-    return {
-        "subinterval_margins": sub_margins,
-        "worst_composed_margin": worst,
-        "passed": worst >= -(abs(tol) + 1e-10),
-    }

@@ -14,21 +14,13 @@ and the command-line checks must not loosen it per-run (a global
 
 from __future__ import annotations
 
-__all__ = ["C_DISC", "C_FACE", "margin_tol", "face_tol"]
+__all__ = ["C_DISC", "margin_tol"]
 
 # slack constant for pointwise inequalities: tol = C_DISC * (h^2 + dt^2)
 C_DISC = 4.0
-
-# slack constant for one-sided face-stencil quantities (normal
-# derivatives, face Laplacians): tol = C_FACE * h^2
-C_FACE = 10.0
 
 
 def margin_tol(h: float, dt: float, scale: float = 1.0) -> float:
     """Slack for a pointwise inequality margin at spacing h, step dt."""
     return scale * C_DISC * (h * h + dt * dt)
 
-
-def face_tol(h: float, scale: float = 1.0) -> float:
-    """Slack for one-sided boundary-stencil comparisons at spacing h."""
-    return scale * C_FACE * h * h

@@ -5,26 +5,22 @@ paths, interpolating A trilinearly off the grid and re-projecting g to the
 group after every RK4 step (polar decomposition).  One kernel,
 `transport_many`, advances every (path, field) pair of a run as one
 stacked array of group elements; `transport` is that kernel on a single
-pair.  Wilson traces, the loop-to-path extension by radial homotopies,
-the perturbation-derivative bound, and the flow-time convergence probe
-build on it.
+pair.  The flow-time convergence probe takes the Wilson traces of its
+holonomies.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 
 import numpy as np
 
-from .calculus import curvature
 from .grid import GridSpec, KForm
 
 __all__ = [
     "Segment",
     "Path",
     "Loop",
-    "PathPerturbation",
     "line_segment",
     "arc_segment",
     "segment_from_json",
@@ -33,9 +29,6 @@ __all__ = [
     "check_ladder",
     "transport",
     "transport_many",
-    "wilson_trace",
-    "loops_to_paths",
-    "deriv_bound_check",
     "convergence_probe",
 ]
 
@@ -50,12 +43,6 @@ class Segment:
     def __init__(self, position, velocity):
         self.position = position
         self.velocity = velocity
-
-    def reversed(self):
-        return Segment(
-            lambda s: self.position(1.0 - np.asarray(s)),
-            lambda s: -self.velocity(1.0 - np.asarray(s)),
-        )
 
 
 def line_segment(start, end) -> Segment:
@@ -137,40 +124,6 @@ class Path:
     def end(self):
         return np.asarray(self.segments[-1].position(1.0), dtype=float)
 
-    def reversed(self):
-        return Path([seg.reversed() for seg in reversed(self.segments)])
-
-    def concat(self, other: "Path") -> "Path":
-        return Path(self.segments + other.segments)
-
-    def length(self) -> float:
-        total = 0.0
-        s = np.linspace(0.0, 1.0, 2048)
-        for seg in self.segments:
-            speed = np.linalg.norm(seg.velocity(s), axis=-1)
-            total += np.trapezoid(speed, s)
-        return float(total)
-
-    def as_single_segment(self) -> Segment:
-        """The path under the uniform global parameter: segment i of m
-        covers [i/m, (i + 1)/m], so its velocity is scaled by m."""
-        m = len(self.segments)
-
-        def sampler(attr, scale):
-            def sample(s):
-                s = np.atleast_1d(np.asarray(s, dtype=float))
-                idx = np.minimum((s * m).astype(int), m - 1)
-                local = s * m - idx
-                out = np.empty(s.shape + (3,))
-                for i, seg in enumerate(self.segments):
-                    mask = idx == i
-                    if np.any(mask):
-                        out[mask] = getattr(seg, attr)(local[mask]) * scale
-                return out
-            return sample
-
-        return Segment(sampler("position", 1), sampler("velocity", m))
-
 
 class Loop(Path):
     """Closed path: start and end agree to 1e-12."""
@@ -180,24 +133,6 @@ class Loop(Path):
         gap = np.linalg.norm(self.start() - self.end())
         if gap > ENDPOINT_TOL:
             raise ValueError(f"loop does not close (gap {gap:.3e})")
-
-
-class PathPerturbation:
-    """Direction field u(s) with u(0) = u(1) = 0 for path derivatives."""
-
-    def __init__(self, u, u_prime):
-        self.u = u
-        self.u_prime = u_prime
-        for s in (0.0, 1.0):
-            if np.linalg.norm(np.asarray(u(s))) > ENDPOINT_TOL:
-                raise ValueError("perturbation must vanish at the endpoints")
-        s = np.linspace(0.0, 1.0, 513)
-        vals = np.asarray([u(x) for x in s])
-        ders = np.asarray([u_prime(x) for x in s])
-        self.sup_u = float(np.max(np.linalg.norm(vals, axis=-1)))
-        self.norm = self.sup_u + float(np.max(np.linalg.norm(ders, axis=-1)))
-        if not math.isfinite(self.norm):
-            raise ValueError("perturbation norm is not finite")
 
 
 class _FieldInterpolator:
@@ -360,88 +295,6 @@ def transport(A: KForm, path: Path, n_steps: int = 256) -> np.ndarray:
     """Holonomy g(1) of g' = g A<gamma'> along one path (`transport_many`
     on a single pair)."""
     return transport_many([A], [path], n_steps)[0, 0]
-
-
-def wilson_trace(A: KForm, loop: Loop, n_steps: int = 256) -> complex:
-    """Trace of the holonomy around a closed loop (gauge invariant)."""
-    return complex(np.trace(transport(A, loop, n_steps=n_steps)))
-
-
-def loops_to_paths(P, base, path: Path) -> np.ndarray:
-    """Extend a loop functional P to open paths via the radial homotopy
-    h(s, x) = base + s (x - base).
-
-    Returns P(h_x . path . h_y^{-1}) where h_x, h_y are the radial paths
-    from `base` to the endpoints of `path`; for loops based at `base`
-    this reduces to P(path).
-    """
-    x, y = path.start(), path.end()
-    base = np.asarray(base, dtype=float)
-    segments = list(path.segments)
-    if np.linalg.norm(x - base) > ENDPOINT_TOL:
-        segments.insert(0, line_segment(base, x))
-    if np.linalg.norm(y - base) > ENDPOINT_TOL:
-        segments.append(line_segment(base, y).reversed())
-    return P(Loop(segments))
-
-
-def deriv_bound_check(A: KForm, loop: Loop, u: PathPerturbation) -> dict:
-    """Check the perturbation-derivative bound for loop holonomies.
-
-    The directional derivative of the holonomy in the direction u is
-    estimated by central differences over an epsilon ladder with a
-    Richardson consistency requirement (10%), and its operator norm is
-    compared against ||B||_inf sup|u| Length(loop).
-    """
-    b_inf = curvature(A).norm("Linf")  # refuses an unfilled A up front
-    gamma = loop.as_single_segment()
-    diam = max(A.grid.extents)
-
-    def perturbed(eps):
-        def shifted(along, f):
-            def sample(s):
-                s = np.asarray(s, dtype=float)
-                return along(s) + eps * np.asarray(
-                    [f(x) for x in np.atleast_1d(s)]
-                ).reshape(s.shape + (3,))
-            return sample
-
-        return Path([Segment(shifted(gamma.position, u.u),
-                             shifted(gamma.velocity, u.u_prime))])
-
-    richardson_dev = 0.0
-    if u.sup_u == 0.0:
-        deriv_norm = 0.0
-    else:
-        epss = [es * diam for es in (1e-2, 5e-3, 2.5e-3)]
-        hols = transport_many(
-            [A], [perturbed(sign * eps) for eps in epss for sign in (1, -1)],
-            n_steps=1024,
-        )[:, 0]
-        derivs = [(hols[2 * i] - hols[2 * i + 1]) / (2 * eps)
-                  for i, eps in enumerate(epss)]
-        scale = max(np.linalg.norm(d, 2) for d in derivs)
-        if scale > 0:
-            for d1, d2 in zip(derivs, derivs[1:]):
-                richardson_dev = max(
-                    richardson_dev, np.linalg.norm(d2 - d1, 2) / scale
-                )
-            if richardson_dev > 0.10:
-                raise RuntimeError(
-                    "finite-difference derivative not converged "
-                    f"(Richardson deviation {richardson_dev:.1%})"
-                )
-        # Richardson extrapolation from the last halving
-        deriv = (4.0 * derivs[-1] - derivs[-2]) / 3.0
-        deriv_norm = float(np.linalg.norm(deriv, 2))
-
-    bound = b_inf * u.sup_u * loop.length()
-    return {
-        "derivative_norm": deriv_norm,
-        "bound": float(bound),
-        "margin": float(bound - deriv_norm),
-        "richardson_deviation": float(richardson_dev),
-    }
 
 
 def check_ladder(times) -> None:

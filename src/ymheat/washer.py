@@ -32,7 +32,6 @@ __all__ = [
     "WasherConfig",
     "LoopCEpsilon",
     "BoundFit",
-    "lambda_profile",
     "total_current",
     "vector_potential",
     "energy",
@@ -67,13 +66,6 @@ class WasherConfig:
     def __post_init__(self):
         if self.u_max <= U_MIN:
             raise ValueError("u_max must exceed log 2")
-
-
-def lambda_profile(r):
-    """Surface current profile, integrable but unbounded at the outer rim."""
-    r = np.asarray(r, dtype=float)
-    one_minus = 1.0 - r
-    return 1.0 / (one_minus * np.log(1.0 / one_minus) ** 2)
 
 
 def total_current(cfg: WasherConfig = WasherConfig()) -> dict:

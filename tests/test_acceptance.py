@@ -12,30 +12,24 @@ import pytest
 
 from ymheat import cli
 from ymheat.algebra import su2
-from ymheat.calculus import gauge_transform
 from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import FlowConfig, FlowConstants, integrate, verify_bounds
-from ymheat.grid import DIRICHLET, GridSpec, NEUMANN, apply_boundary
+from ymheat.grid import GridSpec, NEUMANN, apply_boundary
 from ymheat.neumann import (
     NeumannSemigroup,
     a4_constant,
-    compose_lemma_check,
     diamagnetic_check,
     domination_check,
-    monotone_lemma_check,
     omega_record,
 )
-from ymheat.tolerances import face_tol, margin_tol
+from ymheat.tolerances import margin_tol
 from ymheat.transport import (
     Loop,
     Path,
-    PathPerturbation,
     Segment,
     arc_segment,
-    deriv_bound_check,
     line_segment,
     transport_many,
-    wilson_trace,
 )
 from ymheat.washer import (
     LoopCEpsilon,
@@ -43,6 +37,19 @@ from ymheat.washer import (
     flux_probe,
     theta_bounds_check,
     total_current,
+)
+
+from paper_checks import (
+    DIRICHLET,
+    PathPerturbation,
+    compose_lemma_check,
+    deriv_bound_check,
+    face_tol,
+    gauge_transform,
+    group_exp,
+    monotone_lemma_check,
+    reversed_path,
+    wilson_trace,
 )
 
 
@@ -253,14 +260,16 @@ def test_criterion_08_transport_algebra(unit_grid):
     # grid (the derivative term of the transform vanishes identically)
     coeffs = np.zeros(unit_grid.padded_shape + (3,))
     coeffs[...] = (0.3, -0.2, 0.4)
-    A_k = apply_boundary(gauge_transform(A, A.algebra.exp(coeffs)), NEUMANN)
+    A_k = apply_boundary(gauge_transform(A, group_exp(A.algebra, coeffs)),
+                         NEUMANN)
     loops = _acceptance_loops()
     n = len(loops)
     halves = [Path([_sub_segment(seg, a, b)])
               for loop in loops for seg in loop.segments
               for a, b in ((0.0, 0.5), (0.5, 1.0))]
     # one batch per step count; each holonomy has the bits it has alone
-    hols = transport_many([A, A_k], loops + [lp.reversed() for lp in loops],
+    hols = transport_many([A, A_k],
+                          loops + [reversed_path(lp) for lp in loops],
                           n_steps=2048)
     half_hols = iter(transport_many([A], halves, n_steps=1024)[:, 0])
     rep_hols = transport_many(

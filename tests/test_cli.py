@@ -12,12 +12,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ymheat
-from ymheat import cli, flow, transport
+from ymheat import cli, flow, report, transport
 from ymheat.algebra import su2
 from ymheat.cli import load_config, main, ConfigError
 from ymheat.fields import random_smooth
@@ -118,6 +119,52 @@ def test_constants_report(tmp_path):
     assert res["c_N"] >= 1.0
     assert abs(res["a4"] - 7.416298709205489) < 1e-8
     assert res["a"] > 0 and res["gamma"] > res["c_N"]
+
+
+def _c_N_row(tmp_path, extents):
+    cfg = {"grid": {"extents": list(extents), "shape": [16, 16, 16]}}
+    code = cli.execute("constants", cfg, tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    rows = {r["name"]: r for r in doc["checks"]}
+    return code, rows["c_N_constant_mode_lower_bound"], doc["results"]["c_N"]
+
+
+@pytest.mark.parametrize("extents", [
+    (1, 2, 3), (2, 2, 2), (4, 4, 4), (1, 1.3, 0.8)],
+    ids=["1x2x3", "2^3", "4^3", "1x1.3x0.8"])
+def test_c_N_lower_bound_is_the_constant_mode_of_the_box(tmp_path, extents):
+    """The constant mode gives c_N >= |Omega|^{-1/2}, not c_N >= 1: on
+    these boxes c_N is below 1 and the row passes."""
+    code, row, c_N = _c_N_row(tmp_path, extents)
+    assert c_N < 1.0
+    assert code == 0 and row["verdict"] == "pass"
+
+
+def test_c_N_lower_bound_on_the_unit_box_keeps_its_bits(tmp_path):
+    # 1.0 ** -0.5 == 1.0: the row is the one that judged 1 <= c_N
+    code, row, c_N = _c_N_row(tmp_path, (1, 1, 1))
+    assert code == 0
+    assert row == report.check_row("c_N_constant_mode_lower_bound", 1.0,
+                                   c_N, 1e-9)
+
+
+@pytest.mark.parametrize("extents", [(1, 1, 1), (4, 4, 4), (1, 1.3, 0.8)],
+                         ids=["unit", "4^3", "1x1.3x0.8"])
+def test_c_N_lower_bound_fails_without_the_constant_mode(tmp_path,
+                                                         monkeypatch,
+                                                         extents):
+    """Control: c_N summed without its k = 0 mode falls below the bound."""
+    def without_constant_mode(sg):
+        prod = 1.0
+        for L in sg.grid.extents:
+            k = np.arange(1, sg.kernel_modes + 1)
+            prod *= 2.0 * np.exp(-((np.pi * k / L) ** 2) * 2.0).sum() / L
+        return math.sqrt(prod)
+
+    monkeypatch.setattr(cli.NeumannSemigroup, "c_N_estimate",
+                        without_constant_mode)
+    code, row, _ = _c_N_row(tmp_path, extents)
+    assert code == 1 and row["verdict"] == "fail"
 
 
 def test_tol_scale_can_force_failure(tmp_path):

@@ -9,16 +9,17 @@ import pytest
 from ymheat import calculus, cli, flow, grid as grid_module
 from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import FlowConfig, FlowTrajectory, integrate
-from ymheat.grid import DIRICHLET, NEUMANN, GridSpec, apply_boundary
+from ymheat.grid import NEUMANN, GridSpec, apply_boundary
 from ymheat import neumann
 from ymheat.neumann import (
     NeumannSemigroup,
-    compose_lemma_check,
     diamagnetic_check,
     domination_check,
     omega_record,
 )
 from ymheat.tolerances import margin_tol
+
+from paper_checks import DIRICHLET, MARINI, compose_lemma_check
 
 
 @pytest.fixture(scope="module")
@@ -264,9 +265,17 @@ def test_compose_lemma_same_bits_as_listed_trapezoid(sg, monkeypatch):
     g = [np.abs(rng.standard_normal(sg.grid.shape)) for _ in times]
     partition = [0, 1, 4, 6]
     streamed = compose_lemma_check(sg, times, u, g, partition, tol=10.0)
-    monkeypatch.setattr(neumann, "_add_duhamel", _add_duhamel_by_list)
-    assert compose_lemma_check(sg, times, u, g, partition, tol=10.0) \
-        == streamed
+    spans = []
+
+    def listed(sg, out, times, g_spectra, i0, i1):
+        spans.append((i0, i1))
+        _add_duhamel_by_list(sg, out, times, g_spectra, i0, i1)
+
+    monkeypatch.setattr(neumann, "_add_duhamel", listed)
+    result = compose_lemma_check(sg, times, u, g, partition, tol=10.0)
+    # the patch is reached: one listed trapezoid per subinterval
+    assert spans == list(zip(partition, partition[1:]))
+    assert result == streamed
 
 
 def test_traced_boundaries_stay_on_the_main_thread(su2_alg, monkeypatch):
@@ -391,8 +400,6 @@ def test_diamagnetic_su2(grid, sg, su2_alg, bc):
 
 
 def test_diamagnetic_rejects_marini(grid, sg, su2_alg):
-    from ymheat.grid import MARINI
-
     A = apply_boundary(
         random_smooth(grid, su2_alg, seed=35, amplitude=0.2), MARINI
     )

@@ -4,14 +4,14 @@ import pytest
 from ymheat.fields import random_smooth
 from ymheat.grid import (
     COMPONENT_AXES,
-    DIRICHLET,
-    MARINI,
     NEUMANN,
     BoundarySpec,
     GridSpec,
     KForm,
     apply_boundary,
 )
+
+from paper_checks import DIRICHLET, MARINI
 
 
 def test_spacing_and_volume():

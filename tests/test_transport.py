@@ -6,7 +6,6 @@ import pytest
 
 from ymheat.algebra import su2, u1
 from ymheat.fields import random_smooth
-from ymheat.calculus import gauge_transform, gauge_transform_form
 from ymheat.flow import FlowConfig, integrate
 from ymheat.grid import GridSpec, NEUMANN, apply_boundary
 from ymheat import transport as transport_module
@@ -14,19 +13,26 @@ from ymheat.transport import (
     CHUNK_STEPS,
     Loop,
     Path,
-    PathPerturbation,
     Segment,
     arc_segment,
     convergence_probe,
-    deriv_bound_check,
     line_integral,
     line_segment,
-    loops_to_paths,
     segment_from_json,
     transport,
     transport_many,
-    wilson_trace,
     _FieldInterpolator,
+)
+
+from paper_checks import (
+    PathPerturbation,
+    deriv_bound_check,
+    gauge_transform,
+    group_exp,
+    loops_to_paths,
+    path_length,
+    reversed_path,
+    wilson_trace,
 )
 
 CENTER = (0.5, 0.5, 0.5)
@@ -101,7 +107,7 @@ def test_segment_from_json_roundtrip():
 
 def test_path_length_circle():
     loop = _circle(0.2)
-    assert abs(loop.length() - 2 * math.pi * 0.2) < 1e-6
+    assert abs(path_length(loop) - 2 * math.pi * 0.2) < 1e-6
 
 
 def test_line_integral_samples_each_segment_once(abelian):
@@ -132,7 +138,7 @@ def test_abelian_transport_matches_closed_form(abelian):
 def test_transport_composition(field):
     p1 = Path([line_segment((0.3, 0.3, 0.5), (0.7, 0.4, 0.5))])
     p2 = Path([line_segment((0.7, 0.4, 0.5), (0.5, 0.7, 0.5))])
-    g12 = transport(field, p1.concat(p2), n_steps=512)
+    g12 = transport(field, Path(p1.segments + p2.segments), n_steps=512)
     g = transport(field, p1, n_steps=512) @ transport(field, p2, n_steps=512)
     assert np.max(np.abs(g12 - g)) < 1e-8
 
@@ -140,7 +146,7 @@ def test_transport_composition(field):
 def test_transport_inverse(field):
     p = Path([line_segment((0.3, 0.3, 0.5), (0.7, 0.6, 0.5))])
     g = transport(field, p, n_steps=512)
-    g_rev = transport(field, p.reversed(), n_steps=512)
+    g_rev = transport(field, reversed_path(p), n_steps=512)
     assert np.max(np.abs(g @ g_rev - np.eye(2))) < 1e-8
 
 
@@ -179,7 +185,7 @@ def test_transport_unitarity(field):
 def test_wilson_trace_gauge_invariant(field):
     theta = random_smooth(field.grid, field.algebra, seed=43, degree=0,
                           amplitude=0.4)
-    k = field.algebra.exp(theta.values[0])
+    k = group_exp(field.algebra, theta.values[0])
     A_k = apply_boundary(gauge_transform(field, k), NEUMANN)
     for loop in _loop_battery()[:3]:
         t1 = wilson_trace(field, loop, n_steps=512)
@@ -247,6 +253,9 @@ def test_deriv_bound_refuses_an_unfilled_field_before_transporting(
         raise AssertionError("transport started")
 
     monkeypatch.setattr(transport_module, "transport_many", forbidden)
+    # the patch is reached: a filled field gets as far as transporting
+    with pytest.raises(AssertionError, match="transport started"):
+        deriv_bound_check(field, _circle(0.2), _lift())
     unfilled = field.copy()
     unfilled.bc = None
     with pytest.raises(ValueError, match="ghost fill"):

@@ -14,12 +14,13 @@ from ymheat.washer import (
     energy,
     fit_theta_bounds,
     flux_probe,
-    lambda_profile,
     theta_bounds_check,
     total_current,
     vector_potential,
     washer_to_grid,
 )
+
+from paper_checks import lambda_profile
 
 
 def test_current_profile_unbounded_at_rim():
