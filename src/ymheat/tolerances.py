@@ -7,9 +7,8 @@ sums.  The constants below were calibrated once on abelian runs (where
 the flow has an independent spectral solution) at 12^3 and 16^3: the
 observed worst constants were ~0.63 for heat-kernel domination of B and
 below 0.05 for the diamagnetic comparison, both stable under
-refinement.  C_DISC carries a ~6x safety factor and is frozen; tests
-and the command-line checks must not loosen it per-run (a global
---tol-scale multiplier exists for exploratory reruns only).
+refinement.  C_DISC carries a ~6x safety factor and is frozen; no test
+or command-line check loosens it per run.
 """
 
 from __future__ import annotations
@@ -20,7 +19,7 @@ __all__ = ["C_DISC", "margin_tol"]
 C_DISC = 4.0
 
 
-def margin_tol(h: float, dt: float, scale: float = 1.0) -> float:
+def margin_tol(h: float, dt: float) -> float:
     """Slack for a pointwise inequality margin at spacing h, step dt."""
-    return scale * C_DISC * (h * h + dt * dt)
+    return C_DISC * (h * h + dt * dt)
 

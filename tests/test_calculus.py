@@ -10,7 +10,7 @@ from ymheat.calculus import (
     dstar_cov,
     weitzenbock_defect,
 )
-from ymheat.fields import edge_bump, random_smooth
+from ymheat.fields import random_smooth
 from ymheat.grid import (
     COMPONENT_AXES,
     NEUMANN,

@@ -167,12 +167,18 @@ def test_c_N_lower_bound_fails_without_the_constant_mode(tmp_path,
     assert code == 1 and row["verdict"] == "fail"
 
 
-def test_tol_scale_can_force_failure(tmp_path):
-    cfg = {"grid": {"extents": [1, 1, 1], "shape": [16, 16, 16]},
-           "constants": {"kernel_modes": 128}}
-    code = _run(["constants", "--config", _write(tmp_path, cfg),
-                 "--out", str(tmp_path / "o"), "--tol-scale", "1e-12"])
-    assert code == 1
+def test_a4_row_fails_on_a_wrong_closed_form(tmp_path, monkeypatch):
+    """Control: a Gamma-function a4 off by one part in a million fails the
+    quadrature row and only that row."""
+    exact = cli.a4_constant()
+    monkeypatch.setattr(cli, "a4_constant", lambda: exact * (1 + 1e-6))
+    assert cli.execute("constants", SMOKE["constants"], tmp_path) == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["results"]["a4_exact"] != exact
+    verdicts = {r["name"]: r["verdict"] for r in doc["checks"]}
+    assert verdicts == {"a4_quadrature_vs_gamma": "fail",
+                        "c_N_mode_doubling_stability": "pass",
+                        "c_N_constant_mode_lower_bound": "pass"}
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -187,23 +193,6 @@ def test_numerical_abort_exits_3(tmp_path, capsys):
                  "--out", str(tmp_path / "o")])
     assert code == 3
     assert "numerical abort" in capsys.readouterr().err
-
-
-def test_seed_override_changes_run(tmp_path):
-    cfg = {
-        "grid": {"extents": [1, 1, 1], "shape": [12, 12, 12]},
-        "boundary": "neumann",
-        "field": {"kind": "random-smooth", "seed": 1, "amplitude": 0.05},
-        "flow": {"dt": 0.0008, "t_end": 0.0024},
-    }
-    cfgp = _write(tmp_path, cfg)
-    o1, o2 = tmp_path / "s1", tmp_path / "s2"
-    assert _run(["flow", "--config", cfgp, "--out", str(o1)]) == 0
-    assert _run(["flow", "--config", cfgp, "--out", str(o2),
-                 "--seed", "99"]) == 0
-    r1 = json.loads((o1 / "report.json").read_text())["results"]
-    r2 = json.loads((o2 / "report.json").read_text())["results"]
-    assert r1["B_l2_initial"] != r2["B_l2_initial"]
 
 
 def test_wilson_command(tmp_path):
@@ -603,6 +592,8 @@ def test_every_command_runs(tmp_path, command):
                  "--out", str(out)]) == 0
     doc = json.loads((out / "report.json").read_text())
     assert doc["command"] == command and doc["checks"]
+    # fixed keys, which the stored benchmark references hold
+    assert doc["tol_scale"] == 1.0 and doc["seed"] is None
 
 
 @pytest.mark.parametrize("amplitude, status", [(0.04, 0), (1.0, 1)])
@@ -656,7 +647,7 @@ COMPUTATION = ("integrate", "transport_many", "NeumannSemigroup",
 
 
 def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
-                                      command, cfg, *args):
+                                      command, cfg):
     """`command` on `cfg` ("SNAP" standing for a 12^3 SU(2) snapshot)
     exits 2 with no computation started and no output directory made;
     returns its stderr."""
@@ -668,7 +659,7 @@ def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
         monkeypatch.setattr(cli, name, _forbidden)
     out = tmp_path / "o"
     assert _run([command, "--config", _write(tmp_path, cfg),
-                 "--out", str(out), *args]) == 2
+                 "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err
     assert not out.exists()
@@ -768,23 +759,22 @@ def test_schema_refuses_at_the_location(tmp_path, capsys, monkeypatch,
     assert f"config schema violation at {where}: " in err
 
 
-@pytest.mark.parametrize("command, cfg", [
-    ("flow", BASE_FLOW),
-    ("flow", dict(SNAPSHOT_FLOW, field={"kind": "snapshot", "path": "SNAP"})),
-    ("constants", SMOKE["constants"]),
-    ("washer-flux", SMOKE["washer-flux"]),
-], ids=["coulomb_cosine", "snapshot", "constants", "washer_flux"])
-def test_seed_without_random_field_is_config_error(tmp_path, capsys,
-                                                   monkeypatch, command, cfg):
-    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
-                                      command, cfg, "--seed", "5")
-
-
-@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
-def test_tol_scale_must_be_finite_and_positive(tmp_path, capsys, monkeypatch,
-                                               value):
-    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
-                                      "flow", BASE_FLOW, "--tol-scale", value)
+@pytest.mark.parametrize("option", [["--seed", "5"], ["--tol-scale", "2"]],
+                         ids=["seed", "tol_scale"])
+def test_run_is_its_config_alone(tmp_path, capsys, monkeypatch, option):
+    """No option sets a seed or scales a tolerance: argparse refuses
+    either flag with a usage error before any computation."""
+    for name in COMPUTATION:
+        monkeypatch.setattr(cli, name, _forbidden)
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exc:
+        main(["flow", "--config", _write(tmp_path, RANDOM_FLOW),
+              "--out", str(out), *option])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(option)}" in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 # the sections each command cannot run without
@@ -1069,22 +1059,24 @@ def test_load_config_never_rechecks_the_schema(tmp_path, monkeypatch):
                     tmp_path / "p")
 
 
-@pytest.mark.parametrize("args, calls", [([], 1), (["--seed", "5"], 2)],
-                         ids=["no_seed", "seed"])
-def test_main_validates_each_config_once(tmp_path, monkeypatch, args, calls):
+@pytest.mark.parametrize("field", [
+    RANDOM_FLOW["field"], dict(RANDOM_FLOW["field"], seed=5)],
+    ids=["no_seed", "config_seed"])
+def test_main_validates_each_config_once(tmp_path, monkeypatch, field):
     """`main` leaves the schema to `execute`, which checks the config it is
-    given and, with --seed, the config with the seed merged in."""
+    given once, its own seed included: a seed sweep edits `field.seed`."""
     seen = []
     validate = cli._validate
 
     def counted(command, cfg):
-        seen.append(cfg["field"].get("seed"))
+        seen.append(cfg["field"])
         validate(command, cfg)
 
     monkeypatch.setattr(cli, "_validate", counted)
-    assert _run(["flow", "--config", _write(tmp_path, RANDOM_FLOW),
-                 "--out", str(tmp_path / "o"), *args]) == 0
-    assert seen == [None, 5][:calls]
+    assert _run(["flow", "--config",
+                 _write(tmp_path, dict(RANDOM_FLOW, field=field)),
+                 "--out", str(tmp_path / "o")]) == 0
+    assert seen == [field]
 
 
 def test_oracle_runs_without_a_snapshot_at_t_end(tmp_path):

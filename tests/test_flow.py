@@ -8,7 +8,6 @@ import pytest
 from ymheat.algebra import LieAlgebraSpec, su2, u1
 from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import (
-    DT_FLOOR,
     TIME_TOL,
     FlowAbortError,
     FlowConfig,

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from ymheat.fields import random_smooth
-from ymheat.grid import GridSpec, NEUMANN, apply_boundary
+from ymheat.grid import GridSpec
 from ymheat.neumann import NeumannSemigroup, a4_constant
 
 from paper_checks import (

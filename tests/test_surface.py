@@ -8,6 +8,9 @@ as a reference.  References are matched by identifier, a method's by
 attribute name alone, so ``np.exp`` would hide a method ``exp``: the
 guard finds names nothing refers to, not names that only other unused
 code refers to.
+
+Every name a ``tests/*.py`` module imports (``from __future__`` aside)
+must be read in that module.
 """
 
 import ast
@@ -92,3 +95,22 @@ def _unreferenced():
 def test_every_public_library_name_has_a_caller_outside_the_tests():
     missing = _unreferenced()
     assert not missing, "no caller outside the tests: " + ", ".join(missing)
+
+
+def _unread_imports(path):
+    """Names a module imports (``from __future__`` aside) and never reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported, read = [], set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) \
+                and getattr(node, "module", None) != "__future__":
+            imported += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+    return [f"{path.name}:{name}" for name in imported if name not in read]
+
+
+def test_every_test_import_is_read():
+    unread = [name for path in sorted((ROOT / "tests").glob("*.py"))
+              for name in _unread_imports(path)]
+    assert not unread, "imported and never read: " + ", ".join(unread)
