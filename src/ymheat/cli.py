@@ -14,11 +14,12 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import numbers
+import operator
 import sys
 from pathlib import Path as FilePath
 
 import numpy as np
-import jsonschema
 
 from . import report
 from .algebra import su2, u1
@@ -168,17 +169,113 @@ def _config(required, optional=(), premise=None, **sections):
     if premise is not None:
         schema["if"] = {"required": [premise[0]]}
         schema["then"] = premise[1]
+    _check_schema(schema)
     return schema
 
 
-# an "integer" is a JSON integer: the stock checker also takes an
-# integral float such as 16.0, which numpy's seeds and quadratures refuse
-_Validator = jsonschema.validators.extend(
-    jsonschema.Draft202012Validator,
-    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
-        "integer",
-        lambda checker, x: isinstance(x, int) and not isinstance(x, bool)),
-)
+# ---------------------------------------------------------------------------
+# Schema interpreter: the JSON Schema keywords the schemas above use
+# ---------------------------------------------------------------------------
+
+# a bool is no number, and an "integer" is a JSON integer: 16.0 is not one,
+# since numpy's seeds and quadratures refuse it
+_TYPES = {"object": dict, "array": list, "string": str, "boolean": bool,
+          "number": numbers.Number, "integer": int}
+# each bound: the test a number breaking it passes, in jsonschema's words
+_BOUNDS = {
+    "minimum": (operator.lt, "less than the minimum of"),
+    "maximum": (operator.gt, "greater than the maximum of"),
+    "exclusiveMinimum": (operator.le, "less than or equal to the minimum of"),
+    "exclusiveMaximum": (operator.ge,
+                         "greater than or equal to the maximum of"),
+}
+_KEYWORDS = {*_BOUNDS, "type", "enum", "const", "minItems", "maxItems",
+             "uniqueItems", "items", "properties", "required",
+             "additionalProperties", "allOf", "if", "then"}
+
+
+def _is(x, type_):
+    return isinstance(x, _TYPES[type_]) and (
+        type_ == "boolean" or not isinstance(x, bool))
+
+
+def _equal(a, b):
+    """JSON equality: 1 equals 1.0, but true does not equal 1."""
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(map(_equal, a, b))
+    if isinstance(a, dict) and isinstance(b, dict):
+        return a.keys() == b.keys() and all(_equal(a[k], b[k]) for k in a)
+    return isinstance(a, bool) == isinstance(b, bool) and a == b
+
+
+def _broken(key, arg, x, schema):
+    """jsonschema's message if `x` breaks `schema`'s keyword `key` (which
+    holds no subschema) with value `arg`, else None.  A keyword passes an
+    `x` of a type it does not judge."""
+    if key == "type" and not _is(x, arg):
+        return f"{x!r} is not of type {arg!r}"
+    if key == "enum" and not any(_equal(x, e) for e in arg):
+        return f"{x!r} is not one of {arg!r}"
+    if key == "const" and not _equal(x, arg):
+        return f"{arg!r} was expected"
+    if key in _BOUNDS and _is(x, "number") and _BOUNDS[key][0](x, arg):
+        return f"{x!r} is {_BOUNDS[key][1]} {arg!r}"
+    if key == "minItems" and _is(x, "array") and len(x) < arg:
+        return f"{x!r} " + ("should be non-empty" if arg == 1
+                            else "is too short")
+    if key == "maxItems" and _is(x, "array") and len(x) > arg:
+        return f"{x!r} " + ("is expected to be empty" if arg == 0
+                            else "is too long")
+    if key == "uniqueItems" and arg and _is(x, "array") and any(
+            _equal(a, b) for i, a in enumerate(x) for b in x[:i]):
+        return f"{x!r} has non-unique elements"
+    if key == "additionalProperties" and _is(x, "object"):
+        extra = sorted(x.keys() - schema.get("properties", {}).keys())
+        if extra:
+            return ("Additional properties are not allowed (%s %s "
+                    "unexpected)" % (", ".join(map(repr, extra)),
+                                     "was" if len(extra) == 1 else "were"))
+    return None
+
+
+def _errors(schema, x, path=()):
+    """Yield (path, message, x has the schema's type) for each way `x`
+    breaks `schema`, in jsonschema's order: keyword by keyword, subschemas
+    where they stand."""
+    typed = "type" in schema and _is(x, schema["type"])
+    for key, arg in schema.items():
+        if key == "allOf":
+            for sub in arg:
+                yield from _errors(sub, x, path)
+        elif key == "if":
+            if next(_errors(arg, x), None) is None:
+                yield from _errors(schema.get("then", {}), x, path)
+        elif key == "items":
+            for i, item in enumerate(x if _is(x, "array") else ()):
+                yield from _errors(arg, item, (*path, i))
+        elif key == "properties":
+            for name, sub in arg.items():
+                if _is(x, "object") and name in x:
+                    yield from _errors(sub, x[name], (*path, name))
+        elif key == "required":
+            for name in arg:
+                if _is(x, "object") and name not in x:
+                    yield path, f"{name!r} is a required property", typed
+        elif (message := _broken(key, arg, x, schema)) is not None:
+            yield path, message, typed
+
+
+def _check_schema(schema) -> None:
+    """Refuse a schema that holds a keyword `_errors` does not read."""
+    unknown = set(schema) - _KEYWORDS
+    if schema.get("additionalProperties", False) is not False:
+        unknown.add("additionalProperties")
+    if unknown:
+        raise ValueError(f"schema keywords not interpreted: {sorted(unknown)}")
+    for sub in (*schema.get("properties", {}).values(),
+                *schema.get("allOf", ()),
+                *(schema[k] for k in ("items", "if", "then") if k in schema)):
+        _check_schema(sub)
 
 
 def _finite_number(text):
@@ -191,13 +288,15 @@ def _finite_number(text):
 
 
 def _validate(command: str, cfg: dict) -> None:
-    error = jsonschema.exceptions.best_match(
-        _VALIDATORS[command].iter_errors(cfg))
+    # jsonschema's best_match: the shallowest error, the greatest path among
+    # those, then one whose instance does not have its schema's type; the
+    # first on a tie
+    error = max(_errors(_DISPATCH[command][1], cfg), default=None,
+                key=lambda e: (-len(e[0]), e[0], not e[2]))
     if error is not None:
         where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
-                              for k in error.absolute_path)
-        raise ConfigError(f"config schema violation at {where}: "
-                          f"{error.message}")
+                              for k in error[0])
+        raise ConfigError(f"config schema violation at {where}: {error[1]}")
 
 
 def load_config(path) -> dict:
@@ -606,10 +705,6 @@ _DISPATCH = {
         boundary=_NEUMANN)),
 }
 
-# built once: jsonschema.validate would re-check each constant schema
-# against its meta-schema on every call
-_VALIDATORS = {command: _Validator(schema)
-               for command, (_, schema) in _DISPATCH.items()}
 COMMANDS = tuple(_DISPATCH)
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import importlib
 import importlib.util
 import inspect
@@ -12,6 +13,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -898,6 +900,127 @@ def test_execute_validates_its_config(tmp_path, monkeypatch):
     assert not out.exists()
 
 
+# the oracle `cli`'s interpreter mirrors: jsonschema's draft 2020-12, with
+# "integer" a JSON integer as `cli` types it (16.0 is not one)
+Oracle = jsonschema.validators.extend(
+    jsonschema.Draft202012Validator,
+    type_checker=jsonschema.Draft202012Validator.TYPE_CHECKER.redefine(
+        "integer",
+        lambda checker, x: isinstance(x, int) and not isinstance(x, bool)))
+ORACLES = {command: Oracle(schema)
+           for command, (_, schema) in cli._DISPATCH.items()}
+
+
+def _keywords(schema):
+    """Every keyword `schema` and its subschemas use."""
+    subs = [*schema.get("properties", {}).values(), *schema.get("allOf", []),
+            *(schema[k] for k in ("items", "if", "then", "additionalProperties")
+              if isinstance(schema.get(k), dict))]
+    return set(schema).union(*map(_keywords, subs))
+
+
+def _bounds(schema, key=None, found=None):
+    """{name: the numeric bounds on the key of that name or its entries}
+    over `schema` and its subschemas."""
+    found = {} if found is None else found
+    for k, v in schema.items():
+        if k in ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum"):
+            found.setdefault(key, set()).add(v)
+        for name, sub in (v.items() if k == "properties" else
+                          [(key, v)] if k in ("items", "if", "then") else
+                          [(key, sub) for sub in v] if k == "allOf" else []):
+            _bounds(sub, name, found)
+    return found
+
+
+BOUNDS = _bounds({"allOf": [schema for _, schema in cli._DISPATCH.values()]})
+WRONG_TYPES = ["x", True, False, None, [], {}, 16.0, [1, 1.0]]
+
+
+def _paths(x, path=()):
+    """The path of `x` and of every value inside it."""
+    yield path
+    items = x.items() if isinstance(x, dict) else \
+        enumerate(x) if isinstance(x, list) else ()
+    for k, v in items:
+        yield from _paths(v, (*path, k))
+
+
+def _at(x, path):
+    for k in path:
+        x = x[k]
+    return x
+
+
+# how a config is mutated: an unknown key added, a number moved onto or
+# across one of its bounds, a key or entry dropped, a list's first entry
+# repeated (as itself, as 1 then 1.0, or as true then 1, which differ) or
+# its last appended, a value replaced by one of a wrong type, or the top
+# level replaced
+MUTATIONS = ("add", "bound", "drop", "repeat", "retype", "top")
+
+
+def _mutate(draw, cfg, how):
+    """`cfg` with one change of kind `how` at a drawn place."""
+    if how == "top" or not isinstance(cfg, dict):
+        return draw(st.sampled_from([[], "cfg", 3, None, [cfg]]))
+
+    def name(p):  # the key of the value at p, or of the lists holding it
+        return ([k for k in p if isinstance(k, str)] or [""])[-1]
+
+    fits = {"drop": bool, "retype": bool,  # any path but the top level's
+            "add": lambda p: isinstance(_at(cfg, p), dict),
+            "bound": lambda p: name(p) in BOUNDS and type(
+                _at(cfg, p)) in (int, float),
+            "repeat": lambda p: isinstance(_at(cfg, p), list)
+            and len(_at(cfg, p)) > 1}
+    paths = [p for p in _paths(cfg) if fits[how](p)]
+    if not paths:  # only the empty config's top level is left
+        how, paths = "add", [()]
+    # a key, then one of its paths: a rare key is as likely as a common one
+    key = draw(st.sampled_from(sorted({name(p) for p in paths})))
+    path = draw(st.sampled_from([p for p in paths if name(p) == key]))
+    value = _at(cfg, path)
+    if how == "add":
+        value["unknown"] = 1
+    elif how == "repeat":
+        value[:2] = draw(st.sampled_from([[value[0], value[0]], [1, 1.0],
+                                          [True, 1], [*value[:2], value[-1]]]))
+    elif how == "drop":
+        del _at(cfg, path[:-1])[path[-1]]
+    else:  # a wrong type, or a number on, below or above one of its bounds
+        _at(cfg, path[:-1])[path[-1]] = draw(st.sampled_from(
+            [b + d for b in sorted(BOUNDS[name(path)]) for d in (-1, 0, 1)]
+            if how == "bound" else WRONG_TYPES))
+    return cfg
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_interpreter_agrees_with_jsonschema(command, data):
+    """A valid config and mutations of it: `cli` refuses exactly what the
+    oracle refuses, at best_match's location and with its message."""
+    cfg = data.draw(_fuzz_case(command))[0]
+    cases = [cfg] + [_mutate(data.draw, copy.deepcopy(cfg), how)
+                     for how in MUTATIONS]
+    # and two changes at once
+    cases.append(_mutate(data.draw, copy.deepcopy(cases[1]), data.draw(
+        st.sampled_from(MUTATIONS))))
+    for case in cases:
+        error = jsonschema.exceptions.best_match(
+            ORACLES[command].iter_errors(case))
+        if error is None:
+            cli._validate(command, case)
+            continue
+        where = "$" + "".join(f"[{k}]" if isinstance(k, int) else f".{k}"
+                              for k in error.absolute_path)
+        with pytest.raises(ConfigError) as refused:
+            cli._validate(command, case)
+        assert str(refused.value) == (f"config schema violation at {where}: "
+                                      f"{error.message}")
+
+
 def _section(draw, required, optional):
     """The required items and a drawn subset of the optional ones."""
     return dict(required, **{k: v for k, v in optional.items()
@@ -1026,7 +1149,7 @@ def test_every_valid_config_ends_with_an_exit_status(command, data):
     """Exit 0, 1, 2 or 3 and no traceback; an exit 2 makes no output
     directory, an exit 3 writes no report."""
     cfg, snapshot_grid = data.draw(_fuzz_case(command))
-    assert cli._VALIDATORS[command].is_valid(cfg)
+    assert ORACLES[command].is_valid(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         if snapshot_grid is not None and "field" in cfg:
@@ -1048,15 +1171,34 @@ def test_every_valid_config_ends_with_an_exit_status(command, data):
             assert not (out / "report.json").exists()
 
 
-def test_load_config_never_rechecks_the_schema(tmp_path, monkeypatch):
+def test_every_schema_is_valid_and_interpreted(tmp_path):
+    """Each command's schema is a draft 2020-12 schema that holds only the
+    keywords `cli` interprets; `load_config` only reads, and `execute`
+    judges the config."""
     for _, schema in cli._DISPATCH.values():
-        cli._Validator.check_schema(schema)
-    monkeypatch.setattr(cli._Validator, "check_schema", _forbidden)
+        Oracle.check_schema(schema)
+        assert _keywords(schema) <= cli._KEYWORDS
     assert load_config(_write(tmp_path, BASE_FLOW)) == BASE_FLOW
     assert cli.execute("flow", BASE_FLOW, tmp_path / "o") == 0
     with pytest.raises(ConfigError, match="schema violation"):
         cli.execute("flow", dict(BASE_FLOW, boundary="periodic"),
                     tmp_path / "p")
+
+
+@pytest.mark.parametrize("schema", [
+    {"type": "string", "pattern": "^x"},
+    {"type": "object", "properties": {"a": {"type": "string",
+                                            "pattern": "^x"}}},
+    {"type": "object", "additionalProperties": {"type": "number"}},
+    {"allOf": [{"if": {"required": ["a"]}, "then": {"minLength": 1}}]},
+], ids=["pattern", "nested_pattern", "additional_schema", "then_minLength"])
+def test_schema_with_an_uninterpreted_keyword_is_refused(schema):
+    """A keyword the interpreter does not read would pass every config, so
+    `cli` refuses such a schema when it builds its table."""
+    with pytest.raises(ValueError, match="not interpreted"):
+        cli._check_schema(schema)
+    with pytest.raises(ValueError, match="not interpreted"):
+        cli._config([], ["grid"], grid=schema)
 
 
 @pytest.mark.parametrize("field", [
@@ -1108,13 +1250,18 @@ def _fresh_python(code):
 
 
 LOADED = ("import json, sys\n"
-          "print(json.dumps(sorted(m for m in sys.modules if m == 'scipy' "
-          "or m.startswith('scipy.') or m.startswith('ymheat.'))))")
+          "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] "
+          "in ('scipy', 'jsonschema', 'ymheat'))))")
+
+
+def _heavy(loaded):
+    """The SciPy and jsonschema modules among `loaded`."""
+    return [m for m in loaded if m.split(".")[0] in ("scipy", "jsonschema")]
 
 
 def test_cli_import_loads_no_scipy_and_every_traced_module():
     loaded = _fresh_python("import ymheat.cli\n" + LOADED)
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert _heavy(loaded) == []
     spec = importlib.util.spec_from_file_location(
         "perfbench_tracing", PERFBENCH / "tracing.py")
     tracing = importlib.util.module_from_spec(spec)
@@ -1144,13 +1291,14 @@ def test_cli_import_loads_no_scipy_and_every_traced_module():
         "'concurrent.futures' in sys.modules]))") == [1, False]
 
 
-@pytest.mark.parametrize("command", ["flow", "verify-bounds", "wilson"])
+@pytest.mark.parametrize("command", ["flow", "verify-bounds", "wilson",
+                                     "washer-flux", "washer-regularize"])
 def test_command_runs_without_scipy(tmp_path, command):
     args = [command, "--config", _write(tmp_path, SMOKE[command]),
             "--out", str(tmp_path / "o")]
     loaded = _fresh_python("from ymheat import cli\n"
                            f"assert cli.main({args!r}) == 0\n" + LOADED)
-    assert [m for m in loaded if m.split(".")[0] == "scipy"] == []
+    assert _heavy(loaded) == []
 
 
 DEMOS = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
