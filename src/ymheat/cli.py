@@ -28,11 +28,11 @@ from .flow import (ENERGY_SLACK, FlowConfig, FlowConstants, dt_ceiling,
                    integrate, verify_bounds)
 from .grid import BoundarySpec, GridSpec, apply_boundary
 from .neumann import (
+    DominationStream,
     NeumannSemigroup,
     a4_constant,
     diamagnetic_check,
     domination_check,
-    omega_record,
 )
 from .snapshot import snapshot_read, snapshot_write
 from .tolerances import margin_tol
@@ -483,20 +483,18 @@ def _cmd_verify_domination(cfg, out):
     if len(fc.snapshot_schedule()) < 3:
         raise ConfigError("domination needs >= 3 snapshot times")
     kinds = cfg.get("domination", {}).get("omega_kinds", ["B", "A'"])
-    traj = integrate(_field_from(cfg, grid), fc,
-                     on_snapshot=lambda A, Ap, B: omega_record(A, Ap, B, kinds))
-    traj.final = None  # the check reads only the records: free the end state
-    _monitor_csv(traj.monitors, out / "monitors.csv")
-    sg = NeumannSemigroup(grid)
-    h = min(grid.spacing)
-    tol = margin_tol(h, fc.dt)
-    rows, results = [], {"snapshot_times": list(traj.times)}
-    for kind in kinds:
-        res = domination_check(sg, traj, omega_kind=kind)
-        tag = "B" if kind == "B" else "Ap"
-        rows.append(report.check_row(
-            f"domination_{tag}", -res["min_margin"], 0.0, tol))
-        results[f"per_time_margin_{tag}"] = list(res["per_time_margin"])
+    tol = margin_tol(min(grid.spacing), fc.dt)
+    with DominationStream(NeumannSemigroup(grid), kinds) as stream:
+        traj = integrate(_field_from(cfg, grid), fc, on_snapshot=stream)
+        traj.final = None  # free the end state while the last margins run
+        _monitor_csv(traj.monitors, out / "monitors.csv")
+        rows, results = [], {"snapshot_times": list(traj.times)}
+        for kind in kinds:
+            res = domination_check(traj, omega_kind=kind)
+            tag = "B" if kind == "B" else "Ap"
+            rows.append(report.check_row(
+                f"domination_{tag}", -res["min_margin"], 0.0, tol))
+            results[f"per_time_margin_{tag}"] = list(res["per_time_margin"])
     return results, rows
 
 

@@ -207,14 +207,16 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     stage, so a step costs 4 curvature evaluations (plus 1 at t = 0).
     The L2 and Linf norms of B come from one pointwise norm, taken for
     the energy test and carried into the monitors and the next test.
-    Each snapshot stores ``on_snapshot(A, Ap, B)``, by default A itself:
-    the filled state, its filled direction and its filled curvature feed
-    the next step, so the hook (run on this thread) must not modify them.
+    Each snapshot stores ``on_snapshot(t, A, Ap, B)`` (by default A) at
+    its time t in ``times``.  The hook runs on this thread and must not
+    modify the filled state, direction or curvature, which feed the next
+    step; no stage modifies them after it returns, so it may hand them to
+    other threads to read, but makes its traced calls on this thread.
     Neither a snapshot nor ``final`` (the filled A at t_end) is a copy: RK
     stages are new arrays and k1 is left untouched.
     """
     cfg.validate(A0.grid)
-    on_snapshot = on_snapshot or (lambda A, Ap, B: A)
+    on_snapshot = on_snapshot or (lambda t, A, Ap, B: A)
     rhs = _rhs_for(cfg.variant)
     bc = cfg.bc
 
@@ -232,7 +234,7 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
         k1f = _record(monitors, t, A, k1, B_norms, bc)
         if snap_queue and t >= snap_queue[0] - TIME_TOL:
             times.append(t)
-            fields.append(on_snapshot(A, k1f, B))
+            fields.append(on_snapshot(t, A, k1f, B))
             snap_queue.pop(0)
         del k1f  # the step needs only k1: do not hold a field through it
         # a snapshot within TIME_TOL of the last one still gets its own step

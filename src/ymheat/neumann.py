@@ -5,8 +5,10 @@ The scalar Neumann Laplacian on a box diagonalizes in the cosine basis,
 so e^{t Lap_N} is exact up to mode truncation (DCT-I on the node grid).
 Every comparison of a gauge evolution against the scalar semigroup in
 this module is therefore an oracle comparison, not a two-solver race.
-``domination_check`` spreads its DCTs over a two-thread standard-library
-pool; every traced call stays on the calling thread.
+Heat-kernel domination runs during the flow: ``DominationStream``, the
+snapshot hook, hands each snapshot's DCTs and Duhamel bounds to two
+threads, bit for bit, and ``domination_check`` gathers the margins.
+Every traced call stays on the calling thread.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ __all__ = [
     "NeumannSemigroup",
     "a4_constant",
     "omega_record",
+    "DominationStream",
     "domination_check",
     "diamagnetic_check",
 ]
@@ -194,48 +197,75 @@ def _add_duhamel(sg: NeumannSemigroup, out: np.ndarray, times, g_spectra,
         prev = nxt
 
 
-def domination_check(sg: NeumannSemigroup, traj: FlowTrajectory,
-                     omega_kind: str = "B") -> dict:
-    """Pointwise heat-kernel domination of a gauge field along the flow.
+class DominationStream:
+    """Heat-kernel domination of a gauge field as ``integrate``'s snapshot
+    hook, in a ``with`` block that holds a two-thread pool for the flow.
 
     Checks |omega(t,x)| <= {e^{t Lap_N}|omega(0)|}(x)
     + int_0^t {e^{(t-s) Lap_N}|h(s)|}(x) ds at every snapshot time, with
     the Duhamel integral by composite trapezoid over the snapshot grid.
-    Returns the worst pointwise margin over x and t.
-
-    Each snapshot is an ``omega_record`` dict, read and not modified.
-    |omega(t_0)| and every source |h(s_j)| are transformed once and the
-    spectra are evolved to each target time, so n snapshots cost
-    n + 1 forward and (n - 1)(n + 4)/2 inverse DCTs.  The transforms of
-    the sources, and then the bound and margin of each target, run as
-    tasks of a two-thread pool, the largest target first so that both
-    threads finish together.  Each task keeps the serial arithmetic, so
-    every margin has the bits of a one-thread run.
+    At snapshot i the hook takes the ``omega_record`` on the flow's
+    thread and queues, per kind, the transform of |h(t_i)| (and first of
+    |omega(t_0)|), then the margin of target i, which waits on the spectra
+    so far.  A task drops each field it reads, and the hook returns per
+    kind the future of the margin (None at t_0).  So n snapshots cost
+    n + 1 forward and (n - 1)(n + 4)/2 inverse DCTs, and each margin has
+    the bits of a one-thread run.  Leaving the block cancels the tasks
+    not yet started (after a flow abort) and waits for the rest.
     """
-    from concurrent.futures import ThreadPoolExecutor
 
+    def __init__(self, sg: NeumannSemigroup, kinds=("B", "A'")):
+        self.sg, self.kinds = sg, tuple(kinds)
+        self._times = []
+        # per kind, the spectrum of |omega(t_0)|, then that of each |h|
+        self._spectra = {kind: [] for kind in self.kinds}
+
+    def __enter__(self):
+        from concurrent.futures import ThreadPoolExecutor
+
+        self._pool = ThreadPoolExecutor(max_workers=2)
+        return self
+
+    def __exit__(self, *exc):
+        self._pool.shutdown(cancel_futures=True)
+
+    def __call__(self, t, A: KForm, Ap: KForm, B: KForm) -> dict:
+        self._times.append(t)
+        ts, handle = np.asarray(self._times), {}
+        first = len(ts) == 1
+        for kind, (omega, h) in omega_record(A, Ap, B, self.kinds).items():
+            spectra = self._spectra[kind]
+            if first:
+                spectra.append(self._pool.submit(self.sg.spectrum, omega))
+            spectra.append(self._pool.submit(self.sg.spectrum, h))
+            handle[kind] = None if first else self._pool.submit(
+                self._margin, ts, omega, spectra[:])
+        return handle
+
+    def _margin(self, ts, omega, spectra):
+        """min over x of the bound at ts[-1] minus |omega(ts[-1])|."""
+        omega0, *g_spectra = [f.result() for f in spectra]
+        bound = self.sg.evolve(ts[-1] - ts[0], omega0)
+        _add_duhamel(self.sg, bound, ts, g_spectra, 0, len(ts) - 1)
+        bound -= omega
+        return float(np.min(bound))
+
+
+def domination_check(traj: FlowTrajectory, omega_kind: str = "B") -> dict:
+    """The worst pointwise domination margin over x and t of one kind,
+    from a flow whose snapshot hook was a ``DominationStream``; waits for
+    the margins still running.  Returns it with the margin at each
+    snapshot time after the first.
+    """
     if len(traj.times) < 2:
         raise ValueError("need at least 2 snapshots")
     if not all(isinstance(r, dict) and omega_kind in r for r in traj.fields):
-        raise ValueError(f"no {omega_kind!r} in the snapshots' omega_record")
-    ts = np.asarray(traj.times)
-    omegas, sources = zip(*(r[omega_kind] for r in traj.fields))
-    # the first transform checks the shape and loads scipy.fft on this thread
-    omega0 = sg.spectrum(omegas[0])
-
-    def margin(i):
-        bound = sg.evolve(ts[i] - ts[0], omega0)
-        _add_duhamel(sg, bound, ts, spectra, 0, i)
-        bound -= omegas[i]
-        return float(np.min(bound))
-
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        spectra = list(pool.map(lambda g: dctn(g, type=1), sources))
-        margins = list(pool.map(margin, range(len(omegas) - 1, 0, -1)))[::-1]
+        raise ValueError(f"no {omega_kind!r} in the snapshots' stream")
+    margins = [r[omega_kind].result() for r in traj.fields[1:]]
     return {
         "min_margin": float(min(margins)),
         "per_time_margin": margins,
-        "times": [float(x) for x in ts[1:]],
+        "times": [float(x) for x in traj.times[1:]],
     }
 
 

@@ -16,11 +16,11 @@ from ymheat.fields import coulomb_cosine, random_smooth
 from ymheat.flow import FlowConfig, FlowConstants, integrate, verify_bounds
 from ymheat.grid import GridSpec, NEUMANN, apply_boundary
 from ymheat.neumann import (
+    DominationStream,
     NeumannSemigroup,
     a4_constant,
     diamagnetic_check,
     domination_check,
-    omega_record,
 )
 from ymheat.tolerances import margin_tol
 from ymheat.transport import (
@@ -74,15 +74,21 @@ def sg12(grid12):
 
 
 @pytest.fixture(scope="module")
-def small_data_run(grid12):
-    """Shared small-amplitude SU(2) trajectory for criteria 4 and 6."""
+def small_data_run(grid12, sg12):
+    """Shared small-amplitude SU(2) trajectory for criteria 4 and 6, with
+    the domination of |B| and |A'| streamed through its flow, and the
+    seconds the two took together."""
+    start = time.time()
     h = min(grid12.spacing)
     dt = 0.9 * h * h / 8
     A0 = random_smooth(grid12, su2(), seed=7, amplitude=0.05)
     cfg = FlowConfig(NEUMANN, dt, 1.0,
                      snapshot_times=tuple(np.linspace(0.0, 0.05, 11)))
-    traj = integrate(A0, cfg, on_snapshot=omega_record)
-    return traj, dt, h
+    with DominationStream(sg12) as stream:
+        traj = integrate(A0, cfg, on_snapshot=stream)
+        domination = {kind: domination_check(traj, kind)
+                      for kind in ("B", "A'")}
+    return traj, dt, h, domination, time.time() - start
 
 
 @pytest.fixture(scope="module")
@@ -140,15 +146,10 @@ def test_criterion_03_constants(unit_grid, sg16):
              abs(a4 - a4_exact) <= 1e-8 and stable and c1 >= 1.0)
 
 
-def test_criterion_04_heat_kernel_domination(small_data_run, sg12):
-    start = time.time()
-    traj, dt, h = small_data_run
+def test_criterion_04_heat_kernel_domination(small_data_run):
+    _, dt, h, domination, elapsed = small_data_run
     tol = margin_tol(h, dt)
-    worst = min(
-        domination_check(sg12, traj, kind)["min_margin"]
-        for kind in ("B", "A'")
-    )
-    elapsed = time.time() - start
+    worst = min(res["min_margin"] for res in domination.values())
     _verdict(4, f"domination margin {worst:.3e} >= -{tol:.3e}, "
                 f"{elapsed:.1f}s < 300s",
              worst >= -tol and elapsed < 300)
@@ -172,7 +173,7 @@ def test_criterion_05_diamagnetic(grid12, sg12):
 
 def test_criterion_06_smoothing_and_energy_bounds(small_data_run,
                                                   constants12):
-    traj, dt, h = small_data_run
+    traj, dt, h, _, _ = small_data_run
     tol = margin_tol(h, dt)
     rows = {r["name"]: r for r in verify_bounds(traj, constants12, tol)}
     names = ("B_linf_early", "B_linf_late", "energy_dissipation")

@@ -414,6 +414,25 @@ def test_u1_domination_workload_matches_reference(tmp_path):
     assert _drift(json.loads(ref.read_text()), new) == []
 
 
+def test_domination_B_fails_on_the_cosine_mode_at_amplitude_one(tmp_path):
+    # the failing control of domination_B, as the u1-domination reference
+    # above is domination_Ap's
+    cfg = {
+        "grid": {"extents": [1, 1, 1], "shape": [12, 12, 12]},
+        "boundary": "neumann",
+        "field": {"kind": "coulomb-cosine", "amplitude": 1.0},
+        "flow": {"dt": 0.0008, "t_end": 0.0032,
+                 "snapshot_times": [0, 0.0008, 0.0016, 0.0024, 0.0032]},
+    }
+    assert cli.execute("verify-domination", cfg, tmp_path) == 1
+    checks = {c["name"]: c for c in
+              json.loads((tmp_path / "report.json").read_text())["checks"]}
+    assert {name: c["verdict"] for name, c in checks.items()} == \
+        {"domination_B": "fail", "domination_Ap": "pass"}
+    # lhs 0.1097 against tol 0.0331: not a failure by round-off
+    assert checks["domination_B"]["lhs"] > 3 * checks["domination_B"]["tol"]
+
+
 def test_washer_regularize_workload_matches_reference(tmp_path):
     cfg = json.loads((PERFBENCH / "workloads" / "washer-regularize.json")
                      .read_text())
@@ -620,14 +639,14 @@ def test_verify_bounds_report_holds_the_library_rows(tmp_path, monkeypatch,
 
 
 def test_verify_domination_frees_the_end_state(tmp_path, monkeypatch):
-    """domination_check reads only the times and the omega records, so the
-    command drops the trajectory's end state before the check."""
+    """domination_check reads only the times and the stream's handles, so
+    the command drops the trajectory's end state before the check."""
     finals = []
     check = cli.domination_check
 
-    def capture(sg, traj, omega_kind):
+    def capture(traj, omega_kind):
         finals.append(traj.final)
-        return check(sg, traj, omega_kind=omega_kind)
+        return check(traj, omega_kind=omega_kind)
 
     monkeypatch.setattr(cli, "domination_check", capture)
     assert cli.execute("verify-domination", SMOKE["verify-domination"],

@@ -170,15 +170,16 @@ def test_snapshot_hook_gets_the_filled_state(coarse_grid, su2_alg, variant,
                      variant=variant, snapshot_times=(0.0, 0.002, 0.004))
     seen = []
 
-    def hook(A, Ap, B):
+    def hook(t, A, Ap, B):
         assert A.bc == Ap.bc == B.bc == cfg.bc
         Ap_ref, B_ref = rhs(A, cfg.bc)
         assert np.array_equal(Ap.values,
                               apply_boundary(Ap_ref, cfg.bc).values)
         assert np.array_equal(B.values, B_ref.values)
-        seen.append(True)
+        seen.append(t)
 
-    integrate(A0, cfg, on_snapshot=hook)
+    # the hook is told the time that integrate records for its snapshot
+    assert integrate(A0, cfg, on_snapshot=hook).times == seen
     assert len(seen) == 3
 
 
