@@ -72,6 +72,16 @@ def _d2(f: np.ndarray, axis: int, h: float, out: np.ndarray) -> np.ndarray:
     return out
 
 
+def _zeroed(degree: int, like: KForm, out: KForm | None) -> KForm:
+    """A zero degree-p form on like's grid and algebra, with no ghost
+    fill: ``out`` zeroed in place, or a new form."""
+    if out is None:
+        return KForm(degree, like.grid, like.algebra)
+    out.values.fill(0.0)
+    out.bc = None
+    return out
+
+
 def _interior_buffer(form: KForm) -> np.ndarray:
     """Scratch array for one component at the interior nodes."""
     return np.empty(form.grid.shape + (form.algebra.dim,))
@@ -98,15 +108,16 @@ def _require_ghosts(*forms: KForm):
             raise ValueError("operator needs a ghost fill; call apply_boundary first")
 
 
-def curvature(A: KForm) -> KForm:
-    """Curvature 2-form B_ij = d_i A_j - d_j A_i + [A_i, A_j] of a 1-form A."""
+def curvature(A: KForm, out: KForm | None = None) -> KForm:
+    """Curvature 2-form B_ij = d_i A_j - d_j A_i + [A_i, A_j] of a 1-form A
+    (into ``out`` when given, as for every operator here)."""
     if A.degree != 1:
         raise ValueError("curvature expects a 1-form")
     _require_ghosts(A)
     h = A.grid.spacing
     alg = A.algebra
     nonabelian = alg.c != 0
-    B = KForm(2, A.grid, alg)
+    B = _zeroed(2, A, out)
     tmp = _interior_buffer(A)
     for (i, j), ci in _COMP_INDEX[2].items():
         Bij = B.values[ci]
@@ -117,14 +128,14 @@ def curvature(A: KForm) -> KForm:
     return B
 
 
-def d_cov(A: KForm, omega: KForm) -> KForm:
+def d_cov(A: KForm, omega: KForm, out: KForm | None = None) -> KForm:
     """Covariant exterior derivative d_A omega = d omega + (ad A) wedge omega."""
     p = omega.degree
     if p >= 3:
         raise ValueError("d_cov output degree would exceed 3")
     _require_ghosts(omega)
     h = omega.grid.spacing
-    out = KForm(p + 1, omega.grid, omega.algebra)
+    out = _zeroed(p + 1, omega, out)
     tmp = _interior_buffer(omega)
     for J, cj in _COMP_INDEX[p + 1].items():
         for pos, k in enumerate(J):
@@ -135,14 +146,14 @@ def d_cov(A: KForm, omega: KForm) -> KForm:
     return out
 
 
-def dstar_cov(A: KForm, omega: KForm) -> KForm:
+def dstar_cov(A: KForm, omega: KForm, out: KForm | None = None) -> KForm:
     """Covariant codifferential; the flat-metric adjoint of d_cov."""
     p = omega.degree
     if p < 1:
         raise ValueError("dstar_cov expects degree >= 1")
     _require_ghosts(omega)
     h = omega.grid.spacing
-    out = KForm(p - 1, omega.grid, omega.algebra)
+    out = _zeroed(p - 1, omega, out)
     tmp = _interior_buffer(omega)
     for I, ci in _COMP_INDEX[p - 1].items():
         for k in range(3):
@@ -156,7 +167,8 @@ def dstar_cov(A: KForm, omega: KForm) -> KForm:
     return out
 
 
-def bochner_laplacian(A: KForm, omega: KForm) -> KForm:
+def bochner_laplacian(A: KForm, omega: KForm,
+                      out: KForm | None = None) -> KForm:
     """Sum over j of (d_j + ad A_j)^2 applied componentwise on the flat box:
     d_j^2 w + [d_j A_j, w] + 2 [A_j, d_j w] + [A_j, [A_j, w]], at the
     interior nodes (the ghost entries are zero)."""
@@ -164,7 +176,7 @@ def bochner_laplacian(A: KForm, omega: KForm) -> KForm:
     h = omega.grid.spacing
     alg = omega.algebra
     nonabelian = alg.c != 0
-    out = KForm(omega.degree, omega.grid, alg)
+    out = _zeroed(omega.degree, omega, out)
     tmp = _interior_buffer(omega)
     if nonabelian:
         Ai = [A.values[j][_INTERIOR] for j in range(3)]

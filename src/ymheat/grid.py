@@ -191,8 +191,17 @@ class KForm:
         return self.values[:, 1:-1, 1:-1, 1:-1, :]
 
     def pointwise_norm(self):
-        """|omega(x)| on the non-ghost nodes, shape grid.shape."""
-        return np.sqrt(np.sum(np.square(self.interior), axis=(0, -1)))
+        """|omega(x)| on the non-ghost nodes, shape grid.shape: each
+        component's squared algebra coefficients added in turn, then the
+        components, in place; the order and bits of
+        ``np.sum(np.square(self.interior), axis=(0, -1))``."""
+        total, sq = None, np.empty(self.grid.shape)
+        for comp in self.interior:
+            s = np.square(comp[..., 0])
+            for a in range(1, self.algebra.dim):
+                s += np.square(comp[..., a], out=sq)
+            total = s if total is None else np.add(total, s, out=total)
+        return np.sqrt(total, out=total)
 
     def norm(self, kind="L2"):
         """L2 or Linf norm over the box (trapezoid-rule integral)."""
@@ -244,15 +253,21 @@ _FACES = tuple({idx: _face(a, idx) for idx in (0, 1, 2, -3, -2, -1)}
                for a in range(3))
 
 
-def apply_boundary(omega: KForm, bc: BoundarySpec) -> KForm:
-    """Return a copy of omega with ghosts filled by reflection parities.
+def apply_boundary(omega: KForm, bc: BoundarySpec,
+                   out: KForm | None = None) -> KForm:
+    """Return a copy of omega with ghosts filled by reflection parities;
+    given ``out`` (omega itself for an in-place fill), fill that form
+    with omega's values instead and return it.
 
     Odd components additionally have their face values forced to zero, so
     the fill enforces the face constraints (A_tan = 0 for Dirichlet,
     A_norm = 0 for Neumann, B_norm = 0 for Marini/Neumann) exactly.  The
     fill is idempotent: interior nodes are never modified.
     """
-    out = omega.copy()
+    if out is None:
+        out = omega.copy()
+    elif out is not omega:
+        np.copyto(out.values, omega.values)
     v = out.values
     table = _parities(bc, omega.degree)
     # zero every odd-parity face first so the mirror pass below never

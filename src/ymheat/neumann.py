@@ -287,15 +287,17 @@ def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
         raise ValueError("diamagnetic comparison needs Neumann or Dirichlet")
     Af = apply_boundary(A, bc)
 
-    def rhs(w, _bc):
-        return bochner_laplacian(Af, apply_boundary(w, _bc))
+    def rhs(w, k=None):
+        # every w here is this check's own, so it is filled in place
+        return bochner_laplacian(Af, apply_boundary(w, bc, out=w), out=k)
 
     w = apply_boundary(omega0, bc)
+    stages = [KForm(w.degree, w.grid, w.algebra) for _ in range(3)]
     s = 0.0
     step = 0
     while s < t - TIME_TOL:
         h_step = min(dt, t - s)
-        w = _rk4_step(w, h_step, rhs, bc, step, s, rhs(w, bc))
+        w = _rk4_step(w, h_step, rhs, rhs(w), stages, bc, step, s)
         s += h_step
         step += 1
     scalar = sg.heat_apply(t, omega0.pointwise_norm())

@@ -555,16 +555,25 @@ def test_written_snapshot_reads_back_as_field(tmp_path):
     assert r2["B_l2_initial"] == r1["B_l2_final"]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_step_rejection_halves_dt_until_abort(tmp_path, capsys, monkeypatch):
-    # a negative slack rejects every step, so dt halves down to the floor
-    monkeypatch.setattr(flow, "ENERGY_SLACK", -1.0)
+def test_ascent_fails_B_l2_nonincreasing(tmp_path, monkeypatch):
+    """The flow takes every step, so an energy increase reaches the row:
+    with ym_rhs negated, ||B||_2 climbs and the command exits 1 on
+    B_l2_nonincreasing instead of retrying the step away."""
+    rhs = flow.ym_rhs
+
+    def ascent(*args):
+        Ap, B = rhs(*args)
+        np.negative(Ap.values, out=Ap.values)
+        return Ap, B
+
+    monkeypatch.setattr(flow, "ym_rhs", ascent)
     out = tmp_path / "o"
     assert _run(["flow", "--config", _write(tmp_path, BASE_FLOW),
-                 "--out", str(out)]) == 3
-    err = capsys.readouterr().err
-    assert "numerical abort" in err and "dt underflow" in err
-    assert not (out / "report.json").exists()
+                 "--out", str(out)]) == 1
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    row = next(r for r in checks if r["name"] == "B_l2_nonincreasing")
+    assert row["verdict"] == "fail"
+    assert row["lhs"] == pytest.approx(1.55e-2, rel=0.01)
 
 
 def test_washer_regularize_rejects_non_neumann_boundary(tmp_path, capsys,

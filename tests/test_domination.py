@@ -478,8 +478,8 @@ def test_flow_abort_cancels_the_queued_bounds(tmp_path, monkeypatch, capsys):
 
     rhs = flow.ym_rhs
 
-    def nan_after_third(A, bc):
-        Ap, B = rhs(A, bc)
+    def nan_after_third(*args):
+        Ap, B = rhs(*args)
         if snapshots[0] >= 3:
             Ap.values[...] = np.nan
         return Ap, B

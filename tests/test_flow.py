@@ -223,15 +223,19 @@ def _ym_zds_gap(alg, n, t=0.01):
     return float(np.max(np.abs(B_ym - B_zds)) / np.max(B_ym))
 
 
-def _plain_gauge_term_rhs(C, bc):
+def _plain_gauge_term_rhs(C, bc, out=None):
     """zds_rhs with the plain d in place of d_C in the gauge term."""
     from ymheat.calculus import curvature, d_cov, dstar_cov
 
-    Cf = apply_boundary(C, bc)
-    B = apply_boundary(curvature(Cf), bc)
+    Cp, B = out or (None, None)
+    Cf = apply_boundary(C, bc, out=C if out else None)
+    B = apply_boundary(curvature(Cf, out=B), bc, out=B)
     zero_conn = KForm(1, C.grid, C.algebra, bc=bc)
     div = apply_boundary(dstar_cov(zero_conn, Cf), bc)
-    return -1.0 * (dstar_cov(Cf, B) + d_cov(zero_conn, div)), B
+    Cp = dstar_cov(Cf, B, out=Cp)
+    Cp.values += d_cov(zero_conn, div).values
+    np.negative(Cp.values, out=Cp.values)
+    return Cp, B
 
 
 def test_gauge_fixed_flow_has_the_curvature_norm_of_the_plain_one(
@@ -261,9 +265,9 @@ def test_integrate_evaluates_curvature_once_per_stage(monkeypatch, su2_alg):
     calls = []
     real = ymheat.flow.curvature
 
-    def counting(A):
+    def counting(*args, **kwargs):
         calls.append(1)
-        return real(A)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(ymheat.flow, "curvature", counting)
     A0 = random_smooth(grid, su2_alg, seed=29, amplitude=0.05)
@@ -271,6 +275,79 @@ def test_integrate_evaluates_curvature_once_per_stage(monkeypatch, su2_alg):
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 5 * dt))
     assert len(traj.monitors) - 1 == 5
     assert len(calls) == 1 + 4 * 5
+
+
+def test_integrate_steps_build_only_the_forms_they_hand_on(monkeypatch,
+                                                          coarse_grid,
+                                                          su2_alg):
+    """After the first step, a step constructs 4 padded forms: the end
+    state, its direction and curvature, and the monitors' filled
+    direction.  The RK4 stages live in buffers the flow owns."""
+    padded = (3,) + coarse_grid.padded_shape + (su2_alg.dim,)
+    built = [0]
+    init = KForm.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built[0] += self.values.shape == padded
+
+    monkeypatch.setattr(KForm, "__init__", counting)
+    A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+    dt = 0.9 * _dt_max(coarse_grid)
+    seen = []
+    integrate(A0, FlowConfig(NEUMANN, dt, 6 * dt,
+                             snapshot_times=tuple(np.arange(7) * dt)),
+              on_snapshot=lambda t, A, Ap, B: seen.append(built[0]))
+    assert len(seen) == 7
+    assert np.diff(seen[1:]).tolist() == [4] * 5
+
+
+def _kept_unchanged(kept):
+    return all(np.array_equal(f.values, v) for f, v in kept)
+
+
+@pytest.mark.parametrize("variant", ["YM", "ZDS"])
+def test_hook_keeps_what_it_is_handed(coarse_grid, su2_alg, variant):
+    """The A, A' and B handed to the snapshot hook at every step are new
+    arrays that nothing writes into later, so a hook may keep them."""
+    A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+    dt = 0.9 * _dt_max(coarse_grid)
+    kept = []
+
+    def keep(t, A, Ap, B):
+        kept.extend((f, f.values.copy()) for f in (A, Ap, B))
+
+    integrate(A0, FlowConfig(NEUMANN, dt, 4 * dt, variant=variant,
+                             snapshot_times=tuple(np.arange(5) * dt)),
+              on_snapshot=keep)
+    assert len(kept) == 15
+    assert _kept_unchanged(kept)
+
+
+def test_diamagnetic_steps_keep_what_they_are_handed(monkeypatch, coarse_grid,
+                                                     su2_alg):
+    """diamagnetic_check's RK4 steps share their stage buffers, but the
+    state and direction each step is handed, and the state it returns,
+    never change afterwards."""
+    from ymheat import neumann
+
+    step, kept = neumann._rk4_step, []
+
+    def keep(A, dt, rhs, k1, *args):
+        kept.extend((f, f.values.copy()) for f in (A, k1))
+        A_new = step(A, dt, rhs, k1, *args)
+        kept.append((A_new, A_new.values.copy()))
+        return A_new
+
+    monkeypatch.setattr(neumann, "_rk4_step", keep)
+    A = apply_boundary(random_smooth(coarse_grid, su2_alg, seed=33,
+                                     amplitude=0.2), NEUMANN)
+    w0 = apply_boundary(random_smooth(coarse_grid, su2_alg, seed=34,
+                                      degree=2, amplitude=0.3), NEUMANN)
+    neumann.diamagnetic_check(NeumannSemigroup(coarse_grid), A, w0,
+                              4 * 0.9 * _dt_max(coarse_grid))
+    assert len(kept) == 12
+    assert _kept_unchanged(kept)
 
 
 def test_identities_hold_along_flow(unit_grid, su2_alg):

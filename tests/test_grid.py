@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from ymheat.algebra import su2, u1
 from ymheat.fields import random_smooth
 from ymheat.grid import (
     COMPONENT_AXES,
@@ -142,3 +145,24 @@ def test_l2_scales_with_volume():
     a = random_smooth(g, seed=5, amplitude=0.3)
     b = KForm(1, g, a.algebra, 2.0 * a.values)
     assert np.isclose(b.norm("L2"), 2.0 * a.norm("L2"), rtol=1e-13)
+
+
+@settings(max_examples=40, deadline=None)
+@given(degree=st.integers(0, 3), algebra=st.sampled_from([u1, su2]),
+       shape=st.tuples(*[st.integers(8, 40)] * 3),
+       log_range=st.tuples(*[st.floats(-150, 150)] * 2),
+       zeros=st.floats(0.0, 1.0), seed=st.integers(0, 2 ** 32 - 1))
+def test_pointwise_norm_has_the_bits_of_the_numpy_sum(degree, algebra, shape,
+                                                      log_range, zeros, seed):
+    """The per-node norm sums each component's algebra coefficients, then
+    the components, exactly as NumPy's two-axis sum does; summing over
+    the components first moves bits on SU(2) 1- and 2-forms."""
+    rng = np.random.default_rng(seed)
+    w = KForm(degree, GridSpec((1.0, 1.0, 1.0), shape), algebra())
+    lo, hi = sorted(log_range)
+    v = rng.standard_normal(w.values.shape)
+    v *= 10.0 ** rng.uniform(lo, hi, v.shape)
+    v[rng.random(v.shape) < zeros] = 0.0
+    w.values[...] = v
+    reference = np.sqrt(np.sum(np.square(w.interior), axis=(0, -1)))
+    assert np.array_equal(w.pointwise_norm(), reference)
