@@ -7,6 +7,8 @@ text, except that a method is a function taking its object first
 (``group_exp``, ``algebra_norm``, ``reversed_path`` and ``path_length``
 say whose) and library functions are called as module attributes
 (``neumann._add_duhamel``), so a test that patches one reaches them.
+``gauge_transform`` differentiates its complex group field into an
+interior-shaped buffer with a strided central difference of its own.
 """
 
 from __future__ import annotations
@@ -93,6 +95,20 @@ def _conjugate(k_inv, k, mats):
     return np.einsum("...ab,...bc,...cd->...ad", k_inv, mats, k)
 
 
+_INTERIOR = (slice(1, -1),) * 3
+
+
+def _central_difference(f, axis, h, out):
+    """(f[i+1] - f[i-1]) / (2h) of a padded field at the interior nodes,
+    written into the interior-shaped ``out``."""
+    plus, minus = list(_INTERIOR), list(_INTERIOR)
+    plus[axis] = slice(2, None)
+    minus[axis] = slice(0, -2)
+    np.subtract(f[tuple(plus)], f[tuple(minus)], out=out)
+    out /= 2.0 * h
+    return out
+
+
 def gauge_transform(A: KForm, k: np.ndarray) -> KForm:
     """Gauge transform A^k = k^-1 A k + k^-1 dk of a connection 1-form.
 
@@ -123,9 +139,9 @@ def gauge_transform(A: KForm, k: np.ndarray) -> KForm:
         M = alg.to_matrices(A.values[j])
         conj = _conjugate(kh, k, M)
         # the Maurer-Cartan term at the interior nodes
-        conj[calculus._INTERIOR] += np.einsum(
-            "...ab,...bc->...ac", kh[calculus._INTERIOR],
-            calculus._d1(k, j, h[j], dk))
+        conj[_INTERIOR] += np.einsum(
+            "...ab,...bc->...ac", kh[_INTERIOR],
+            _central_difference(k, j, h[j], dk))
         out.values[j] = to_coeffs(alg, conj)
     return out
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ymheat.algebra import su2, u1
 from ymheat.calculus import (
@@ -405,14 +407,66 @@ def test_gauge_transform_matches_plain_evaluation_bit_for_bit(group):
                           _ref_gauge_transform(A, k).interior)
 
 
+@pytest.mark.parametrize("bc", sorted(_BCS))
 @pytest.mark.parametrize("group", sorted(_ALGEBRAS))
-def test_bochner_laplacian_leaves_ghosts_zero(group):
-    alg = _ALGEBRAS[group]
-    A = apply_boundary(_noise(1, alg, 11), NEUMANN)
-    out = bochner_laplacian(A, apply_boundary(_noise(2, alg, 12), NEUMANN))
+def test_operators_leave_ghosts_zero(group, bc):
+    # the inputs' edge and corner ghosts, which no fill writes, stay noise
+    alg, bc = _ALGEBRAS[group], _BCS[bc]
+    A = apply_boundary(_noise(1, alg, 11), bc)
+    w = {p: apply_boundary(_noise(p, alg, 12 + p), bc) for p in range(4)}
+    outs = [curvature(A), contraction_bracket(A, w[2])]
+    outs += [d_cov(A, w[p]) for p in (0, 1, 2)]
+    outs += [dstar_cov(A, w[p]) for p in (1, 2, 3)]
+    for p in (1, 2):
+        outs += [bochner_laplacian(A, w[p]), weitzenbock_defect(A, w[p])]
     ghosts = np.ones(_BOX.padded_shape, bool)
     ghosts[_CTR] = False
-    assert not np.any(out.values[:, ghosts])
+    for out in outs:
+        assert not np.any(out.values[:, ghosts])
+
+
+def test_operator_output_must_be_c_contiguous(unit_grid, su2_alg):
+    A = apply_boundary(random_smooth(unit_grid, su2_alg, seed=1), NEUMANN)
+    B = KForm(2, unit_grid, su2_alg)
+    fortran = KForm(2, unit_grid, su2_alg, np.asfortranarray(B.values))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        curvature(A, out=fortran)
+    assert np.array_equal(curvature(A, out=B).values, curvature(A).values)
+
+
+@settings(max_examples=50, deadline=None)
+@given(shape=st.tuples(*[st.integers(8, 20)] * 3),
+       extents=st.tuples(*[st.floats(0.5, 3.0)] * 3),
+       group=st.sampled_from(sorted(_ALGEBRAS)),
+       bc=st.sampled_from(sorted(_BCS)),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_operators_match_plain_evaluation_on_any_box(shape, extents, group,
+                                                     bc, seed):
+    # the run's bounds and each axis's node offset follow the box's shape
+    grid, alg, bc = GridSpec(extents, shape), _ALGEBRAS[group], _BCS[bc]
+    rng = np.random.default_rng(seed)
+
+    def noise(p):
+        w = KForm(p, grid, alg)
+        w.values[...] = rng.standard_normal(w.values.shape)
+        return apply_boundary(w, bc)
+
+    A = noise(1)
+    cases = [(curvature(A), _ref_curvature(A))]
+    for p in (0, 1, 2):
+        w = noise(p)
+        cases.append((d_cov(A, w), _ref_d_cov(A, w)))
+    for p in (1, 2, 3):
+        w = noise(p)
+        cases.append((dstar_cov(A, w), _ref_dstar_cov(A, w)))
+    for p in (1, 2):
+        w = noise(p)
+        cases += [
+            (bochner_laplacian(A, w), _ref_bochner(A, w)),
+            (weitzenbock_defect(A, w), _ref_weitzenbock(A, w)),
+        ]
+    for got, ref in cases:
+        assert np.array_equal(got.interior, ref.interior)
 
 
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ymheat
-from ymheat import cli, flow, report, transport
+from ymheat import calculus, cli, flow, report, transport
 from ymheat.algebra import su2
 from ymheat.cli import load_config, main, ConfigError
 from ymheat.fields import random_smooth
@@ -574,6 +574,23 @@ def test_ascent_fails_B_l2_nonincreasing(tmp_path, monkeypatch):
     row = next(r for r in checks if r["name"] == "B_l2_nonincreasing")
     assert row["verdict"] == "fail"
     assert row["lhs"] == pytest.approx(1.55e-2, rel=0.01)
+
+
+def test_stencil_off_by_1e_3_fails_abelian_spectral_equivalence(tmp_path,
+                                                               monkeypatch):
+    """The spectral oracle sees a first-derivative divisor off by 1e-3
+    relative: the flowed field leaves the closed form by more than tol."""
+    d1 = calculus._d1
+    monkeypatch.setattr(calculus, "_d1", lambda f, axis, h, out:
+                        d1(f, axis, h * (1 + 1e-3), out))
+    out = tmp_path / "o"
+    assert _run(["flow", "--config", _write(tmp_path, BASE_FLOW),
+                 "--out", str(out)]) == 1
+    checks = json.loads((out / "report.json").read_text())["checks"]
+    row = next(r for r in checks
+               if r["name"] == "abelian_spectral_equivalence")
+    assert row["verdict"] == "fail" and row["tol"] == 1e-4
+    assert row["lhs"] == pytest.approx(1.53e-4, rel=0.01)
 
 
 def test_washer_regularize_rejects_non_neumann_boundary(tmp_path, capsys,

@@ -153,6 +153,25 @@ def test_final_is_the_state_at_t_end(coarse_grid, algebra):
     assert np.array_equal(bare.final.values, snapped.final.values)
 
 
+@pytest.mark.parametrize("algebra", [su2, u1], ids=["SU2", "U1"])
+def test_flow_keeps_the_edge_ghosts_of_its_initial_state(algebra):
+    """A fill writes no edge or corner ghost and every operator leaves its
+    ghosts zero, so after 400 steps those ghosts of the state are still
+    the random ones of the filled initial state."""
+    grid = GridSpec((1.0, 1.0, 1.0), (8, 8, 8))
+    A0 = random_smooth(grid, algebra(), seed=5, amplitude=0.3)
+    axes = np.indices(grid.padded_shape)
+    on_ghost = sum((i == 0) | (i == n + 1) for i, n in zip(axes, grid.shape))
+    noise = np.random.default_rng(6).standard_normal(A0.values.shape)
+    A0.values[:, on_ghost > 0] = noise[:, on_ghost > 0]
+    dt = _dt_max(grid)
+    traj = integrate(A0, FlowConfig(NEUMANN, dt, 400 * dt))
+    assert len(traj.monitors) == 401
+    edges = on_ghost > 1
+    assert np.array_equal(traj.final.values[:, edges],
+                          apply_boundary(A0, NEUMANN).values[:, edges])
+
+
 def test_default_snapshot_at_t_end_is_final(coarse_grid, su2_alg):
     # integrate never writes into a state it has passed, so the default
     # hook stores the state itself, not a copy
