@@ -106,10 +106,10 @@ def _clear_ghosts(form: KForm) -> KForm:
 
 
 def _add_covariant_derivative(acc, sign, A, w, k, h, tmp):
-    """acc += sign * (d_k w + [A_k, w]) over the run, sign = +-1, with the
-    bits of that expression; acc and the scratch tmp are run-shaped."""
+    """acc += sign * (d_k w + [A_k, w]) over the run, sign = +-1 (A None:
+    no bracket), with the bits of that expression; run-shaped acc, tmp."""
     t = _d1(w, k, h, tmp)
-    if A.algebra.c != 0:
+    if A is not None and A.algebra.c != 0:
         t += A.algebra.bracket(_run(A.values[k]), _run(w))
     if sign > 0:
         acc += t
@@ -160,8 +160,10 @@ def d_cov(A: KForm, omega: KForm, out: KForm | None = None) -> KForm:
     return _clear_ghosts(out)
 
 
-def dstar_cov(A: KForm, omega: KForm, out: KForm | None = None) -> KForm:
-    """Covariant codifferential; the flat-metric adjoint of d_cov."""
+def dstar_cov(A: KForm | None, omega: KForm,
+              out: KForm | None = None) -> KForm:
+    """Covariant codifferential; the flat-metric adjoint of d_cov.  A None
+    is the flat connection: the plain d*, with no bracket terms."""
     p = omega.degree
     if p < 1:
         raise ValueError("dstar_cov expects degree >= 1")

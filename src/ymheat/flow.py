@@ -188,8 +188,8 @@ def zds_rhs(C: KForm, bc: BoundarySpec, out=None) -> tuple[KForm, KForm]:
     Cp, B = out or (None, None)
     Cf = apply_boundary(C, bc, out=C if out else None)
     B = apply_boundary(curvature(Cf, out=B), bc, out=B)
-    zero_conn = KForm(1, C.grid, C.algebra, bc=bc)
-    div = apply_boundary(dstar_cov(zero_conn, Cf), bc)
+    div = dstar_cov(None, Cf)  # the plain divergence d*C, filled in place
+    apply_boundary(div, bc, out=div)
     Cp = dstar_cov(Cf, B, out=Cp)
     Cp.values += d_cov(Cf, div).values
     np.negative(Cp.values, out=Cp.values)

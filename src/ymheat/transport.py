@@ -4,9 +4,9 @@ Transport solves g^{-1} g' = A<gamma'(s)> with g(0) = I along piecewise-C1
 paths, interpolating A trilinearly off the grid and re-projecting g to the
 group after every RK4 step (polar decomposition).  One kernel,
 `transport_many`, advances every (path, field) pair of a run as one
-stacked array of group elements; `transport` is that kernel on a single
-pair.  The flow-time convergence probe takes the Wilson traces of its
-holonomies.
+stacked array of group elements, read off one interpolator of all the
+run's fields; `transport` is that kernel on a single pair.  The flow-time
+convergence probe takes the Wilson traces of its holonomies.
 """
 
 from __future__ import annotations
@@ -136,23 +136,21 @@ class Loop(Path):
 
 
 class _FieldInterpolator:
-    """Trilinear interpolation of a 1-form's coefficients off the grid.
+    """Trilinear interpolation of a run's 1-forms off their shared grid:
+    their (field, component, algebra coefficient) values share one trailing
+    axis, so one cell search and one gather serve them all.  The arithmetic
+    is that of SciPy's linear `RegularGridInterpolator` on each field, so
+    the values agree bit for bit: the same cell search, fractions, corner
+    order and weight products."""
 
-    The arithmetic is that of SciPy's linear `RegularGridInterpolator`,
-    so the values agree bit for bit: the same cell search, fractions,
-    corner order and weight products.
-    """
-
-    def __init__(self, A: KForm):
-        grid = A.grid
-        self.axes = [grid.axis_coords(a) for a in range(3)]
-        # stack (component, algebra-coefficient) into one trailing axis
-        vals = np.moveaxis(A.interior, 0, -2)  # (n1,n2,n3, 3, dim)
+    def __init__(self, fields):
+        self.axes = [fields[0].grid.axis_coords(a) for a in range(3)]
+        vals = np.stack([np.moveaxis(A.interior, 0, -2) for A in fields], 3)
         self.values = vals.reshape(vals.shape[:3] + (-1,))
-        self.dim = A.algebra.dim
+        self.shape = vals.shape[3:]  # (field, component, dim)
 
     def __call__(self, points) -> np.ndarray:
-        """Values at (n, 3) points in the box, shape (n, 3 * dim)."""
+        """Values at (n, 3) points in the box, shape (n, fields * 3 * dim)."""
         points = np.asarray(points, dtype=float)
         cells = []
         for a, x in enumerate(self.axes):
@@ -170,9 +168,9 @@ class _FieldInterpolator:
         return value
 
     def along(self, points, velocities):
-        """Coefficients of A<gamma'(s)> at the given points, shape (n, dim)."""
-        vals = self(points).reshape(len(points), 3, self.dim)
-        return np.einsum("njd,nj->nd", vals, velocities)
+        """Each field's A<gamma'(s)> at the points, shape (fields, n, dim)."""
+        vals = self(points).reshape((len(points),) + self.shape)
+        return np.einsum("nfjd,nj->fnd", vals, velocities)
 
 
 def check_paths(grid: GridSpec, paths, n_steps: int) -> list:
@@ -218,12 +216,12 @@ def line_integral(A: KForm, path: Path) -> np.ndarray:
     exp(integral); used as the oracle against path-ordered transport.
     """
     points = check_paths(A.grid, [path], LINE_STEPS)
-    interp = _FieldInterpolator(A)
+    interp = _FieldInterpolator([A])
     total = np.zeros(A.algebra.dim)
     s = np.linspace(0.0, 1.0, 2 * LINE_STEPS + 1)
     for seg, pts in zip(path.segments, points):
         vels = np.asarray(seg.velocity(s), dtype=float)
-        total += np.trapezoid(interp.along(pts, vels), s, axis=0)
+        total += np.trapezoid(interp.along(pts, vels)[0], s, axis=0)
     return total
 
 
@@ -247,7 +245,7 @@ def transport_many(fields, paths, n_steps: int = 256) -> np.ndarray:
     """
     alg = fields[0].algebra
     check_paths(fields[0].grid, paths, n_steps)
-    interps = [_FieldInterpolator(A) for A in fields]
+    interp = _FieldInterpolator(fields)
 
     order = sorted(range(len(paths)), key=lambda p: -len(paths[p].segments))
     n_fields, r = len(fields), alg.rep_dim
@@ -267,9 +265,8 @@ def transport_many(fields, paths, n_steps: int = 256) -> np.ndarray:
                 seg = paths[p].segments[j]
                 pts = np.asarray(seg.position(sc), dtype=float)
                 vels = np.asarray(seg.velocity(sc), dtype=float)
-                for f, interp in enumerate(interps):
-                    mats[k * n_fields + f, :len(sc)] = alg.to_matrices(
-                        interp.along(pts, vels))
+                mats[k * n_fields:(k + 1) * n_fields, :len(sc)] = \
+                    alg.to_matrices(interp.along(pts, vels))
             G = g[:rows]
             for i in range(i1 - i0):
                 a0 = mats[:rows, 2 * i]

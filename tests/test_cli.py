@@ -334,6 +334,44 @@ def test_wilson_transports_each_pair_once(tmp_path, monkeypatch):
     assert projections[0] == len(SQUARE) * WILSON["wilson"]["n_steps"]
 
 
+def test_transport_many_interpolates_each_chunk_once(tmp_path,
+                                                    monkeypatch):
+    """One interpolator reads every field of the run: each chunk of each
+    active path samples the five fields of the ladder in one call."""
+    calls = [0]
+    call = transport._FieldInterpolator.__call__
+
+    def counting(self, points):
+        calls[0] += 1
+        return call(self, points)
+
+    monkeypatch.setattr(transport._FieldInterpolator, "__call__", counting)
+    # a full and a partial chunk of steps per segment
+    cfg = dict(WILSON, wilson=dict(WILSON["wilson"],
+                                   n_steps=transport.CHUNK_STEPS + 16))
+    assert cli.execute("wilson", cfg, tmp_path) == 0
+    assert calls[0] == 2 * sum(len(loop) for loop in WILSON["loops"])
+
+
+def test_reversed_ladder_fails_trace_diffs_nonincreasing_tail(tmp_path,
+                                                              monkeypatch):
+    """The ladder's holonomies read top rung first: the trace differences
+    grow along the ladder, and that row alone fails."""
+    kernel = cli.transport_many
+
+    def reversed_ladder(fields, paths, n_steps):
+        h = kernel(fields, paths, n_steps)
+        h[:, 1:] = h[:, :0:-1]
+        return h
+
+    monkeypatch.setattr(cli, "transport_many", reversed_ladder)
+    assert cli.execute("wilson", WILSON, tmp_path) == 1
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    failed = [r for r in checks if r["verdict"] != "pass"]
+    assert [r["name"] for r in failed] == ["trace_diffs_nonincreasing_tail"]
+    assert failed[0]["lhs"] == 1.0
+
+
 @pytest.fixture(scope="module")
 def wilson_without_flow(tmp_path_factory):
     out = tmp_path_factory.mktemp("wilson")

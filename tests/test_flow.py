@@ -321,6 +321,36 @@ def test_integrate_steps_build_only_the_forms_they_hand_on(monkeypatch,
     assert np.diff(seen[1:]).tolist() == [4] * 5
 
 
+@pytest.mark.parametrize("variant, per_step", [("YM", [4, 0]),
+                                               ("ZDS", [8, 4])],
+                         ids=["YM", "ZDS"])
+def test_gauge_term_builds_no_zero_connection(monkeypatch, coarse_grid,
+                                              su2_alg, variant, per_step):
+    """Padded (3-component, 1-component) forms a step constructs after the
+    first.  ZDS adds d_C(d*C) and the divergence d*C at each of the four
+    stages: d*C is taken with no zero connection and filled in place."""
+    shapes = {n: (n,) + coarse_grid.padded_shape + (su2_alg.dim,)
+              for n in (3, 1)}
+    built = {3: 0, 1: 0}
+    init = KForm.__init__
+
+    def counting(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        for n, shape in shapes.items():
+            built[n] += self.values.shape == shape
+
+    monkeypatch.setattr(KForm, "__init__", counting)
+    A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+    dt = 0.9 * _dt_max(coarse_grid)
+    seen = []
+    integrate(A0, FlowConfig(NEUMANN, dt, 6 * dt, variant=variant,
+                             snapshot_times=tuple(np.arange(7) * dt)),
+              on_snapshot=lambda t, A, Ap, B: seen.append(
+                  (built[3], built[1])))
+    assert len(seen) == 7
+    assert np.diff(seen[1:], axis=0).tolist() == [per_step] * 5
+
+
 def _kept_unchanged(kept):
     return all(np.array_equal(f.values, v) for f, v in kept)
 

@@ -3,11 +3,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ymheat.algebra import su2, u1
 from ymheat.fields import random_smooth
 from ymheat.flow import FlowConfig, integrate
-from ymheat.grid import GridSpec, NEUMANN, apply_boundary
+from ymheat.grid import GridSpec, KForm, NEUMANN, apply_boundary
 from ymheat import transport as transport_module
 from ymheat.transport import (
     CHUNK_STEPS,
@@ -273,14 +275,14 @@ def test_deriv_bound_zero_perturbation(field):
 def _reference_transport(A, path, n_steps):
     """Unchunked per-pair RK4 with per-matrix polar projection: the loop
     `transport_many` batches, kept here to pin its bits."""
-    interp = _FieldInterpolator(A)
+    interp = _FieldInterpolator([A])
     g = np.eye(A.algebra.rep_dim, dtype=complex)
     ds = 1.0 / n_steps
     s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     for seg in path.segments:
         mats = A.algebra.to_matrices(interp.along(
             np.asarray(seg.position(s), dtype=float),
-            np.asarray(seg.velocity(s), dtype=float)))
+            np.asarray(seg.velocity(s), dtype=float))[0])
         for i in range(n_steps):
             a0, am, a1 = mats[2 * i], mats[2 * i + 1], mats[2 * i + 2]
             k1 = g @ a0
@@ -345,7 +347,7 @@ def test_interpolator_matches_scipy_bit_for_bit(algebra, extents, shape):
     vals = np.moveaxis(A.interior, 0, -2)
     scipy_interp = RegularGridInterpolator(
         axes, vals.reshape(shape + (-1,)), method="linear")
-    interp = _FieldInterpolator(A)
+    interp = _FieldInterpolator([A])
 
     L = np.asarray(extents)
     rng = np.random.default_rng(8)
@@ -363,3 +365,43 @@ def test_interpolator_matches_scipy_bit_for_bit(algebra, extents, shape):
         for f in (interp, scipy_interp):
             with pytest.raises(ValueError):
                 f(points)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_fields=st.integers(1, 5),
+       shape=st.tuples(*[st.integers(8, 14)] * 3),
+       extents=st.tuples(*[st.floats(0.5, 3.0)] * 3),
+       algebra=st.sampled_from([su2, u1]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_stacked_interpolator_reads_each_field_as_alone(n_fields, shape,
+                                                        extents, algebra,
+                                                        seed):
+    """One interpolator over a run's fields gives each field the bits of
+    its own one-field interpolator, and of SciPy's on that field."""
+    from scipy.interpolate import RegularGridInterpolator
+
+    grid, rng = GridSpec(extents, shape), np.random.default_rng(seed)
+    fields = [KForm(1, grid, algebra()) for _ in range(n_fields)]
+    for A in fields:
+        A.values[...] = rng.standard_normal(A.values.shape)
+    axes = [grid.axis_coords(a) for a in range(3)]
+    L = np.asarray(extents)
+    nodes = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
+    faces = rng.random((300, 3)) * L
+    axis = rng.integers(0, 3, len(faces))
+    faces[np.arange(len(faces)), axis] = rng.integers(0, 2, len(faces)) * L[axis]
+    points = np.concatenate([rng.random((500, 3)) * L, nodes.reshape(-1, 3),
+                             faces])
+    vels = rng.standard_normal(points.shape)
+
+    interp = _FieldInterpolator(fields)
+    values = interp(points).reshape(len(points), n_fields, -1)
+    along = interp.along(points, vels)
+    assert along.shape == (n_fields, len(points), fields[0].algebra.dim)
+    for f, A in enumerate(fields):
+        assert np.array_equal(along[f],
+                              _FieldInterpolator([A]).along(points, vels)[0])
+        scipy_interp = RegularGridInterpolator(
+            axes, np.moveaxis(A.interior, 0, -2).reshape(shape + (-1,)),
+            method="linear")
+        assert np.array_equal(values[:, f], scipy_interp(points))
