@@ -53,7 +53,6 @@ from .washer import (
     LoopCEpsilon,
     WasherConfig,
     energy,
-    fit_theta_bounds,
     flux_probe,
     theta_bounds_check,
     total_current,
@@ -392,8 +391,6 @@ def _rim_loops(sec: dict) -> list:
 
 
 def _cmd_constants(cfg, out):
-    from scipy.integrate import quad
-
     grid = _grid_from(cfg) if "grid" in cfg \
         else GridSpec((1.0, 1.0, 1.0), (16, 16, 16))
     opts = cfg.get("constants", {})
@@ -403,10 +400,13 @@ def _cmd_constants(cfg, out):
     sg2 = NeumannSemigroup(grid, kernel_modes=2 * km)
     c_N = sg.c_N_estimate()
     c_N2 = sg2.c_N_estimate()
-    # the Beta integral by quadrature after s = sin^2(theta), which removes
-    # both endpoint singularities: an independent check of the closed form
-    a4, _ = quad(lambda th: 2.0 * (math.sin(th) * math.cos(th)) ** (-0.5),
-                 0.0, math.pi / 2, limit=200_000)
+    # the Beta integral int_0^{pi/2} 2 (sin th cos th)^{-1/2} dth, twice its
+    # half on [0, pi/4]; th = (pi/4) y^2 there makes the integrand smooth in
+    # y, so a Gauss-Legendre rule is an independent check of the closed form
+    x, w = np.polynomial.legendre.leggauss(64)
+    y = 0.5 * (x + 1.0)
+    th = 0.25 * math.pi * y * y
+    a4 = math.pi * float(np.sum(w * y / np.sqrt(np.sin(th) * np.cos(th))))
     a4_exact = a4_constant()
     k = FlowConstants(c_N=c_N2, a4=a4_exact, tau=tau)
     rows = [
@@ -575,7 +575,6 @@ def _cmd_washer_energy(cfg, out):
         out / "energy.csv",
     )
     cur = total_current(wc)
-    fit = fit_theta_bounds()
     rows = [
         report.check_row("energy_cauchy_rel_gap", res["rel_gaps"][-1], 0.0,
                          1e-3),
@@ -592,8 +591,6 @@ def _cmd_washer_energy(cfg, out):
         "cutoffs": res["cutoffs"],
         "rel_gaps": res["rel_gaps"],
         "total_current_exact": cur["exact"],
-        "sandwich_constants": {"c1": fit.c1, "c2": fit.c2,
-                               "C1": fit.C1, "C2": fit.C2},
     }
     return results, rows
 

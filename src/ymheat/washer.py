@@ -12,9 +12,9 @@ the variable u = log(1/(1-r)), under which lambda(r) dr = u^{-2} du; a
 further xi = log(u) substitution makes the truncated quadrature smooth.
 The azimuthal angle integral has the closed form of a circular-loop
 potential in complete elliptic integrals, evaluated by a NumPy port of
-the cephes polynomials that scipy.special uses.  SciPy's quadrature is
-imported inside the functions that call it, so importing this module, the
-potential and the grid sampling load no SciPy.
+the cephes polynomials that scipy.special uses.  Every other integral is
+a fixed Gauss-Legendre rule on a substitution that makes its integrand
+smooth, so nothing here loads SciPy.
 """
 
 from __future__ import annotations
@@ -32,12 +32,10 @@ from .transport import Path, arc_segment, line_segment
 __all__ = [
     "WasherConfig",
     "LoopCEpsilon",
-    "BoundFit",
     "total_current",
     "vector_potential",
     "energy",
     "theta_bounds_check",
-    "fit_theta_bounds",
     "flux_probe",
     "washer_to_grid",
 ]
@@ -46,7 +44,7 @@ R_INNER = 0.5
 R_OUTER = 1.0
 U_MIN = math.log(2.0)  # u at the inner radius
 
-# the (u, v) grid at theta0 on which the angular sandwich is fitted and checked
+# the (u, v) grid at theta0 on which the angular sandwich is checked
 SANDWICH_U = (0.001, 0.01, 0.1, 0.5)
 SANDWICH_V = (0.5, 1.0, 2.0)
 SANDWICH_THETA0 = math.pi / 4
@@ -70,19 +68,17 @@ class WasherConfig:
 
 
 def total_current(cfg: WasherConfig = WasherConfig()) -> dict:
-    """Total circulating current: exact antiderivative vs quadrature.
+    """Total circulating current: exact antiderivative vs the u-rule.
 
     The antiderivative of lambda is -1/log(1/(1-r)), so the exact total
-    is 1/log 2; the u-substituted quadrature plus the analytic tail
-    1/u_max must reproduce it.
+    is 1/log 2.  The weights of `_u_nodes`, the rule every washer
+    potential is summed on, plus the analytic tail 1/u_max must
+    reproduce it.
     """
-    from scipy.integrate import quad
-
     exact = 1.0 / math.log(2.0)
-    quad_val, _ = quad(lambda u: u ** -2, U_MIN, cfg.u_max, limit=500)
-    quad_val += 1.0 / cfg.u_max  # exact tail of the u^{-2} integrand
-    return {"exact": exact, "quadrature": quad_val,
-            "difference": abs(exact - quad_val)}
+    ruled = float(_u_nodes(cfg.n_u, cfg.u_max)[2].sum()) + 1.0 / cfg.u_max
+    return {"exact": exact, "quadrature": ruled,
+            "difference": abs(exact - ruled)}
 
 
 @functools.lru_cache(maxsize=None)
@@ -341,73 +337,27 @@ def theta_bounds_check(u: float, v: float, theta0: float) -> dict:
     (1/v) log(1 + v theta0/u) <= int_0^{theta0} dtheta /
     sqrt(u^2 + 2 v^2 (1-cos theta)) <= (sqrt2/(v a)) log(1 + v a theta0/u)
     with a^2 = sin(theta0)/theta0; parameters restricted to 0 < u < 1,
-    1/2 <= v <= 2, 0 < theta0 < pi/2.
+    1/2 <= v <= 2, 0 < theta0 < pi/2.  The integral is taken after
+    sin(theta/2) = k sinh s with k = u/(2v), which turns it into
+    (1/v) int_0^S ds / sqrt(1 - k^2 sinh^2 s), S = asinh(sin(theta0/2)/k):
+    smooth for every u, so a 64-node Gauss-Legendre rule resolves it.
     """
-    from scipy.integrate import quad
-
     if not (0 < u < 1 and 0.5 <= v <= 2 and 0 < theta0 < math.pi / 2):
         raise ValueError("parameters outside the validated range")
     a = math.sqrt(math.sin(theta0) / theta0)
     lower = (1.0 / v) * math.log(1.0 + v * theta0 / u)
     upper = (math.sqrt(2.0) / (v * a)) * math.log(1.0 + v * a * theta0 / u)
-    mid, _ = quad(
-        lambda th: 1.0 / math.sqrt(u * u + 2 * v * v * (1 - math.cos(th))),
-        0.0, theta0, limit=500,
-    )
+    k = u / (2.0 * v)
+    half = 0.5 * math.asinh(math.sin(0.5 * theta0) / k)
+    x, w = _leggauss(64)
+    ks = k * np.sinh(half * (x + 1.0))
+    mid = half * float(np.sum(w / np.sqrt(1.0 - ks * ks))) / v
     return {
         "lower": lower,
         "integral": mid,
         "upper": upper,
         "passed": lower <= mid + 1e-8 and mid <= upper + 1e-8,
     }
-
-
-@dataclass
-class BoundFit:
-    """Fitted constants of the logarithmic sandwich for the cos-weighted
-    angular integral, verified at every grid point."""
-
-    c1: float
-    c2: float
-    C1: float
-    C2: float
-
-
-def fit_theta_bounds() -> BoundFit:
-    """Fit c1 + c2 log(1/u) <= I(u, v) <= C1 + C2 log(1/u) over the
-    SANDWICH_U x SANDWICH_V grid at SANDWICH_THETA0.
-
-    I is the cos-weighted angular integral; the constants are chosen from
-    the extreme empirical slopes so the sandwich holds at every grid
-    point by construction, then re-verified.
-    """
-    from scipy.integrate import quad
-
-    vals = np.empty((len(SANDWICH_U), len(SANDWICH_V)))
-    for i, u in enumerate(SANDWICH_U):
-        for j, v in enumerate(SANDWICH_V):
-            vals[i, j], _ = quad(
-                lambda th: math.cos(th)
-                / math.sqrt(u * u + 2 * v * v * (1 - math.cos(th))),
-                -SANDWICH_THETA0, SANDWICH_THETA0, limit=500,
-            )
-    logs = np.log(1.0 / np.asarray(SANDWICH_U))
-    slopes = []
-    for j in range(len(SANDWICH_V)):
-        d = np.diff(vals[:, j]) / np.diff(logs)
-        slopes.extend(d.tolist())
-    c2 = 0.5 * min(slopes)
-    C2 = 2.0 * max(slopes)
-    if c2 <= 0:
-        raise ValueError("no positive lower slope; grid too coarse")
-    c1 = float(np.min(vals - c2 * logs[:, None]))
-    C1 = float(np.max(vals - C2 * logs[:, None]))
-    fit = BoundFit(c1, c2, C1, C2)
-    lower_ok = np.all(fit.c1 + fit.c2 * logs[:, None] <= vals + 1e-12)
-    upper_ok = np.all(vals <= fit.C1 + fit.C2 * logs[:, None] + 1e-12)
-    if not (lower_ok and upper_ok and fit.c2 > 0 and fit.C2 > 0):
-        raise ValueError("sandwich fit failed on the test grid")
-    return fit
 
 
 @dataclass

@@ -11,6 +11,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -20,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ymheat
-from ymheat import calculus, cli, flow, report, transport
+from ymheat import calculus, cli, flow, report, transport, washer
 from ymheat.algebra import su2
 from ymheat.cli import load_config, main, ConfigError
 from ymheat.fields import random_smooth
@@ -181,6 +182,50 @@ def test_a4_row_fails_on_a_wrong_closed_form(tmp_path, monkeypatch):
     assert verdicts == {"a4_quadrature_vs_gamma": "fail",
                         "c_N_mode_doubling_stability": "pass",
                         "c_N_constant_mode_lower_bound": "pass"}
+
+
+def test_a4_rule_meets_the_closed_form_to_rounding(tmp_path):
+    assert cli.execute("constants", SMOKE["constants"], tmp_path) == 0
+    doc = json.loads((tmp_path / "report.json").read_text())
+    row = next(r for r in doc["checks"]
+               if r["name"] == "a4_quadrature_vs_gamma")
+    assert row["lhs"] <= 1e-14
+
+
+def _washer_energy_rows(tmp_path, cfg):
+    code = cli.execute("washer-energy", cfg, tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    return code, {r["name"]: r for r in doc["checks"]}
+
+
+def test_total_current_holds_on_a_far_cutoff(tmp_path, capsys):
+    """u_max = 1e6 on 32 nodes: the washer's own u-rule still sums the
+    current to 1/log 2, with no warning."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, rows = _washer_energy_rows(
+            tmp_path, {"washer": {"n_u": 32, "u_max": 1e6}})
+    assert code == 0 and caught == []
+    assert capsys.readouterr().err == ""
+    assert rows["total_current"]["lhs"] < 1e-13
+
+
+def test_total_current_fails_on_misweighted_u_nodes(tmp_path, monkeypatch):
+    """Control: u-rule weights off by one part in 1e9 fail total_current
+    and only that row; the energy gaps are scale-free."""
+    u_nodes = washer._u_nodes
+
+    def misweighted(n_u, u_hi):
+        u, s, w = u_nodes(n_u, u_hi)
+        return u, s, w * (1 + 1e-9)
+
+    monkeypatch.setattr(washer, "_u_nodes", misweighted)
+    code, rows = _washer_energy_rows(tmp_path, SMOKE["washer-energy"])
+    assert code == 1
+    assert {n: r["verdict"] for n, r in rows.items()} == {
+        "energy_cauchy_rel_gap": "pass", "total_current": "fail",
+        "angular_kernel_sandwich": "pass"}
+    assert rows["total_current"]["lhs"] == pytest.approx(1.39e-9, rel=0.01)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1374,8 +1419,9 @@ def test_cli_import_loads_no_scipy_and_every_traced_module():
         "'concurrent.futures' in sys.modules]))") == [1, False]
 
 
-@pytest.mark.parametrize("command", ["flow", "verify-bounds", "wilson",
-                                     "washer-flux", "washer-regularize"])
+@pytest.mark.parametrize("command", ["constants", "flow", "verify-bounds",
+                                     "wilson", "washer-energy", "washer-flux",
+                                     "washer-regularize"])
 def test_command_runs_without_scipy(tmp_path, command):
     args = [command, "--config", _write(tmp_path, SMOKE[command]),
             "--out", str(tmp_path / "o")]

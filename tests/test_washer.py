@@ -9,11 +9,9 @@ from ymheat import washer
 from ymheat.algebra import u1
 from ymheat.grid import GridSpec, KForm
 from ymheat.washer import (
-    SANDWICH_U,
     LoopCEpsilon,
     WasherConfig,
     energy,
-    fit_theta_bounds,
     flux_probe,
     theta_bounds_check,
     total_current,
@@ -143,12 +141,19 @@ def test_theta_bounds_rejects_out_of_range():
         theta_bounds_check(2.0, 1.0, math.pi / 4)
 
 
-def test_fit_theta_bounds_constants():
-    fit = fit_theta_bounds()
-    assert fit.c2 > 0 and fit.C2 >= fit.c2
-    logs = np.log(1.0 / np.asarray(SANDWICH_U))
-    # the sandwich re-verification is built in; sanity-check the growth
-    assert fit.c2 * logs.max() > fit.c2 * logs.min()
+@pytest.mark.parametrize("theta0", [1e-3, math.pi / 4, 1.5],
+                         ids=["1e-3", "pi/4", "1.5"])
+@pytest.mark.parametrize("v", [0.5, 1.0, 2.0], ids=["v0.5", "v1", "v2"])
+def test_theta_bounds_integral_matches_the_elliptic_closed_form(v, theta0):
+    """The angular integral is (2/u) F(theta0/2 | -4v^2/u^2); the rule
+    meets it to 2e-15 relative from u = 1e-9, where the integrand peaks
+    over a width u/v, up to u = 0.999."""
+    from scipy.special import ellipkinc
+
+    for u in (1e-9, 1e-6, 1e-3, 0.5, 0.999):
+        exact = 2.0 / u * ellipkinc(0.5 * theta0, -4.0 * v * v / (u * u))
+        got = theta_bounds_check(u, v, theta0)["integral"]
+        assert abs(got - exact) <= 2e-15 * exact, u
 
 
 def test_flux_zero_eps_is_infinite():
