@@ -218,17 +218,18 @@ def weitzenbock_defect(A: KForm, omega: KForm) -> KForm:
 
     In exact arithmetic this is the pointwise-algebraic remainder of the
     Bochner identity (no derivatives of omega survive); here it carries an
-    O(h^2) stencil residual.  Intermediate forms are ghost-filled with the
-    boundary spec of omega.
+    O(h^2) stencil residual.  The two intermediate forms are ghost-filled
+    in place with the boundary spec of omega.
     """
     p = omega.degree
     if p not in (1, 2):
         raise ValueError("weitzenbock_defect expects degree 1 or 2")
     _require_ghosts(A, omega)
     bc = omega.bc
-    hodge = dstar_cov(A, apply_boundary(d_cov(A, omega), bc))
-    lower = apply_boundary(dstar_cov(A, omega), bc)
-    hodge.values += d_cov(A, lower).values
+    upper = d_cov(A, omega)
+    hodge = dstar_cov(A, apply_boundary(upper, bc, out=upper))
+    lower = dstar_cov(A, omega)
+    hodge.values += d_cov(A, apply_boundary(lower, bc, out=lower)).values
     np.negative(hodge.values, out=hodge.values)
     hodge.values -= bochner_laplacian(A, omega).values
     return hodge

@@ -34,7 +34,6 @@ from .neumann import (
     diamagnetic_check,
     domination_check,
 )
-from .snapshot import snapshot_read, snapshot_write
 from .tolerances import margin_tol
 from .transport import (
     LINE_STEPS,
@@ -111,9 +110,6 @@ _RIM_LADDER = dict(
     phi_span=dict(_POSITIVE, maximum=6.2832),
 )
 _FLOW = dict(dt=_POSITIVE, t_end=_POSITIVE, variant={"enum": ["YM", "ZDS"]})
-# the flow keys of the commands that read the flow's snapshots
-_SNAPSHOT_FLOW = dict(_FLOW, snapshot_times={"type": "array",
-                                             "items": _NUMBER})
 # an absent boundary is Neumann too
 _NEUMANN = {"const": "neumann"}
 
@@ -127,8 +123,7 @@ _SECTIONS = {
         "coulomb-cosine": ([], {"amplitude": _NUMBER}),
         "random-smooth": ([], {"amplitude": _NUMBER,
                                "seed": {"type": "integer", "minimum": 0},
-                               "algebra": {"enum": ["U1", "SU2"]}}),
-        "snapshot": (["path"], {"path": {"type": "string"}})}),
+                               "algebra": {"enum": ["U1", "SU2"]}})}),
     "flow": _strict(["dt", "t_end"], **_FLOW),
     "oracle": {"enum": ["abelian-spectral"]},
     "constants": _strict(kernel_modes={"type": "integer", "minimum": 8},
@@ -328,16 +323,7 @@ def _boundary_from(cfg: dict) -> BoundarySpec:
 def _field_from(cfg: dict, grid: GridSpec):
     """The run's initial field; the library states each kind's defaults."""
     f = dict(cfg["field"])
-    kind = f.pop("kind")
-    if kind == "snapshot":
-        field, _t = snapshot_read(f["path"])
-        if field.grid != grid or field.degree != 1:
-            raise ConfigError(
-                f"snapshot holds a {field.degree}-form on {field.grid}; "
-                f"the run needs a 1-form on {grid}"
-            )
-        return field
-    if kind == "coulomb-cosine":
+    if f.pop("kind") == "coulomb-cosine":
         return coulomb_cosine(grid, **f)
     if "algebra" in f:
         f["algebra"] = {"U1": u1, "SU2": su2}[f["algebra"]]()
@@ -347,8 +333,7 @@ def _field_from(cfg: dict, grid: GridSpec):
 def _flow_config(fl: dict, bc: BoundarySpec, grid: GridSpec) -> FlowConfig:
     """A 'flow' section as a FlowConfig, validated against the grid before
     any field is built."""
-    fc = FlowConfig(bc, **{k: v for k, v in fl.items()
-                           if k != "write_snapshots"})
+    fc = FlowConfig(bc, **fl)
     fc.validate(grid)
     return fc
 
@@ -438,9 +423,6 @@ def _cmd_flow(cfg, out):
     traj = integrate(A0, fc)
     m = traj.monitors
     _monitor_csv(m, out / "monitors.csv")
-    if cfg["flow"].get("write_snapshots", False):
-        for t, field in zip(traj.times, traj.fields):
-            snapshot_write(field, t, out / f"snapshot_t{t:.6f}.ymf")
     rel_up = float(np.max(m.B_l2[1:] / np.maximum(m.B_l2[:-1], 1e-300) - 1.0)
                    ) if len(m) > 1 else 0.0
     rows = [
@@ -457,7 +439,6 @@ def _cmd_flow(cfg, out):
         "B_l2_final": float(m.B_l2[-1]),
         "Ap_l2_final": float(m.Ap_l2[-1]),
         "action": float(m.action[-1]),
-        "snapshots_written": len(traj.times),
     }
     return results, rows
 
@@ -675,13 +656,13 @@ _DISPATCH = {
         # fill breaks
         premise=("oracle", {"properties": {
             "field": {"properties": {"kind": {"const": "coulomb-cosine"}}},
-            "boundary": {"enum": ["neumann", "marini"]}}}),
-        flow=_strict(["dt", "t_end"], **_SNAPSHOT_FLOW,
-                     write_snapshots={"type": "boolean"}))),
-    # heat-kernel domination is a Neumann check
+            "boundary": {"enum": ["neumann", "marini"]}}}))),
+    # heat-kernel domination is a Neumann check, made at the snapshot times
     "verify-domination": (_cmd_verify_domination, _config(
         ["grid", "field", "flow"], ["boundary", "domination"],
-        boundary=_NEUMANN, flow=_strict(["dt", "t_end"], **_SNAPSHOT_FLOW))),
+        boundary=_NEUMANN, flow=_strict(
+            ["dt", "t_end"], **_FLOW,
+            snapshot_times={"type": "array", "items": _NUMBER}))),
     "verify-diamagnetic": (_cmd_verify_diamagnetic,
                            _config(["grid", "field", "diamagnetic"])),
     "verify-bounds": (_cmd_verify_bounds, _config(

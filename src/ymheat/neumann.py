@@ -171,7 +171,9 @@ def omega_record(A: KForm, Ap: KForm, B: KForm, kinds=("B", "A'")) -> dict:
         if kind == "B":
             w, h = B, weitzenbock_defect(A, B)
         elif kind == "A'":
-            w, h = Ap, weitzenbock_defect(A, Ap) + contraction_bracket(Ap, B)
+            w, h = Ap, weitzenbock_defect(A, Ap)
+            if A.algebra.c != 0:  # u(1)'s bracket is an exact zero
+                h = h + contraction_bracket(Ap, B)
         else:
             raise ValueError("omega_kind must be 'B' or \"A'\"")
         record[kind] = (w.pointwise_norm(), h.pointwise_norm())

@@ -141,11 +141,13 @@ class _FieldInterpolator:
     axis, so one cell search and one gather serve them all.  The arithmetic
     is that of SciPy's linear `RegularGridInterpolator` on each field, so
     the values agree bit for bit: the same cell search, fractions, corner
-    order and weight products."""
+    order and weight products.  A single field's values are a view of its
+    array wherever the reshape allows it (U(1)); stacking copies."""
 
     def __init__(self, fields):
         self.axes = [fields[0].grid.axis_coords(a) for a in range(3)]
-        vals = np.stack([np.moveaxis(A.interior, 0, -2) for A in fields], 3)
+        vals = [np.moveaxis(A.interior, 0, -2) for A in fields]
+        vals = np.stack(vals, 3) if len(vals) > 1 else vals[0][:, :, :, None]
         self.values = vals.reshape(vals.shape[:3] + (-1,))
         self.shape = vals.shape[3:]  # (field, component, dim)
 

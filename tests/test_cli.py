@@ -22,11 +22,8 @@ from hypothesis import strategies as st
 
 import ymheat
 from ymheat import calculus, cli, flow, report, transport, washer
-from ymheat.algebra import su2
 from ymheat.cli import load_config, main, ConfigError
-from ymheat.fields import random_smooth
 from ymheat.grid import GridSpec
-from ymheat.snapshot import snapshot_write
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -34,7 +31,7 @@ BASE_FLOW = {
     "grid": {"extents": [1, 1, 1], "shape": [12, 12, 12]},
     "boundary": "neumann",
     "field": {"kind": "coulomb-cosine", "amplitude": 1.0},
-    "flow": {"dt": 0.0008, "t_end": 0.004, "snapshot_times": [0.004]},
+    "flow": {"dt": 0.0008, "t_end": 0.004},
     "oracle": "abelian-spectral",
 }
 
@@ -577,8 +574,8 @@ def _with(cfg, section, key, value):
 
 # json.dumps writes NaN and Infinity as the bare words Python's json reads
 @pytest.mark.parametrize("command, text", [
-    ("flow", json.dumps(_with(BASE_FLOW, "flow", "snapshot_times",
-                              [float("nan")]))),
+    ("verify-domination", json.dumps(_with(RANDOM_FLOW, "flow",
+                                           "snapshot_times", [float("nan")]))),
     ("flow", json.dumps(_with(BASE_FLOW, "flow", "t_end", float("inf")))),
     ("flow", json.dumps(BASE_FLOW).replace('"t_end": 0.004',
                                            '"t_end": 1e999')),
@@ -602,40 +599,6 @@ def test_non_finite_or_non_integer_number_is_config_error(
     err = capsys.readouterr().err
     assert "config error" in err and "Traceback" not in err
     assert not (out / "report.json").exists()
-
-
-@pytest.mark.parametrize("shape, degree", [((10, 10, 10), 1),
-                                           ((12, 12, 12), 2)],
-                         ids=["grid", "degree"])
-def test_snapshot_field_must_fit_the_run(tmp_path, capsys, shape, degree):
-    path = tmp_path / "field.ymf"
-    snapshot_write(random_smooth(GridSpec((1, 1, 1), shape), su2(),
-                                 degree=degree), 0.0, path)
-    cfg = dict(BASE_FLOW, field={"kind": "snapshot", "path": str(path)})
-    del cfg["oracle"]
-    assert _run(["flow", "--config", _write(tmp_path, cfg),
-                 "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
-
-
-def test_written_snapshot_reads_back_as_field(tmp_path):
-    cfg = {
-        "grid": {"extents": [1, 1, 1], "shape": [10, 10, 10]},
-        "field": {"kind": "random-smooth", "seed": 5, "amplitude": 0.1},
-        "flow": {"dt": 0.001, "t_end": 0.004, "snapshot_times": [0.004],
-                 "write_snapshots": True},
-    }
-    first, second = tmp_path / "first", tmp_path / "second"
-    assert _run(["flow", "--config", _write(tmp_path, cfg),
-                 "--out", str(first)]) == 0
-    snap = first / "snapshot_t0.004000.ymf"
-    cfg["field"] = {"kind": "snapshot", "path": str(snap)}
-    assert _run(["flow", "--config", _write(tmp_path, cfg),
-                 "--out", str(second)]) == 0
-    r1 = json.loads((first / "report.json").read_text())["results"]
-    r2 = json.loads((second / "report.json").read_text())["results"]
-    assert r1["snapshots_written"] == 1
-    assert r2["B_l2_initial"] == r1["B_l2_final"]
 
 
 def test_ascent_fails_B_l2_nonincreasing(tmp_path, monkeypatch):
@@ -778,13 +741,8 @@ COMPUTATION = ("integrate", "transport_many", "NeumannSemigroup",
 
 def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
                                       command, cfg):
-    """`command` on `cfg` ("SNAP" standing for a 12^3 SU(2) snapshot)
-    exits 2 with no computation started and no output directory made;
-    returns its stderr."""
-    snap = tmp_path / "field.ymf"
-    snapshot_write(random_smooth(GridSpec((1, 1, 1), (12, 12, 12)), su2()),
-                   0.0, snap)
-    cfg = json.loads(json.dumps(cfg).replace('"SNAP"', json.dumps(str(snap))))
+    """`command` on `cfg` exits 2 with no computation started and no
+    output directory made; returns its stderr."""
     for name in COMPUTATION:
         monkeypatch.setattr(cli, name, _forbidden)
     out = tmp_path / "o"
@@ -847,6 +805,25 @@ def test_ignored_config_key_is_config_error(tmp_path, capsys, monkeypatch,
 
 
 DOMINATION = SMOKE["verify-domination"]
+# a field read from a file, which no command takes any more
+FIELD_FILE = {"kind": "snapshot", "path": "field.bin"}
+# a config of each command that reads a `flow` section, but verify-bounds,
+# whose case stands in the table below
+FLOWING = {"flow": BASE_FLOW, "verify-domination": DOMINATION,
+           "wilson": dict(WILSON, flow={"dt": 0.0005}),
+           "washer-regularize": WASHER_REGULARIZE}
+# (id, command, config, where): no command reads or writes a field file
+FIELD_FILE_CASES = [
+    *((f"field_file_{command}", command,
+       dict(SMOKE[command], field=FIELD_FILE), "$.field.kind")
+      for command in ("flow", "verify-bounds", "verify-domination",
+                      "verify-diamagnetic", "wilson")),
+    *((f"write_snapshots_{command}", command,
+       _with(cfg, "flow", "write_snapshots", True), "$.flow")
+      for command, cfg in FLOWING.items()),
+    ("snapshot_times_flow", "flow",
+     _with(BASE_FLOW, "flow", "snapshot_times", [0.004]), "$.flow"),
+]
 
 
 @pytest.mark.parametrize("command, cfg, where", [
@@ -874,12 +851,14 @@ DOMINATION = SMOKE["verify-domination"]
     ("washer-regularize", dict(WASHER_REGULARIZE,
                                flow={"dt": 0.002, "t_end": 0.01,
                                      "snapshot_times": [0.01]}), "$.flow"),
+    *(case[1:] for case in FIELD_FILE_CASES),
 ], ids=["oracle_random_field", "oracle_dirichlet", "domination_dirichlet",
         "washer_regularize_marini", "wilson_flow_without_ladder",
         "wilson_snapshot_times", "wilson_t_end",
         "verify_bounds_write_snapshots",
         "verify_bounds_without_field", "verify_domination_constants",
-        "verify_bounds_snapshot_times", "washer_regularize_snapshot_times"])
+        "verify_bounds_snapshot_times", "washer_regularize_snapshot_times",
+        *(case[0] for case in FIELD_FILE_CASES)])
 def test_schema_refuses_at_the_location(tmp_path, capsys, monkeypatch,
                                         command, cfg, where):
     """Each command's schema states which boundary, flow keys and sections
@@ -1129,7 +1108,7 @@ def _mutate(draw, cfg, how):
 def test_interpreter_agrees_with_jsonschema(command, data):
     """A valid config and mutations of it: `cli` refuses exactly what the
     oracle refuses, at best_match's location and with its message."""
-    cfg = data.draw(_fuzz_case(command))[0]
+    cfg = data.draw(_fuzz_case(command))
     cases = [cfg] + [_mutate(data.draw, copy.deepcopy(cfg), how)
                      for how in MUTATIONS]
     # and two changes at once
@@ -1157,10 +1136,8 @@ def _section(draw, required, optional):
 
 @st.composite
 def _fuzz_case(draw, command):
-    """(config, snapshot grid or None): a config that `command`'s schema
-    accepts, on 8-10 nodes per axis and extents in [0.5, 4], flowing about
-    four steps at most.  A snapshot field's path is "SNAP" (written from
-    the snapshot grid) or "ABSENT"."""
+    """A config that `command`'s schema accepts, on 8-10 nodes per axis and
+    extents in [0.5, 4], flowing about four steps at most."""
     schema = cli._DISPATCH[command][1]
     required = set(schema["required"])
     optional = set(schema["properties"]) - required
@@ -1172,7 +1149,6 @@ def _fuzz_case(draw, command):
     ceiling = flow.dt_ceiling(grid)
     dt = ceiling * draw(st.floats(0.25, 1.05))
     t_end = dt * draw(st.floats(0.5, 4.0))
-    snapshot_grid = None
     sections = {
         "grid": {"extents": extents, "shape": shape},
         # domination and the washer's regularization are Neumann checks
@@ -1200,14 +1176,8 @@ def _fuzz_case(draw, command):
             "u_max": draw(st.floats(0.1, 40.0)),
             "n_u": draw(st.integers(8, 32))}),
     }
-    kind = draw(st.sampled_from(["coulomb-cosine", "random-smooth",
-                                 "snapshot"]))
-    if kind == "snapshot":
-        sections["field"] = {"kind": kind, "path": draw(
-            st.sampled_from(["SNAP", "ABSENT"]))}
-        snapshot_grid = draw(st.sampled_from([grid, GridSpec(
-            tuple(extents), (8, 8, 8))]))
-    elif kind == "coulomb-cosine":
+    kind = draw(st.sampled_from(["coulomb-cosine", "random-smooth"]))
+    if kind == "coulomb-cosine":
         sections["field"] = _section(draw, {"kind": kind}, {
             "amplitude": draw(st.floats(0.0, 2.0))})
     else:
@@ -1243,15 +1213,9 @@ def _fuzz_case(draw, command):
     ladder = [t0, 2 * t0, 4 * t0, 8 * t0]
     sections["wilson"] = _section(draw, {}, {
         "n_steps": draw(st.integers(8, 32)), "ladder": ladder})
-    # only flow and verify-domination read snapshots
+    # only verify-domination reads snapshot times
     if command == "verify-domination":
         sections["flow"]["snapshot_times"] = [0.0, t_end / 2, t_end]
-    if command == "flow" and draw(st.booleans()):
-        sections["flow"]["snapshot_times"] = [
-            t_end * f for f in sorted(draw(st.lists(st.sampled_from(
-                [0.0, 0.25, 0.5, 0.75, 1.0]), max_size=5, unique=True)))]
-    if command == "flow" and draw(st.booleans()):
-        sections["flow"]["write_snapshots"] = draw(st.booleans())
     # the oracle's closed form is the cosine mode's, off a Dirichlet fill
     if sections["field"]["kind"] != "coulomb-cosine" \
             or sections["boundary"] == "dirichlet":
@@ -1266,7 +1230,7 @@ def _fuzz_case(draw, command):
                 if draw(st.booleans())})
     if command == "wilson" and "flow" in cfg:
         cfg["wilson"] = sections["wilson"]
-    return cfg, snapshot_grid
+    return cfg
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -1276,16 +1240,10 @@ def _fuzz_case(draw, command):
 def test_every_valid_config_ends_with_an_exit_status(command, data):
     """Exit 0, 1, 2 or 3 and no traceback; an exit 2 makes no output
     directory, an exit 3 writes no report."""
-    cfg, snapshot_grid = data.draw(_fuzz_case(command))
+    cfg = data.draw(_fuzz_case(command))
     assert ORACLES[command].is_valid(cfg)
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        if snapshot_grid is not None and "field" in cfg:
-            snap = tmp / "field.ymf"
-            snapshot_write(random_smooth(snapshot_grid, su2(), seed=1,
-                                         amplitude=0.1), 0.0, snap)
-            cfg["field"]["path"] = str(
-                snap if cfg["field"]["path"] == "SNAP" else tmp / "absent")
         out = tmp / "o"
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
@@ -1349,20 +1307,20 @@ def test_main_validates_each_config_once(tmp_path, monkeypatch, field):
     assert seen == [field]
 
 
-def test_oracle_runs_without_a_snapshot_at_t_end(tmp_path):
-    """The oracle reads the flow's end state, so a run without a snapshot
-    at t_end reports the row of one with it: that snapshot changes no
+def test_oracle_runs_without_a_snapshot_at_t_end():
+    """The oracle reads the flow's end state, so a flow without a snapshot
+    at t_end gives the row of one with it: that snapshot changes no
     step."""
+    grid = cli._grid_from(BASE_FLOW)
+    A0 = cli._field_from(BASE_FLOW, grid)
     rows = []
     for snaps in ([0.0024], [0.0024, 0.004]):
-        out = tmp_path / f"o{len(snaps)}"
-        cfg = _with(BASE_FLOW, "flow", "snapshot_times", snaps)
-        assert _run(["flow", "--config", _write(tmp_path, cfg),
-                     "--out", str(out)]) == 0
-        checks = json.loads((out / "report.json").read_text())["checks"]
-        rows.append([r for r in checks
-                     if r["name"] == "abelian_spectral_equivalence"])
-    assert len(rows[0]) == 1 and rows[0] == rows[1]
+        fc = cli._flow_config(dict(BASE_FLOW["flow"], snapshot_times=snaps),
+                              cli._boundary_from(BASE_FLOW), grid)
+        traj = flow.integrate(A0, fc)
+        assert traj.times == snaps
+        rows.append(cli._abelian_spectral_check(traj, A0, 1e-4))
+    assert rows[0] == rows[1] and rows[0]["verdict"] == "pass"
 
 
 def _fresh_python(code):

@@ -9,6 +9,10 @@ attribute name alone, so ``np.exp`` would hide a method ``exp``: the
 guard finds names nothing refers to, not names that only other unused
 code refers to.
 
+Every module of ``src/ymheat`` but ``__init__`` must be imported by
+another of them, a demo or a ``perfbench/*.py`` (not the benchmark's
+tests): no module exists only for its tests.
+
 Every name a ``tests/*.py`` module imports (``from __future__`` aside)
 must be read in that module.
 """
@@ -95,6 +99,34 @@ def _unreferenced():
 def test_every_public_library_name_has_a_caller_outside_the_tests():
     missing = _unreferenced()
     assert not missing, "no caller outside the tests: " + ", ".join(missing)
+
+
+def _imported_modules(tree):
+    """The modules a parsed file's import statements name, dotted; its
+    relative imports resolve inside ``ymheat``."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:  # from . import x, from .x import y
+                base = ".".join(filter(None, ["ymheat", base]))
+            names.add(base)
+            names.update(f"{base}.{a.name}" for a in node.names)
+    return names
+
+
+def test_every_library_module_is_imported_outside_the_tests():
+    trees = _parsed()
+    modules = {f"ymheat.{p.stem}": p
+               for p in sorted((ROOT / "src" / "ymheat").glob("*.py"))
+               if p.stem != "__init__"}
+    unimported = [name for name, path in modules.items()
+                  if not any(name in _imported_modules(tree)
+                             for p, tree in trees.items() if p != path)]
+    assert not unimported, "imported only by the tests: " + \
+        ", ".join(unimported)
 
 
 def _unread_imports(path):

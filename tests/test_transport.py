@@ -405,3 +405,11 @@ def test_stacked_interpolator_reads_each_field_as_alone(n_fields, shape,
             axes, np.moveaxis(A.interior, 0, -2).reshape(shape + (-1,)),
             method="linear")
         assert np.array_equal(values[:, f], scipy_interp(points))
+
+
+def test_one_u1_field_is_read_through_a_view(abelian):
+    """`line_integral`'s one-field interpolator copies no U(1) values: a
+    single field is not stacked, and its reshape only views it."""
+    interp = _FieldInterpolator([abelian])
+    assert np.shares_memory(interp.values, abelian.values)
+    assert interp.shape == (1, 3, 1)
