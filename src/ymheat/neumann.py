@@ -2,9 +2,10 @@
 pointwise-domination checkers.
 
 The scalar Neumann Laplacian on a box diagonalizes in the cosine basis,
-so e^{t Lap_N} is exact up to mode truncation (DCT-I on the node grid).
-Every comparison of a gauge evolution against the scalar semigroup in
-this module is therefore an oracle comparison, not a two-solver race.
+so e^{t Lap_N} is exact up to mode truncation (DCT-I on the node grid:
+``dctn``/``idctn``, NumPy's real FFT of the even extension with SciPy's
+bits).  Every comparison of a gauge evolution against the scalar semigroup
+in this module is therefore an oracle comparison, not a two-solver race.
 Heat-kernel domination runs during the flow: ``DominationStream``, the
 snapshot hook, hands each snapshot's DCTs and Duhamel bounds to two
 threads, bit for bit, and ``domination_check`` gathers the margins.
@@ -14,6 +15,7 @@ Every traced call stays on the calling thread.
 from __future__ import annotations
 
 import math
+import threading
 
 import numpy as np
 
@@ -41,22 +43,45 @@ __all__ = [
 ]
 
 
-# SciPy's DCTs, imported on first call so that importing this module
-# (and the command line with it) does not load scipy.fft
+# A DCT-I with the bits of scipy.fft.dctn/idctn(type=1): axis by axis, in
+# order, the real part of np.fft.rfft of the even extension [y, y[n-2:0:-1]];
+# the inverse scales after axis 0, where pocketfft applies its factor.
+# Each thread keeps its own extension and spectrum buffers.
+_buffers = threading.local()
 
 
-def dctn(x, **kwargs):
-    from scipy.fft import dctn
-    return dctn(x, **kwargs)
+def _dct1(x: np.ndarray, inverse: bool) -> np.ndarray:
+    shape, size = np.shape(x), np.size(x)
+    if min(shape) < 2:
+        raise ValueError(f"DCT-I needs at least 2 points per axis, not {shape}")
+    if getattr(_buffers, "shape", None) != shape:
+        _buffers.shape, _buffers.out = shape, np.empty(shape, complex)
+        _buffers.ext = np.empty(max(size // n * 2 * (n - 1) for n in shape))
+    y = x
+    for a, n in enumerate(shape):
+        ext = _buffers.ext[:size // n * 2 * (n - 1)].reshape(
+            shape[:a] + (2 * (n - 1),) + shape[a + 1:])
+        lead = (slice(None),) * a
+        ext[lead + (slice(0, n),)] = y
+        ext[lead + (slice(n, None),)] = y[lead + (slice(n - 2, 0, -1),)]
+        y = np.fft.rfft(ext, axis=a, out=_buffers.out).real
+        if inverse and a == 0:
+            y *= 1 / math.prod(2 * (m - 1) for m in shape)
+    return y.copy()
 
 
-def idctn(x, **kwargs):
-    from scipy.fft import idctn
-    return idctn(x, **kwargs)
+def dctn(x: np.ndarray) -> np.ndarray:
+    """DCT-I over every axis, unnormalized, as a new C-contiguous array."""
+    return _dct1(x, inverse=False)
+
+
+def idctn(x: np.ndarray) -> np.ndarray:
+    """The inverse of ``dctn``, as a new C-contiguous array."""
+    return _dct1(x, inverse=True)
 
 
 class NeumannSemigroup:
-    """e^{t Lap_N} on the box via the discrete cosine transform (type I).
+    """e^{t Lap_N} on the box via the DCT-I of ``dctn``/``idctn``.
 
     The retained modes are exactly the n_i cosine modes representable on
     the node grid; eigenvalues are the continuum lambda_k = sum (pi k_i/L_i)^2.
@@ -85,22 +110,21 @@ class NeumannSemigroup:
         f = np.asarray(f, dtype=float)
         if f.shape != self.grid.shape:
             raise ValueError(f"field shape {f.shape} != {self.grid.shape}")
-        return dctn(f, type=1)
+        return dctn(f)
 
     def evolve(self, t: float, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values of e^{t Lap_N} f from f's ``spectrum``.
 
         ``coeffs`` is not modified, so one spectrum serves any number of
-        times t.  The damped modes are formed in one array, which the
-        inverse DCT may overwrite; the bits are those of
-        ``idctn(coeffs * np.exp(-eigenvalues * t), type=1)``.
+        times t.  The damped modes are formed in one array; the bits are
+        those of ``idctn(coeffs * np.exp(-eigenvalues * t))``.
         """
         if t < 0:
             raise ValueError("t must be nonnegative")
         damped = self._neg_eigenvalues * t
         np.exp(damped, out=damped)
         np.multiply(coeffs, damped, out=damped)
-        return idctn(damped, type=1, overwrite_x=True)
+        return idctn(damped)
 
     def heat_apply(self, t: float, f: np.ndarray) -> np.ndarray:
         """Apply e^{t Lap_N} to nodal values f of shape grid.shape.

@@ -210,8 +210,8 @@ def verify_identities(traj: FlowTrajectory) -> dict:
 
 def laplacian_apply(sg: NeumannSemigroup, f: np.ndarray) -> np.ndarray:
     """Spectral Neumann Laplacian of nodal values."""
-    coeffs = neumann.dctn(np.asarray(f, dtype=float), type=1)
-    return neumann.idctn(sg._neg_eigenvalues * coeffs, type=1)
+    coeffs = neumann.dctn(np.asarray(f, dtype=float))
+    return neumann.idctn(sg._neg_eigenvalues * coeffs)
 
 
 def _one_sided_laplacian(psi: np.ndarray, grid: GridSpec) -> np.ndarray:

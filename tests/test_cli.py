@@ -726,7 +726,6 @@ def test_verify_domination_frees_the_end_state(tmp_path, monkeypatch):
     assert finals == [None, None]
 
 
-SNAPSHOT_FLOW = {k: v for k, v in BASE_FLOW.items() if k != "oracle"}
 RANDOM_FIELD = {"kind": "random-smooth", "seed": 3, "amplitude": 0.05}
 
 
@@ -764,16 +763,10 @@ def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
                                  "write_snapshots": True})),
     ("constants", {"flow": {"dt": 0.001, "t_end": 0.004,
                             "write_snapshots": False}}),
-    ("flow", dict(SNAPSHOT_FLOW, field={"kind": "snapshot", "path": "SNAP",
-                                        "amplitude": 2.0})),
-    ("flow", dict(SNAPSHOT_FLOW, field={"kind": "snapshot", "path": "SNAP",
-                                        "seed": 4})),
-    ("flow", dict(SNAPSHOT_FLOW, field={"kind": "snapshot", "path": "SNAP",
-                                        "algebra": "U1"})),
     ("flow", dict(BASE_FLOW, field={"kind": "coulomb-cosine", "seed": 4})),
     ("flow", dict(BASE_FLOW, field={"kind": "coulomb-cosine",
                                     "algebra": "U1"})),
-    ("flow", dict(SNAPSHOT_FLOW, field=dict(RANDOM_FIELD, path="SNAP"))),
+    ("flow", _with(RANDOM_FLOW, "field", "path", "SNAP")),
     ("constants", dict(SMOKE["constants"], boundary="dirichlet",
                        field=RANDOM_FIELD,
                        flow={"dt": 1.0, "t_end": 1.0})),
@@ -792,8 +785,7 @@ def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
     ("wilson", dict(WILSON, domination={"omega_kinds": ["B"]})),
 ], ids=["wilson_flow_without_ladder", "write_snapshots_wilson",
         "write_snapshots_verify_bounds", "write_snapshots_constants",
-        "snapshot_amplitude", "snapshot_seed", "snapshot_algebra",
-        "cosine_seed", "cosine_algebra", "random_path",
+        "cosine_seed", "cosine_algebra", "random_smooth_path",
         "constants_flow_field_boundary", "washer_regularize_field",
         "washer_energy_grid", "washer_flux_regularize", "flow_washer",
         "verify_bounds_oracle", "verify_domination_constants",
@@ -1377,9 +1369,7 @@ def test_cli_import_loads_no_scipy_and_every_traced_module():
         "'concurrent.futures' in sys.modules]))") == [1, False]
 
 
-@pytest.mark.parametrize("command", ["constants", "flow", "verify-bounds",
-                                     "wilson", "washer-energy", "washer-flux",
-                                     "washer-regularize"])
+@pytest.mark.parametrize("command", cli.COMMANDS)
 def test_command_runs_without_scipy(tmp_path, command):
     args = [command, "--config", _write(tmp_path, SMOKE[command]),
             "--out", str(tmp_path / "o")]

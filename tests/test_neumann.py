@@ -1,11 +1,14 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
+from scipy.fft import dctn as scipy_dctn, idctn as scipy_idctn
 from scipy.integrate import quad
 
 from ymheat.grid import GridSpec
-from ymheat.neumann import NeumannSemigroup, a4_constant
+from ymheat.neumann import NeumannSemigroup, a4_constant, dctn, idctn
 
 from paper_checks import (
     _normal_derivatives,
@@ -63,15 +66,90 @@ def test_heat_apply_rejects_negative_time(sg):
 
 
 def test_evolve_keeps_coeffs_and_the_bits_of_the_formula(sg, rng):
-    from ymheat.neumann import idctn
-
     coeffs = sg.spectrum(rng.standard_normal(sg.grid.shape))
     kept = coeffs.copy()
     for t in (0.0, 0.003, 0.07):
         out = sg.evolve(t, coeffs)
         assert np.array_equal(
-            out, idctn(coeffs * np.exp(-sg.eigenvalues * t), type=1))
+            out, idctn(coeffs * np.exp(-sg.eigenvalues * t)))
         assert np.array_equal(coeffs, kept)
+
+
+DCT_SHAPES = [(2, 2, 2), (3, 5, 7), (4, 6, 8), (2, 9, 4), (12, 10, 14),
+              (16, 16, 16), (32, 32, 32)]
+
+
+@pytest.mark.parametrize("shape", DCT_SHAPES,
+                         ids=["x".join(map(str, s)) for s in DCT_SHAPES])
+def test_dct_has_the_bits_of_scipy(shape, rng):
+    for _ in range(3):
+        x = rng.standard_normal(shape)
+        assert np.array_equal(dctn(x), scipy_dctn(x, type=1))
+        assert np.array_equal(idctn(x), scipy_idctn(x, type=1))
+
+
+def test_dct_inverse_scaled_after_the_last_axis_loses_the_bits(rng):
+    """Control: the inverse scale belongs right after axis 0, where
+    pocketfft applies it; the same factor after the last axis is the same
+    transform to rounding, and not bit for bit."""
+    x = rng.standard_normal((32, 32, 32))
+    late = dctn(x) * (1 / 62 ** 3)
+    reference = scipy_idctn(x, type=1)
+    assert np.allclose(late, reference, rtol=1e-13, atol=1e-16)
+    assert not np.array_equal(late, reference)
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 4), (4, 4, 1)])
+def test_dct_refuses_a_one_point_axis_as_scipy_does(shape):
+    # SciPy 1.17 refuses with pocketfft's RuntimeError ("zero-length FFT
+    # requested"); the port raises the ValueError NumPy raises for an
+    # empty transform
+    x = np.ones(shape)
+    for ours, theirs in ((dctn, scipy_dctn), (idctn, scipy_idctn)):
+        with pytest.raises((ValueError, RuntimeError)):
+            theirs(x, type=1)
+        with pytest.raises(ValueError):
+            ours(x)
+
+
+def test_dct_buffers_are_per_thread(rng):
+    """Each thread reuses its own buffers: three threads (more than the
+    domination stream's two) transforming at once give the serial bits,
+    and a returned array is the caller's."""
+    inputs = [rng.standard_normal((16, 16, 16)) for _ in range(3)]
+    serial = [(dctn(x), idctn(x)) for x in inputs]
+    kept = [(a.copy(), b.copy()) for a, b in serial]
+    dctn(rng.standard_normal((16, 16, 16)))
+    idctn(rng.standard_normal((16, 16, 16)))
+    assert all(np.array_equal(a, c) and np.array_equal(b, d)
+               for (a, b), (c, d) in zip(serial, kept))
+    start = threading.Barrier(len(inputs))
+    wrong = []
+
+    def transform(i):
+        start.wait()
+        for _ in range(60):
+            try:
+                same = (np.array_equal(dctn(inputs[i]), serial[i][0])
+                        and np.array_equal(idctn(inputs[i]), serial[i][1]))
+            except Exception as e:  # a thread's error must fail the test
+                same = repr(e)
+            if same is not True:
+                wrong.append((i, same))
+
+    threads = [threading.Thread(target=transform, args=(i,))
+               for i in range(len(inputs))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert wrong == []
 
 
 def test_laplacian_apply_eigenvalue(sg):

@@ -15,6 +15,9 @@ tests): no module exists only for its tests.
 
 Every name a ``tests/*.py`` module imports (``from __future__`` aside)
 must be read in that module.
+
+No module of ``src/ymheat`` imports SciPy, at its top or inside a
+function: the package runs on NumPy alone, and SciPy is the tests' oracle.
 """
 
 import ast
@@ -146,3 +149,11 @@ def test_every_test_import_is_read():
     unread = [name for path in sorted((ROOT / "tests").glob("*.py"))
               for name in _unread_imports(path)]
     assert not unread, "imported and never read: " + ", ".join(unread)
+
+
+def test_no_library_module_imports_scipy():
+    found = [path.name for path, tree in _parsed().items()
+             if path.parent == ROOT / "src" / "ymheat"
+             and any(name.split(".")[0] == "scipy"
+                     for name in _imported_modules(tree))]
+    assert not found, "imports SciPy: " + ", ".join(found)
