@@ -215,14 +215,14 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     (stage state, stage curvature, two stage directions) belongs to the
     flow: allocated once per call, overwritten at every step, and B' of
     the monitors goes into the stage curvature.  New at every step are
-    the filled end state A, its direction A' and curvature B, and the
-    filled A' of the monitors.  Each snapshot stores
-    ``on_snapshot(t, A, Ap, B)`` (by default A) at its time t in
-    ``times``, with those new A, filled A' and B.  The hook runs on this
-    thread and must not modify them; nothing writes into them after it
-    returns, so it may keep them or hand them to other threads to read,
-    but makes its traced calls on this thread.  Neither a snapshot nor
-    ``final`` (the filled A at t_end) is a copy.
+    the filled end state A, its direction A' and curvature B; the
+    monitors fill that A' in place, and the step is taken from it.  Each
+    snapshot stores ``on_snapshot(t, A, Ap, B)`` (by default A) at its
+    time t in ``times``, with those new A, filled A' and B.  The hook
+    runs on this thread and must not modify them; nothing writes into
+    them after it returns, so it may keep them or hand them to other
+    threads to read, but makes its traced calls on this thread.  Neither
+    a snapshot nor ``final`` (the filled A at t_end) is a copy.
     """
     cfg.validate(A0.grid)
     on_snapshot = on_snapshot or (lambda t, A, Ap, B: A)
@@ -243,12 +243,11 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     step = 0
     k1, B = rhs(A, bc)
     while True:
-        k1f = _record(monitors, t, A, k1, B, bc, B_stage)
+        _record(monitors, t, A, k1, B, bc, B_stage)
         if snap_queue and t >= snap_queue[0] - TIME_TOL:
             times.append(t)
-            fields.append(on_snapshot(t, A, k1f, B))
+            fields.append(on_snapshot(t, A, k1, B))
             snap_queue.pop(0)
-        del k1f  # the step needs only k1: do not hold a field through it
         # a snapshot within TIME_TOL of the last one still gets its own step
         if t >= cfg.t_end - TIME_TOL and not snap_queue:
             break
@@ -301,12 +300,13 @@ def _rk4_step(A, dt, rhs, k1, stages, bc, step, t):
 
 def _record(monitors, t, A, Ap, B, bc, Bp):
     """Append the monitors of the filled state A with flow direction Ap and
-    filled curvature B, writing B' = d_A A' into the form Bp; returns the
-    filled Ap."""
-    Apf = apply_boundary(Ap, bc)
-    d_cov(A, Apf, out=Bp)
-    monitors.record(t, *B.l2_linf(), *Apf.l2_linf(), Bp.norm("L2"))
-    return Apf
+    filled curvature B, writing B' = d_A A' into the form Bp.  Ap is
+    filled in place: the fill rewrites only ghosts and odd-parity face
+    nodes, which the stage fills and the end-of-step fill of `_rk4_step`
+    overwrite, so the step taken from Ap keeps its bits."""
+    apply_boundary(Ap, bc, out=Ap)
+    d_cov(A, Ap, out=Bp)
+    monitors.record(t, *B.l2_linf(), *Ap.l2_linf(), Bp.norm("L2"))
 
 
 # ---------------------------------------------------------------------------

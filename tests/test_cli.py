@@ -27,6 +27,21 @@ from ymheat.grid import GridSpec
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+
+def _perfbench_module(name):
+    """perfbench/<name>.py as the module perfbench_<name>, read as the
+    benchmark runs it."""
+    spec = importlib.util.spec_from_file_location(
+        f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # a dataclass looks up its module
+    spec.loader.exec_module(module)
+    return module
+
+
+# the benchmark's rule for a report against its stored reference
+drift = _perfbench_module("run").drift
+
 BASE_FLOW = {
     "grid": {"extents": [1, 1, 1], "shape": [12, 12, 12]},
     "boundary": "neumann",
@@ -115,10 +130,43 @@ def test_constants_report(tmp_path):
     out = tmp_path / "out"
     assert _run(["constants", "--config", _write(tmp_path, cfg),
                  "--out", str(out)]) == 0
-    res = json.loads((out / "report.json").read_text())["results"]
+    doc = json.loads((out / "report.json").read_text())
+    res = doc["results"]
+    assert [r["name"] for r in doc["checks"]] == [
+        "a4_quadrature_vs_gamma", "c_N_constant_mode_lower_bound"]
+    assert sorted(res) == ["a", "a4", "a4_exact", "c_N", "gamma",
+                           "kernel_modes", "tau"]
+    assert res["kernel_modes"] == 128
     assert res["c_N"] >= 1.0
     assert abs(res["a4"] - 7.416298709205489) < 1e-8
     assert res["a"] > 0 and res["gamma"] > res["c_N"]
+
+
+def test_too_few_kernel_modes_are_refused_by_the_tail(tmp_path, capsys):
+    """The kernel's tail bound is the mode count's one check: 8 modes do
+    not sum an axis of length 8 at t = 1, and the run exits 2."""
+    cfg = {"grid": {"extents": [8, 1, 1], "shape": [16, 16, 16]},
+           "constants": {"kernel_modes": 8}}
+    out = tmp_path / "o"
+    assert _run(["constants", "--config", _write(tmp_path, cfg),
+                 "--out", str(out)]) == 2
+    assert "mode count too small" in capsys.readouterr().err
+    assert not (out / "report.json").exists()
+
+
+def test_c_N_keeps_its_bits_from_8_kernel_modes_to_1024(tmp_path):
+    """Where the tail bound lets 8 modes through, they sum c_N to the
+    bits of 1024."""
+    c_N = {}
+    for modes in (8, 1024):
+        cfg = {"grid": {"extents": [4, 4, 4], "shape": [16, 16, 16]},
+               "constants": {"kernel_modes": modes}}
+        out = tmp_path / str(modes)
+        assert cli.execute("constants", cfg, out) == 0
+        res = json.loads((out / "report.json").read_text())["results"]
+        assert res["kernel_modes"] == modes
+        c_N[modes] = res["c_N"]
+    assert c_N[8] == c_N[1024]
 
 
 def _c_N_row(tmp_path, extents):
@@ -177,7 +225,6 @@ def test_a4_row_fails_on_a_wrong_closed_form(tmp_path, monkeypatch):
     assert doc["results"]["a4_exact"] != exact
     verdicts = {r["name"]: r["verdict"] for r in doc["checks"]}
     assert verdicts == {"a4_quadrature_vs_gamma": "fail",
-                        "c_N_mode_doubling_stability": "pass",
                         "c_N_constant_mode_lower_bound": "pass"}
 
 
@@ -265,6 +312,37 @@ def test_washer_flux_csv(tmp_path):
     lines = (out / "flux.csv").read_text().splitlines()
     assert lines[0] == "eps,flux,tail_bound"
     assert len(lines) == 4
+
+
+def _washer_flux_verdicts(tmp_path, monkeypatch, flux):
+    """The washer-flux rows' verdicts on the SMOKE ladder, each rim's flux
+    given by ``flux(eps)``."""
+    monkeypatch.setattr(cli, "flux_probe", lambda lp, wc: flux(lp.eps))
+    code = cli.execute("washer-flux", SMOKE["washer-flux"], tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    return code, {r["name"]: r["verdict"] for r in doc["checks"]}
+
+
+def test_falling_loglog_line_fails_flux_strictly_increasing(tmp_path,
+                                                            monkeypatch):
+    """Control: fluxes on an exact line in log log(1/eps) that falls fail
+    the monotonicity row alone; the line fits itself."""
+    code, verdicts = _washer_flux_verdicts(
+        tmp_path, monkeypatch,
+        lambda eps: 1.0 - 0.5 * math.log(math.log(1.0 / eps)))
+    assert code == 1
+    assert verdicts == {"flux_strictly_increasing": "fail",
+                        "loglog_fit_residual": "pass"}
+
+
+def test_power_law_growth_fails_loglog_fit_residual(tmp_path, monkeypatch):
+    """Control: fluxes that rise like eps^{-1/2} increase but fit no line
+    in log log(1/eps), and fail the residual row alone."""
+    code, verdicts = _washer_flux_verdicts(tmp_path, monkeypatch,
+                                           lambda eps: eps ** -0.5)
+    assert code == 1
+    assert verdicts == {"flux_strictly_increasing": "pass",
+                        "loglog_fit_residual": "fail"}
 
 
 def test_load_config_rejects_bad_boundary(tmp_path, capsys):
@@ -439,28 +517,6 @@ def test_wilson_flow_section_takes_dt_alone(tmp_path, wilson_without_flow,
                 == (wilson_without_flow / name).read_bytes()
 
 
-def _drift(ref, new, where="report", scale=0.0):
-    """Where `new` departs from `ref`: keys, lengths, strings and verdicts
-    exactly; a number by more than 1e-12 of the largest magnitude among
-    itself, its stored value and its siblings (a margin is judged against
-    the lhs and rhs it is the difference of)."""
-    def num(x):
-        return isinstance(x, (int, float)) and not isinstance(x, bool)
-
-    if isinstance(ref, list) and isinstance(new, list):
-        ref, new = dict(enumerate(ref)), dict(enumerate(new))
-    if isinstance(ref, dict):
-        if not isinstance(new, dict) or sorted(ref) != sorted(new):
-            return [f"{where}: {new!r} != {ref!r}"]
-        sib = max((abs(v) for v in ref.values() if num(v)), default=0.0)
-        return [p for k in ref
-                for p in _drift(ref[k], new[k], f"{where}[{k!r}]", sib)]
-    if num(ref) and num(new):
-        ok = abs(new - ref) <= 1e-12 * max(abs(ref), abs(new), scale)
-        return [] if ok else [f"{where}: {new!r} drifts from {ref!r}"]
-    return [] if ref == new else [f"{where}: {new!r} != {ref!r}"]
-
-
 def test_su2_bounds_workload_matches_reference(tmp_path):
     cfg = json.loads((PERFBENCH / "workloads" / "su2-bounds.json")
                      .read_text())
@@ -468,7 +524,7 @@ def test_su2_bounds_workload_matches_reference(tmp_path):
     assert cli.execute("verify-bounds", cfg, tmp_path) == 0
     ref = PERFBENCH / "references" / "su2-bounds.seed7.json"
     new = json.loads((tmp_path / "report.json").read_text())
-    assert _drift(json.loads(ref.read_text()), new) == []
+    assert drift(json.loads(ref.read_text()), new) == []
 
 
 def test_wilson_ladder_workload_matches_reference(tmp_path):
@@ -491,7 +547,7 @@ def test_u1_domination_workload_matches_reference(tmp_path):
     assert [c["name"] for c in new["checks"] if c["verdict"] == "fail"] \
         == ["domination_Ap"]
     ref = PERFBENCH / "references" / "u1-domination.seed0.json"
-    assert _drift(json.loads(ref.read_text()), new) == []
+    assert drift(json.loads(ref.read_text()), new) == []
 
 
 def test_domination_B_fails_on_the_cosine_mode_at_amplitude_one(tmp_path):
@@ -519,7 +575,7 @@ def test_washer_regularize_workload_matches_reference(tmp_path):
     assert cli.execute("washer-regularize", cfg, tmp_path) == 0
     ref = PERFBENCH / "references" / "washer-regularize.json"
     new = json.loads((tmp_path / "report.json").read_text())
-    assert _drift(json.loads(ref.read_text()), new) == []
+    assert drift(json.loads(ref.read_text()), new) == []
 
 
 WASHER_REGULARIZE = {
@@ -753,36 +809,48 @@ def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
     return err
 
 
-@pytest.mark.parametrize("command, cfg", [
+@pytest.mark.parametrize("command, cfg, where, keys", [
     ("wilson", dict(WILSON, wilson={"n_steps": 16},
-                    flow={"dt": 0.0005, "t_end": 0.01})),
+                    flow={"dt": 0.0005, "t_end": 0.01}),
+     "$.wilson", ["ladder"]),
     ("wilson", dict(WILSON, flow={"dt": 0.0005, "t_end": 0.04,
-                                  "write_snapshots": True})),
+                                  "write_snapshots": True}),
+     "$.flow", ["write_snapshots"]),
     ("verify-bounds", dict(SMOKE["verify-bounds"],
                            flow={"dt": 0.001, "t_end": 0.004,
-                                 "write_snapshots": True})),
+                                 "write_snapshots": True}),
+     "$.flow", ["write_snapshots"]),
     ("constants", {"flow": {"dt": 0.001, "t_end": 0.004,
-                            "write_snapshots": False}}),
-    ("flow", dict(BASE_FLOW, field={"kind": "coulomb-cosine", "seed": 4})),
+                            "write_snapshots": False}}, "$", ["flow"]),
+    ("flow", dict(BASE_FLOW, field={"kind": "coulomb-cosine", "seed": 4}),
+     "$.field", ["seed"]),
     ("flow", dict(BASE_FLOW, field={"kind": "coulomb-cosine",
-                                    "algebra": "U1"})),
-    ("flow", _with(RANDOM_FLOW, "field", "path", "SNAP")),
+                                    "algebra": "U1"}),
+     "$.field", ["algebra"]),
+    ("flow", _with(RANDOM_FLOW, "field", "path", "SNAP"), "$.field",
+     ["path"]),
     ("constants", dict(SMOKE["constants"], boundary="dirichlet",
                        field=RANDOM_FIELD,
-                       flow={"dt": 1.0, "t_end": 1.0})),
-    ("washer-regularize", dict(WASHER_REGULARIZE, field=RANDOM_FIELD)),
+                       flow={"dt": 1.0, "t_end": 1.0}),
+     "$", ["boundary", "field", "flow"]),
+    ("washer-regularize", dict(WASHER_REGULARIZE, field=RANDOM_FIELD),
+     "$", ["field"]),
     ("washer-energy", dict(SMOKE["washer-energy"],
                            grid={"extents": [1, 1, 1],
-                                 "shape": [8, 8, 8]})),
+                                 "shape": [8, 8, 8]}), "$", ["grid"]),
     ("washer-flux", dict(SMOKE["washer-flux"],
-                         regularize={"origin": [-2, -2, -2]})),
-    ("flow", dict(BASE_FLOW, washer={"n_u": 32})),
-    ("verify-bounds", dict(SMOKE["verify-bounds"], oracle="abelian-spectral")),
+                         regularize={"origin": [-2, -2, -2]}),
+     "$", ["regularize"]),
+    ("flow", dict(BASE_FLOW, washer={"n_u": 32}), "$", ["washer"]),
+    ("verify-bounds", dict(SMOKE["verify-bounds"], oracle="abelian-spectral"),
+     "$", ["oracle"]),
     ("verify-domination", dict(SMOKE["verify-domination"],
-                               constants={"kernel_modes": 128})),
+                               constants={"kernel_modes": 128}),
+     "$", ["constants"]),
     ("verify-diamagnetic", dict(SMOKE["verify-diamagnetic"],
-                                boundary="neumann")),
-    ("wilson", dict(WILSON, domination={"omega_kinds": ["B"]})),
+                                boundary="neumann"), "$", ["boundary"]),
+    ("wilson", dict(WILSON, domination={"omega_kinds": ["B"]}),
+     "$", ["domination"]),
 ], ids=["wilson_flow_without_ladder", "write_snapshots_wilson",
         "write_snapshots_verify_bounds", "write_snapshots_constants",
         "cosine_seed", "cosine_algebra", "random_smooth_path",
@@ -791,9 +859,14 @@ def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
         "verify_bounds_oracle", "verify_domination_constants",
         "verify_diamagnetic_boundary", "wilson_domination"])
 def test_ignored_config_key_is_config_error(tmp_path, capsys, monkeypatch,
-                                            command, cfg):
-    _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
-                                      command, cfg)
+                                            command, cfg, where, keys):
+    """The refusal names the case's own keys at their location, so a case
+    that breaks a second rule still fails once its own rule is lifted."""
+    err = _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
+                                            command, cfg)
+    head = f"config schema violation at {where}: "
+    assert head in err
+    assert all(repr(key) in err.split(head, 1)[1] for key in keys)
 
 
 DOMINATION = SMOKE["verify-domination"]
@@ -1340,10 +1413,7 @@ def _heavy(loaded):
 def test_cli_import_loads_no_scipy_and_every_traced_module():
     loaded = _fresh_python("import ymheat.cli\n" + LOADED)
     assert _heavy(loaded) == []
-    spec = importlib.util.spec_from_file_location(
-        "perfbench_tracing", PERFBENCH / "tracing.py")
-    tracing = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracing)
+    tracing = _perfbench_module("tracing")
     traced = {mod for _name, mod, _attr in tracing.BOUNDARIES}
     assert traced <= set(loaded)
     # every traced callable resolves as the tracer patches it, with each

@@ -299,9 +299,9 @@ def test_integrate_evaluates_curvature_once_per_stage(monkeypatch, su2_alg):
 def test_integrate_steps_build_only_the_forms_they_hand_on(monkeypatch,
                                                           coarse_grid,
                                                           su2_alg):
-    """After the first step, a step constructs 4 padded forms: the end
-    state, its direction and curvature, and the monitors' filled
-    direction.  The RK4 stages live in buffers the flow owns."""
+    """After the first step, a step constructs 3 padded forms: the end
+    state, its direction and curvature.  The monitors fill the direction
+    in place, and the RK4 stages live in buffers the flow owns."""
     padded = (3,) + coarse_grid.padded_shape + (su2_alg.dim,)
     built = [0]
     init = KForm.__init__
@@ -318,11 +318,11 @@ def test_integrate_steps_build_only_the_forms_they_hand_on(monkeypatch,
                              snapshot_times=tuple(np.arange(7) * dt)),
               on_snapshot=lambda t, A, Ap, B: seen.append(built[0]))
     assert len(seen) == 7
-    assert np.diff(seen[1:]).tolist() == [4] * 5
+    assert np.diff(seen[1:]).tolist() == [3] * 5
 
 
-@pytest.mark.parametrize("variant, per_step", [("YM", [4, 0]),
-                                               ("ZDS", [8, 4])],
+@pytest.mark.parametrize("variant, per_step", [("YM", [3, 0]),
+                                               ("ZDS", [7, 4])],
                          ids=["YM", "ZDS"])
 def test_gauge_term_builds_no_zero_connection(monkeypatch, coarse_grid,
                                               su2_alg, variant, per_step):
