@@ -4,10 +4,10 @@ The dynamical equation is A'(t) = -d_A* B with B = dA + (1/2)[A^A];
 the ZDS variant adds the gauge-fixing term -d_A d*A, which makes the
 abelian linearization fully parabolic.  Integration is classical RK4
 at a fixed step under the parabolic ceiling dt <= h^2/8 with no step
-rejection, so an energy increase reaches the monitors; its stages run in
-buffers each run allocates once.  Monitor series (norms of B and A', the
-accumulated action, the exponent psi_inf and the smoothing functional
-beta) are recorded at every step.
+rejection, so an energy increase reaches the monitors; it runs in a
+working set each run allocates once.  Monitor series (norms of B and A',
+the accumulated action, the exponent psi_inf and the smoothing
+functional beta) are recorded at every step.
 """
 
 from __future__ import annotations
@@ -211,21 +211,20 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     Classical RK4 at the fixed step cfg.dt, shortened only to land on a
     snapshot time or t_end; every step is taken.  The (A', B) of the end
     state feeds the monitors and the next step's first stage, so a step
-    costs 4 curvature evaluations (plus 1 at t = 0).  The RK4 working set
-    (stage state, stage curvature, two stage directions) belongs to the
-    flow: allocated once per call, overwritten at every step, and B' of
-    the monitors goes into the stage curvature.  New at every step are
-    the filled end state A, its direction A' and curvature B; the
-    monitors fill that A' in place, and the step is taken from it.  Each
-    snapshot stores ``on_snapshot(t, A, Ap, B)`` (by default A) at its
-    time t in ``times``, with those new A, filled A' and B.  The hook
-    runs on this thread and must not modify them; nothing writes into
-    them after it returns, so it may keep them or hand them to other
-    threads to read, but makes its traced calls on this thread.  Neither
-    a snapshot nor ``final`` (the filled A at t_end) is a copy.
+    costs 4 curvature evaluations (plus 1 at t = 0).  The flow owns its
+    working set, allocated once per call: the state A, the stage state,
+    the directions A' (k1), k2 and k3, the curvature B and the stage
+    curvature.  A step writes its end state into the stage state, swaps
+    the two and overwrites A' and B with the end state's; the monitors
+    fill A' in place and write B' into the stage curvature.  A0 is never
+    written.  Each snapshot stores ``on_snapshot(t, A, Ap, B)`` (by
+    default a copy of A) at its time t in ``times``, with the filled A,
+    A' and B.  The hook runs on this thread and must not modify them; the
+    next step overwrites them, so a hook copies whatever it keeps.
+    ``final`` is the filled A at t_end, the flow's own state buffer.
     """
     cfg.validate(A0.grid)
-    on_snapshot = on_snapshot or (lambda t, A, Ap, B: A)
+    on_snapshot = on_snapshot or (lambda t, A, Ap, B: A.copy())
     rhs = _rhs_for(cfg.variant)
     bc = cfg.bc
 
@@ -233,15 +232,15 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     snap_queue = cfg.snapshot_schedule()
     times, fields = [], []
     monitors = MonitorSeries(A.algebra.c)
-    # the RK4 working set: stage state, two stage directions, stage curvature
-    X, k2, k3, B_stage = (_blank(A, p) for p in (1, 1, 1, 2))
+    # the rest of the working set: stage state, directions, curvatures
+    X, k1, k2, k3, B, B_stage = (_blank(A, p) for p in (1, 1, 1, 1, 2, 2))
 
     def stage_rhs(Y, k):
         rhs(Y, bc, (k, B_stage))
 
     t = 0.0
     step = 0
-    k1, B = rhs(A, bc)
+    rhs(A, bc, (k1, B))
     while True:
         _record(monitors, t, A, k1, B, bc, B_stage)
         if snap_queue and t >= snap_queue[0] - TIME_TOL:
@@ -255,20 +254,20 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
         if snap_queue:
             target = min(target, snap_queue[0])
         dt_step = min(cfg.dt, target - t)
-        A = _rk4_step(A, dt_step, stage_rhs, k1, (X, k2, k3), bc, step, t)
-        k1, B = rhs(A, bc, (_blank(A, 1), _blank(A, 2)))
+        A, X = _rk4_step(A, dt_step, stage_rhs, k1, (X, k2, k3), bc,
+                         step, t), A
+        rhs(A, bc, (k1, B))
         t += dt_step
         step += 1
 
     return FlowTrajectory(times, fields, monitors.finalize(), cfg, A)
 
 
-def _axpy(A, s, k, out=None):
-    """A + s * k with the bits of the KForm expression, in a new form or
-    in ``out``."""
-    v = np.multiply(k.values, s, out=None if out is None else out.values)
-    v += A.values
-    return A._like(v) if out is None else out
+def _axpy(A, s, k, out):
+    """A + s * k with the bits of the KForm expression, into ``out``."""
+    np.multiply(k.values, s, out=out.values)
+    out.values += A.values
+    return out
 
 
 def _rk4_step(A, dt, rhs, k1, stages, bc, step, t):
@@ -277,8 +276,8 @@ def _rk4_step(A, dt, rhs, k1, stages, bc, step, t):
     ``rhs(Y, k)`` fills the stage state Y in place and writes its
     direction into k; ``stages = (Y, k2, k3)`` are forms the caller owns.
     A + (dt/6)(((2 k2 + k1) + 2 k3) + k4) is summed in that order in k2's
-    buffer, and k4 is written into k3's once k3 has been added.  Returns
-    the filled end state, a new form; A and k1 are left untouched.
+    buffer, and k4 is written into k3's once k3 has been added.  Writes
+    the filled end state into Y and returns Y; A and k1 stay untouched.
     """
     Y, k2, k3 = stages
     rhs(_axpy(A, 0.5 * dt, k1, Y), k2)
@@ -291,11 +290,10 @@ def _rk4_step(A, dt, rhs, k1, stages, bc, step, t):
     total += k3.values
     rhs(Y, k3)  # k4
     total += k3.values
-    A_new = _axpy(A, dt / 6.0, k2)
-    apply_boundary(A_new, bc, out=A_new)
-    if not np.all(np.isfinite(A_new.values)):
+    apply_boundary(_axpy(A, dt / 6.0, k2, Y), bc, out=Y)
+    if not np.all(np.isfinite(Y.values)):
         raise FlowAbortError(step, t)
-    return A_new
+    return Y
 
 
 def _record(monitors, t, A, Ap, B, bc, Bp):

@@ -313,17 +313,19 @@ def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
         raise ValueError("diamagnetic comparison needs Neumann or Dirichlet")
     Af = apply_boundary(A, bc)
 
-    def rhs(w, k=None):
+    def rhs(w, k):
         # every w here is this check's own, so it is filled in place
         return bochner_laplacian(Af, apply_boundary(w, bc, out=w), out=k)
 
     w = apply_boundary(omega0, bc)
-    stages = [KForm(w.degree, w.grid, w.algebra) for _ in range(3)]
+    # the stage state, which swaps with w at each step, and 3 directions
+    Y, k1, k2, k3 = (KForm(w.degree, w.grid, w.algebra) for _ in range(4))
     s = 0.0
     step = 0
     while s < t - TIME_TOL:
         h_step = min(dt, t - s)
-        w = _rk4_step(w, h_step, rhs, rhs(w), stages, bc, step, s)
+        w, Y = _rk4_step(w, h_step, rhs, rhs(w, k1), (Y, k2, k3), bc, step,
+                         s), w
         s += h_step
         step += 1
     scalar = sg.heat_apply(t, omega0.pointwise_norm())

@@ -12,6 +12,7 @@ from ymheat.flow import (
     FlowAbortError,
     FlowConfig,
     FlowConstants,
+    MonitorSeries,
     integrate,
     verify_bounds,
     ym_rhs,
@@ -173,12 +174,36 @@ def test_flow_keeps_the_edge_ghosts_of_its_initial_state(algebra):
 
 
 def test_default_snapshot_at_t_end_is_final(coarse_grid, su2_alg):
-    # integrate never writes into a state it has passed, so the default
-    # hook stores the state itself, not a copy
+    # the next step would overwrite the flow's state, so the default hook
+    # stores a copy: the snapshot at t_end holds final's values in a form
+    # of its own
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
     traj = integrate(A0, FlowConfig(NEUMANN, _dt_max(coarse_grid) * 0.9, 0.004,
                                     snapshot_times=(0.0, 0.004)))
-    assert traj.fields[-1] is traj.final
+    assert traj.fields[-1] is not traj.final
+    assert np.array_equal(traj.fields[-1].values, traj.final.values)
+    assert traj.fields[-1].bc == traj.final.bc == NEUMANN
+
+
+@pytest.mark.parametrize("variant", ["YM", "ZDS"])
+def test_integrate_never_writes_its_initial_data(coarse_grid, su2_alg,
+                                                 variant):
+    """The flow's state is a filled copy of A0: A0's values, ghosts
+    included, and its bc are as before the run, and a second run from the
+    same A0 gives the same end state and monitors, as the abelian demo
+    assumes when it flows one A0 three times."""
+    A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+    A0.values[:, 0] = 0.5  # ghosts that a fill would rewrite
+    values = A0.values.copy()
+    cfg = FlowConfig(NEUMANN, 0.9 * _dt_max(coarse_grid), 0.004,
+                     variant=variant)
+    first, second = integrate(A0, cfg), integrate(A0, cfg)
+    assert np.array_equal(A0.values, values)
+    assert A0.bc is None
+    assert np.array_equal(first.final.values, second.final.values)
+    for name in MonitorSeries.FIELDS:
+        assert np.array_equal(getattr(first.monitors, name),
+                              getattr(second.monitors, name))
 
 
 @pytest.mark.parametrize("variant, rhs", [("YM", ym_rhs), ("ZDS", zds_rhs)])
@@ -299,9 +324,9 @@ def test_integrate_evaluates_curvature_once_per_stage(monkeypatch, su2_alg):
 def test_integrate_steps_build_only_the_forms_they_hand_on(monkeypatch,
                                                           coarse_grid,
                                                           su2_alg):
-    """After the first step, a step constructs 3 padded forms: the end
-    state, its direction and curvature.  The monitors fill the direction
-    in place, and the RK4 stages live in buffers the flow owns."""
+    """After the first step, a step constructs no padded form: the end
+    state, its direction and curvature, the RK4 stages and B' of the
+    monitors all live in the working set the flow allocates once."""
     padded = (3,) + coarse_grid.padded_shape + (su2_alg.dim,)
     built = [0]
     init = KForm.__init__
@@ -318,17 +343,18 @@ def test_integrate_steps_build_only_the_forms_they_hand_on(monkeypatch,
                              snapshot_times=tuple(np.arange(7) * dt)),
               on_snapshot=lambda t, A, Ap, B: seen.append(built[0]))
     assert len(seen) == 7
-    assert np.diff(seen[1:]).tolist() == [3] * 5
+    assert np.diff(seen[1:]).tolist() == [0] * 5
 
 
-@pytest.mark.parametrize("variant, per_step", [("YM", [3, 0]),
-                                               ("ZDS", [7, 4])],
+@pytest.mark.parametrize("variant, per_step", [("YM", [0, 0]),
+                                               ("ZDS", [4, 4])],
                          ids=["YM", "ZDS"])
 def test_gauge_term_builds_no_zero_connection(monkeypatch, coarse_grid,
                                               su2_alg, variant, per_step):
     """Padded (3-component, 1-component) forms a step constructs after the
-    first.  ZDS adds d_C(d*C) and the divergence d*C at each of the four
-    stages: d*C is taken with no zero connection and filled in place."""
+    first.  YM builds none; ZDS builds d_C(d*C) and the divergence d*C at
+    each of the four stages: d*C is taken with no zero connection and
+    filled in place."""
     shapes = {n: (n,) + coarse_grid.padded_shape + (su2_alg.dim,)
               for n in (3, 1)}
     built = {3: 0, 1: 0}
@@ -357,35 +383,48 @@ def _kept_unchanged(kept):
 
 @pytest.mark.parametrize("variant", ["YM", "ZDS"])
 def test_hook_keeps_what_it_is_handed(coarse_grid, su2_alg, variant):
-    """The A, A' and B handed to the snapshot hook at every step are new
-    arrays that nothing writes into later, so a hook may keep them."""
+    """The A, A' and B handed to the snapshot hook are the flow's working
+    set: A alternates between two buffers, A' and B are one form each.
+    The next step overwrites A' and B, the one after it A, so a hook that
+    keeps them sees them change, while the default hook's copies keep the
+    values A had at their time."""
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
     dt = 0.9 * _dt_max(coarse_grid)
+    cfg = FlowConfig(NEUMANN, dt, 4 * dt, variant=variant,
+                     snapshot_times=tuple(np.arange(5) * dt))
     kept = []
 
     def keep(t, A, Ap, B):
-        kept.extend((f, f.values.copy()) for f in (A, Ap, B))
+        kept.append([(f, f.values.copy()) for f in (A, Ap, B)])
 
-    integrate(A0, FlowConfig(NEUMANN, dt, 4 * dt, variant=variant,
-                             snapshot_times=tuple(np.arange(5) * dt)),
-              on_snapshot=keep)
-    assert len(kept) == 15
-    assert _kept_unchanged(kept)
+    integrate(A0, cfg, on_snapshot=keep)
+    assert len(kept) == 5
+    assert len({id(f) for snap in kept for f, _ in snap}) == 4
+    assert not any(_kept_unchanged([pair]) for snap in kept[:3]
+                   for pair in snap)
+    assert _kept_unchanged(kept[4])
+    fields = integrate(A0, cfg).fields
+    assert all(np.array_equal(F.values, snap[0][1])
+               for F, snap in zip(fields, kept, strict=True))
 
 
 def test_diamagnetic_steps_keep_what_they_are_handed(monkeypatch, coarse_grid,
                                                      su2_alg):
-    """diamagnetic_check's RK4 steps share their stage buffers, but the
-    state and direction each step is handed, and the state it returns,
-    never change afterwards."""
+    """diamagnetic_check's RK4 steps leave the state and direction they
+    are handed untouched, and write the end state into the stage state
+    they are handed, which the next step is taken from: the state
+    alternates between two buffers, and k1 is one buffer of the check's
+    own."""
     from ymheat import neumann
 
-    step, kept = neumann._rk4_step, []
+    step, calls = neumann._rk4_step, []
 
-    def keep(A, dt, rhs, k1, *args):
-        kept.extend((f, f.values.copy()) for f in (A, k1))
-        A_new = step(A, dt, rhs, k1, *args)
-        kept.append((A_new, A_new.values.copy()))
+    def keep(A, dt, rhs, k1, stages, *args):
+        handed = [(f, f.values.copy()) for f in (A, k1)]
+        A_new = step(A, dt, rhs, k1, stages, *args)
+        assert A_new is stages[0]
+        assert _kept_unchanged(handed)
+        calls.append((A, k1, A_new))
         return A_new
 
     monkeypatch.setattr(neumann, "_rk4_step", keep)
@@ -395,8 +434,10 @@ def test_diamagnetic_steps_keep_what_they_are_handed(monkeypatch, coarse_grid,
                                       degree=2, amplitude=0.3), NEUMANN)
     neumann.diamagnetic_check(NeumannSemigroup(coarse_grid), A, w0,
                               4 * 0.9 * _dt_max(coarse_grid))
-    assert len(kept) == 12
-    assert _kept_unchanged(kept)
+    assert len(calls) == 4
+    assert all(prev[2] is nxt[0] for prev, nxt in zip(calls, calls[1:]))
+    assert len({id(A) for A, _, _ in calls}) == 2
+    assert len({id(k1) for _, k1, _ in calls}) == 1
 
 
 def test_identities_hold_along_flow(unit_grid, su2_alg):
