@@ -617,7 +617,7 @@ def _cmd_washer_regularize(cfg, out):
     flux0 = [flux_probe(lp, wc) for lp in loops]
     cap_u_max = reg.get("cap_u_max", 12.0)
     sampled = washer_to_grid(wc, grid, origin, cap_u_max=cap_u_max)
-    traj = integrate(sampled["field"], fc)
+    traj = integrate(sampled.pop("field"), fc)  # let the flow free it
     _monitor_csv(traj.monitors, out / "monitors.csv")
     flux_t = [float(line_integral(traj.final, path)[0]) for path in paths]
     eps_ladder = [lp.eps for lp in loops]

@@ -4,8 +4,8 @@ The dynamical equation is A'(t) = -d_A* B with B = dA + (1/2)[A^A];
 the ZDS variant adds the gauge-fixing term -d_A d*A, which makes the
 abelian linearization fully parabolic.  Integration is classical RK4
 at a fixed step under the parabolic ceiling dt <= h^2/8 with no step
-rejection, so an energy increase reaches the monitors; it runs in a
-working set each run allocates once.  Monitor series (norms of B and A',
+rejection, so an energy increase reaches the monitors; it runs in five
+padded forms each run allocates once.  Monitor series (norms of B and A',
 the accumulated action, the exponent psi_inf and the smoothing
 functional beta) are recorded at every step.
 """
@@ -200,27 +200,22 @@ def _rhs_for(variant):
     return ym_rhs if variant == "YM" else zds_rhs
 
 
-def _blank(A: KForm, degree: int) -> KForm:
-    """A new 1- or 2-form shaped like the 1-form A, its values unset."""
-    return KForm(degree, A.grid, A.algebra, np.empty_like(A.values))
-
-
 def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     """Run the flow from A0 to cfg.t_end, storing snapshots and monitors.
 
     Classical RK4 at the fixed step cfg.dt, shortened only to land on a
     snapshot time or t_end; every step is taken.  The (A', B) of the end
     state feeds the monitors and the next step's first stage, so a step
-    costs 4 curvature evaluations (plus 1 at t = 0).  The flow owns its
-    working set, allocated once per call: the state A, the stage state,
-    the directions A' (k1), k2 and k3, the curvature B and the stage
-    curvature.  A step writes its end state into the stage state, swaps
-    the two and overwrites A' and B with the end state's; the monitors
-    fill A' in place and write B' into the stage curvature.  A0 is never
-    written.  Each snapshot stores ``on_snapshot(t, A, Ap, B)`` (by
-    default a copy of A) at its time t in ``times``, with the filled A,
-    A' and B.  The hook runs on this thread and must not modify them; the
-    next step overwrites them, so a hook copies whatever it keeps.
+    costs 4 curvature evaluations (plus 1 at t = 0).  The flow runs in
+    five padded forms allocated once per call: the state A, the stage
+    state, A' (k1), k2 and the curvature B.  A step writes its end state
+    into the stage state, swaps the two, spends k1, k2 and B on its stages
+    and overwrites A' and B with the end state's; the monitors fill A' in
+    place and write B' into k2's buffer.  A0 is never written, nor held
+    after the first fill.  Each snapshot stores ``on_snapshot(t, A, Ap,
+    B)`` (by default a copy of A) at its time t in ``times``, with the
+    filled A, A' and B.  The hook runs on this thread and must not modify
+    them; the next step overwrites them, so a hook copies what it keeps.
     ``final`` is the filled A at t_end, the flow's own state buffer.
     """
     cfg.validate(A0.grid)
@@ -229,20 +224,23 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     bc = cfg.bc
 
     A = apply_boundary(A0, bc)
+    del A0  # a caller that hands over its last reference frees it here
     snap_queue = cfg.snapshot_schedule()
     times, fields = [], []
     monitors = MonitorSeries(A.algebra.c)
-    # the rest of the working set: stage state, directions, curvatures
-    X, k1, k2, k3, B, B_stage = (_blank(A, p) for p in (1, 1, 1, 1, 2, 2))
+    # the rest of the working set, and B' in k2's buffer, free between steps
+    X, k1, k2, B = (KForm(p, A.grid, A.algebra, np.empty_like(A.values))
+                    for p in (1, 1, 1, 2))
+    Bp = KForm(2, A.grid, A.algebra, k2.values)
 
     def stage_rhs(Y, k):
-        rhs(Y, bc, (k, B_stage))
+        rhs(Y, bc, (k, B))
 
     t = 0.0
     step = 0
     rhs(A, bc, (k1, B))
     while True:
-        _record(monitors, t, A, k1, B, bc, B_stage)
+        _record(monitors, t, A, k1, B, bc, Bp)
         if snap_queue and t >= snap_queue[0] - TIME_TOL:
             times.append(t)
             fields.append(on_snapshot(t, A, k1, B))
@@ -254,8 +252,7 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
         if snap_queue:
             target = min(target, snap_queue[0])
         dt_step = min(cfg.dt, target - t)
-        A, X = _rk4_step(A, dt_step, stage_rhs, k1, (X, k2, k3), bc,
-                         step, t), A
+        A, X = _rk4_step(A, dt_step, stage_rhs, k1, (X, k2), bc, step, t), A
         rhs(A, bc, (k1, B))
         t += dt_step
         step += 1
@@ -274,22 +271,23 @@ def _rk4_step(A, dt, rhs, k1, stages, bc, step, t):
     """One classical RK4 step from the filled state A with direction k1.
 
     ``rhs(Y, k)`` fills the stage state Y in place and writes its
-    direction into k; ``stages = (Y, k2, k3)`` are forms the caller owns.
+    direction into k; ``stages = (Y, k2)`` are forms the caller owns.
     A + (dt/6)(((2 k2 + k1) + 2 k3) + k4) is summed in that order in k2's
-    buffer, and k4 is written into k3's once k3 has been added.  Writes
-    the filled end state into Y and returns Y; A and k1 stay untouched.
+    buffer, k1 as soon as k2 exists, and k3 and k4 are written into k1's.
+    Writes the filled end state into Y and returns Y; A stays untouched.
     """
-    Y, k2, k3 = stages
+    Y, k2 = stages
     rhs(_axpy(A, 0.5 * dt, k1, Y), k2)
-    rhs(_axpy(A, 0.5 * dt, k2, Y), k3)
-    _axpy(A, dt, k3, Y)
+    _axpy(A, 0.5 * dt, k2, Y)
     total = k2.values  # becomes k1 + 2 k2 + 2 k3 + k4
     total *= 2.0
     total += k1.values
-    k3.values *= 2.0
-    total += k3.values
-    rhs(Y, k3)  # k4
-    total += k3.values
+    rhs(Y, k1)  # k3
+    _axpy(A, dt, k1, Y)
+    k1.values *= 2.0
+    total += k1.values
+    rhs(Y, k1)  # k4
+    total += k1.values
     apply_boundary(_axpy(A, dt / 6.0, k2, Y), bc, out=Y)
     if not np.all(np.isfinite(Y.values)):
         raise FlowAbortError(step, t)
@@ -298,10 +296,10 @@ def _rk4_step(A, dt, rhs, k1, stages, bc, step, t):
 
 def _record(monitors, t, A, Ap, B, bc, Bp):
     """Append the monitors of the filled state A with flow direction Ap and
-    filled curvature B, writing B' = d_A A' into the form Bp.  Ap is
-    filled in place: the fill rewrites only ghosts and odd-parity face
-    nodes, which the stage fills and the end-of-step fill of `_rk4_step`
-    overwrite, so the step taken from Ap keeps its bits."""
+    filled curvature B, writing B' = d_A A' into Bp, k2's buffer between
+    steps.  Ap is filled in place: the fill rewrites only ghosts and
+    odd-parity face nodes, which the stage fills and the end-of-step fill
+    of `_rk4_step` overwrite, so the step taken from Ap keeps its bits."""
     apply_boundary(Ap, bc, out=Ap)
     d_cov(A, Ap, out=Bp)
     monitors.record(t, *B.l2_linf(), *Ap.l2_linf(), Bp.norm("L2"))

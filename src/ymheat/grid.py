@@ -193,14 +193,15 @@ class KForm:
     def pointwise_norm(self):
         """|omega(x)| on the non-ghost nodes, shape grid.shape: each
         component's squared algebra coefficients added in turn, then the
-        components, in place; the order and bits of
+        components, in reused scratch arrays; the order and bits of
         ``np.sum(np.square(self.interior), axis=(0, -1))``."""
-        total, sq = None, np.empty(self.grid.shape)
+        total, s, sq = np.zeros(self.grid.shape), None, None
         for comp in self.interior:
-            s = np.square(comp[..., 0])
+            s = np.square(comp[..., 0], out=s)
             for a in range(1, self.algebra.dim):
-                s += np.square(comp[..., a], out=sq)
-            total = s if total is None else np.add(total, s, out=total)
+                sq = np.square(comp[..., a], out=sq)
+                s += sq
+            total += s
         return np.sqrt(total, out=total)
 
     def norm(self, kind="L2"):
@@ -215,10 +216,13 @@ class KForm:
         """(L2, Linf) norms from one pointwise norm, with the bits of
         ``norm("L2")`` and ``norm("Linf")``."""
         pw = self.pointwise_norm()
-        return self._l2(pw), float(np.max(pw))
+        linf = float(np.max(pw))
+        return self._l2(pw), linf
 
     def _l2(self, pw):
-        return float(np.sqrt(np.sum(self.grid.trapezoid_weights * pw ** 2)))
+        pw *= pw  # in place: pw**2 * weights has the bits of weights * pw**2
+        pw *= self.grid.trapezoid_weights
+        return float(np.sqrt(np.sum(pw)))
 
     def __repr__(self):
         return (f"KForm(degree={self.degree}, grid={self.grid.shape}, "

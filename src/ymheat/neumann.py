@@ -318,13 +318,13 @@ def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
         return bochner_laplacian(Af, apply_boundary(w, bc, out=w), out=k)
 
     w = apply_boundary(omega0, bc)
-    # the stage state, which swaps with w at each step, and 3 directions
-    Y, k1, k2, k3 = (KForm(w.degree, w.grid, w.algebra) for _ in range(4))
+    # the stage state, which swaps with w at each step, and 2 directions
+    Y, k1, k2 = (KForm(w.degree, w.grid, w.algebra) for _ in range(3))
     s = 0.0
     step = 0
     while s < t - TIME_TOL:
         h_step = min(dt, t - s)
-        w, Y = _rk4_step(w, h_step, rhs, rhs(w, k1), (Y, k2, k3), bc, step,
+        w, Y = _rk4_step(w, h_step, rhs, rhs(w, k1), (Y, k2), bc, step,
                          s), w
         s += h_step
         step += 1

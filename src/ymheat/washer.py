@@ -404,17 +404,20 @@ def flux_probe(loop: LoopCEpsilon, cfg: WasherConfig = WasherConfig(),
     Returns +inf for loop.eps = 0 (the loop touches the rim, where the
     tangential potential diverges); otherwise integrates each segment of
     `loop.path()` by Gauss quadrature (the radial ones vanish identically
-    up to quadrature noise but are included).
+    up to quadrature noise but are included).  One potential call takes
+    the four segments' points; each point's sum is its own, so bits hold.
     """
     if loop.eps == 0.0:
         return math.inf
     x, w = _leggauss(n_quad)
     s = 0.5 * (x + 1.0)
     ws = 0.5 * w
+    segments = loop.path().segments
+    pts = np.concatenate([seg.position(s) for seg in segments])
+    A = np.split(vector_potential(pts, cfg)["A"], len(segments))
     total = 0.0
-    for seg in loop.path().segments:
-        A = vector_potential(seg.position(s), cfg)["A"]
-        total += float(np.sum(ws * np.einsum("ij,ij->i", A, seg.velocity(s))))
+    for seg, a in zip(segments, A):
+        total += float(np.sum(ws * np.einsum("ij,ij->i", a, seg.velocity(s))))
     return total
 
 

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+import weakref
 from pathlib import Path
 
 import jsonschema
@@ -780,6 +781,34 @@ def test_verify_domination_frees_the_end_state(tmp_path, monkeypatch):
     assert cli.execute("verify-domination", SMOKE["verify-domination"],
                        tmp_path) == 0
     assert finals == [None, None]
+
+
+def test_washer_regularize_lets_the_flow_free_its_field(tmp_path,
+                                                       monkeypatch):
+    """The command hands `integrate` its last reference to the sampled
+    field, which is freed before the flow's first monitor record; control:
+    a sampler that keeps the field keeps it alive there."""
+    sample, record = cli.washer_to_grid, flow._record
+    refs, kept, alive = [], [], []
+
+    def recording(*args):
+        alive.append(refs[-1]() is not None)
+        return record(*args)
+
+    monkeypatch.setattr(flow, "_record", recording)
+    for keep in (False, True):
+        def sampling(*args, **kwargs):
+            out = sample(*args, **kwargs)
+            refs.append(weakref.ref(out["field"].values))
+            if keep:
+                kept.append(out["field"])
+            return out
+
+        monkeypatch.setattr(cli, "washer_to_grid", sampling)
+        assert cli.execute("washer-regularize", SMOKE["washer-regularize"],
+                           tmp_path / str(keep)) == 0
+        assert alive[0] is keep
+        alive.clear()
 
 
 RANDOM_FIELD = {"kind": "random-smooth", "seed": 3, "amplitude": 0.05}

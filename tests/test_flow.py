@@ -1,5 +1,6 @@
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -410,20 +411,28 @@ def test_hook_keeps_what_it_is_handed(coarse_grid, su2_alg, variant):
 
 def test_diamagnetic_steps_keep_what_they_are_handed(monkeypatch, coarse_grid,
                                                      su2_alg):
-    """diamagnetic_check's RK4 steps leave the state and direction they
-    are handed untouched, and write the end state into the stage state
-    they are handed, which the next step is taken from: the state
-    alternates between two buffers, and k1 is one buffer of the check's
-    own."""
+    """diamagnetic_check's RK4 steps leave the state they are handed
+    untouched, spend the direction k1 they are handed (it holds k4, the
+    last stage's direction, on return), and write the end state into the
+    stage state they are handed, which the next step is taken from: the
+    state alternates between two buffers, and k1 is one buffer of the
+    check's own."""
     from ymheat import neumann
 
     step, calls = neumann._rk4_step, []
 
     def keep(A, dt, rhs, k1, stages, *args):
-        handed = [(f, f.values.copy()) for f in (A, k1)]
-        A_new = step(A, dt, rhs, k1, stages, *args)
+        handed, last = [(A, A.values.copy())], []
+
+        def seen(Y, k):
+            out = rhs(Y, k)
+            last[:] = [k, k.values.copy()]
+            return out
+
+        A_new = step(A, dt, seen, k1, stages, *args)
         assert A_new is stages[0]
         assert _kept_unchanged(handed)
+        assert last[0] is k1 and _kept_unchanged([last])
         calls.append((A, k1, A_new))
         return A_new
 
@@ -438,6 +447,115 @@ def test_diamagnetic_steps_keep_what_they_are_handed(monkeypatch, coarse_grid,
     assert all(prev[2] is nxt[0] for prev, nxt in zip(calls, calls[1:]))
     assert len({id(A) for A, _, _ in calls}) == 2
     assert len({id(k1) for _, k1, _ in calls}) == 1
+
+
+def _buffers(forms):
+    """How many data buffers the forms' values live in."""
+    seen = []
+    for f in forms:
+        if not any(np.shares_memory(f.values, v) for v in seen):
+            seen.append(f.values)
+    return len(seen)
+
+
+def _flow_buffers(monkeypatch, coarse_grid, su2_alg, variant,
+                  stage_curvature=False):
+    """The buffers of every form `integrate`'s rhs writes (its state and
+    its (A', B) pair), `_record` writes (B') and its snapshot hook
+    receives, over 4 steps.  With ``stage_curvature`` the rhs writes each
+    stage's curvature into a buffer of its own, as a flow with a separate
+    stage curvature does; the end state's (A', B) are unchanged by that."""
+    import ymheat.flow
+
+    name = "ym_rhs" if variant == "YM" else "zds_rhs"
+    rhs, record, written = getattr(ymheat.flow, name), ymheat.flow._record, []
+    calls, own_B = [], []
+
+    def writing(A, bc, out):
+        k, B = out
+        # call 0 is the initial state's, then 3 stages and an end state
+        if stage_curvature and len(calls) % 4:
+            if not own_B:
+                own_B.append(B.copy())
+            B = own_B[0]
+        calls.append(1)
+        written.extend([A, k, B])
+        return rhs(A, bc, (k, B))
+
+    def recording(monitors, t, A, Ap, B, bc, Bp):
+        written.append(Bp)
+        return record(monitors, t, A, Ap, B, bc, Bp)
+
+    monkeypatch.setattr(ymheat.flow, name, writing)
+    monkeypatch.setattr(ymheat.flow, "_record", recording)
+    A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+    dt = 0.9 * _dt_max(coarse_grid)
+    traj = integrate(A0, FlowConfig(NEUMANN, dt, 4 * dt, variant=variant,
+                                    snapshot_times=tuple(np.arange(5) * dt)),
+                     on_snapshot=lambda t, A, Ap, B: written.extend(
+                         [A, Ap, B]))
+    assert len(traj.monitors) == 5
+    return _buffers(written), traj.final.values
+
+
+@pytest.mark.parametrize("variant", ["YM", "ZDS"])
+def test_flow_runs_in_five_forms(monkeypatch, coarse_grid, su2_alg, variant):
+    """The state, the stage state, k1, k2 (the running total, and B'
+    between steps) and B: every stage's curvature is written into B.
+    Control: a stage curvature of its own makes six buffers and leaves
+    the end state's bits."""
+    count, final = _flow_buffers(monkeypatch, coarse_grid, su2_alg, variant)
+    assert count == 5
+    monkeypatch.undo()
+    count, control = _flow_buffers(monkeypatch, coarse_grid, su2_alg,
+                                   variant, stage_curvature=True)
+    assert count == 6
+    assert np.array_equal(control, final)
+
+
+def test_diamagnetic_check_runs_in_four_forms(monkeypatch, coarse_grid,
+                                              su2_alg):
+    """Every 2-form its Bochner heat flow fills or writes is the state,
+    the stage state, k1 or k2."""
+    from ymheat import neumann
+
+    laplacian, written = neumann.bochner_laplacian, []
+
+    def writing(A, omega, out):
+        written.extend([omega, out])
+        return laplacian(A, omega, out=out)
+
+    monkeypatch.setattr(neumann, "bochner_laplacian", writing)
+    A = apply_boundary(random_smooth(coarse_grid, su2_alg, seed=33,
+                                     amplitude=0.2), NEUMANN)
+    w0 = apply_boundary(random_smooth(coarse_grid, su2_alg, seed=34,
+                                      degree=2, amplitude=0.3), NEUMANN)
+    neumann.diamagnetic_check(NeumannSemigroup(coarse_grid), A, w0,
+                              4 * 0.9 * _dt_max(coarse_grid))
+    assert len(written) == 2 * 4 * 4
+    assert _buffers(written) == 4
+
+
+def test_integrate_lets_go_of_its_initial_data(coarse_grid, su2_alg):
+    """`integrate` drops A0 after its first fill, so an A0 the caller
+    does not keep is freed before the first snapshot; control: one the
+    caller keeps is alive there."""
+    cfg = FlowConfig(NEUMANN, 0.9 * _dt_max(coarse_grid), 0.002,
+                     snapshot_times=(0.0,))
+    refs, alive = [], []
+
+    def initial():
+        A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
+        refs.append(weakref.ref(A0.values))
+        return A0
+
+    def hook(t, A, Ap, B):
+        alive.append(refs[-1]() is not None)
+
+    integrate(initial(), cfg, on_snapshot=hook)
+    A0 = initial()
+    integrate(A0, cfg, on_snapshot=hook)
+    assert alive == [False, True]
 
 
 def test_identities_hold_along_flow(unit_grid, su2_alg):

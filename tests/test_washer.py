@@ -160,6 +160,36 @@ def test_flux_zero_eps_is_infinite():
     assert flux_probe(LoopCEpsilon(0.0)) == math.inf
 
 
+@pytest.mark.parametrize("n_quad", [64, 200])
+def test_flux_probe_has_the_bits_of_one_call_per_segment(monkeypatch,
+                                                        n_quad):
+    """flux_probe evaluates the potential once on all four segments, and
+    each segment's sum keeps the bits of evaluating that segment alone;
+    200 Gauss points put the kernel's row blocks across segments."""
+    x, w = washer._leggauss(n_quad)
+    s, ws = 0.5 * (x + 1.0), 0.5 * w
+    potential, calls = washer.vector_potential, []
+    loops = [LoopCEpsilon(e) for e in (0.3, 1e-2, 1e-5, 1e-7)]
+    cfg = WasherConfig(n_u=96)
+
+    def alone(loop):
+        total = 0.0
+        for seg in loop.path().segments:
+            A = potential(seg.position(s), cfg)["A"]
+            total += float(np.sum(ws * np.einsum("ij,ij->i", A,
+                                                 seg.velocity(s))))
+        return total
+
+    def counting(*args):
+        calls.append(1)
+        return potential(*args)
+
+    expected = [alone(loop) for loop in loops]
+    monkeypatch.setattr(washer, "vector_potential", counting)
+    assert [flux_probe(loop, cfg, n_quad) for loop in loops] == expected
+    assert len(calls) == 4
+
+
 def test_flux_ladder_increases_with_loglog_rate():
     eps = [1e-1, 1e-2, 1e-3, 1e-4, 1e-5]
     fluxes = [flux_probe(LoopCEpsilon(e)) for e in eps]
