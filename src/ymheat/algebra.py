@@ -1,9 +1,8 @@
 """Lie algebra data for the gauge groups U(1) and SU(2).
 
-Algebra elements are handled in two interchangeable forms: as coefficient
-vectors over a fixed orthonormal basis (the representation used by grid
-fields, shape ``(..., dim)``), and as anti-hermitian matrices acting on the
-representation space (shape ``(..., rep_dim, rep_dim)``).
+An algebra element is a real coefficient vector, shape ``(..., dim)``,
+over the orthonormal basis i of u(1) or i*sigma_k/2 of su(2); group
+matrices appear only in `transport`, which builds them in closed form.
 """
 
 from __future__ import annotations
@@ -12,48 +11,20 @@ import numpy as np
 
 __all__ = ["LieAlgebraSpec", "u1", "su2"]
 
-_PAULI = np.array(
-    [
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
-)
-
 
 class LieAlgebraSpec:
-    """A compact gauge algebra: basis matrices, bracket and inner product.
+    """The gauge algebra of `group_id` ("U1" or "SU2"): `dim` coefficients
+    per element, the bracket and the commutator constant `c`.
 
-    The commutator constant c = max |[xi, eta]| over unit xi, eta is
-    c = 1 for SU2, since [xi_i, xi_j] = -eps_ijk xi_k in the basis
-    i*sigma_k/2 makes |[x, y]| = |x cross y|, and c = 0 for the abelian U1.
-
-    Parameters
-    ----------
-    group_id : str
-        "U1" or "SU2".
-    basis : array_like, shape (dim, rep_dim, rep_dim)
-        Anti-hermitian generators, orthonormal under the inner product.
-    trace_scale : float
-        The inner product is ``<m1, m2> = -trace_scale * Re tr(m1 m2)``.
-    c : float
-        The commutator constant.
+    c = max |[xi, eta]| over unit xi, eta is c = 1 for SU2, since
+    [xi_i, xi_j] = -eps_ijk xi_k in the basis i*sigma_k/2 makes
+    |[x, y]| = |x cross y|, and c = 0 for the abelian U1.
     """
 
-    def __init__(self, group_id: str, basis, trace_scale: float, c: float):
+    def __init__(self, group_id: str, dim: int, c: float):
         self.group_id = group_id
-        self.basis = np.asarray(basis, dtype=complex)
-        self.trace_scale = float(trace_scale)
+        self.dim = dim
         self.c = float(c)
-        self.dim = self.basis.shape[0]
-        self.rep_dim = self.basis.shape[1]
-
-    # -- coefficient/matrix conversions ------------------------------------
-
-    def to_matrices(self, coeffs):
-        """Coefficient vectors (..., dim) -> matrices (..., rep_dim, rep_dim)."""
-        return np.einsum("...i,iab->...ab", np.asarray(coeffs), self.basis)
 
     def bracket(self, x, y):
         """Pointwise commutator on coefficient arrays (..., dim).
@@ -88,10 +59,9 @@ class LieAlgebraSpec:
 
 def u1() -> LieAlgebraSpec:
     """u(1) realized as imaginary scalars, basis {i}."""
-    return LieAlgebraSpec("U1", [[[1j]]], trace_scale=1.0, c=0.0)
+    return LieAlgebraSpec("U1", dim=1, c=0.0)
 
 
 def su2() -> LieAlgebraSpec:
     """su(2) with basis i*sigma_k/2 and inner product -2 tr(xi eta)."""
-    basis = 0.5j * _PAULI
-    return LieAlgebraSpec("SU2", basis, trace_scale=2.0, c=1.0)
+    return LieAlgebraSpec("SU2", dim=3, c=1.0)

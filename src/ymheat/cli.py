@@ -524,8 +524,9 @@ def _cmd_wilson(cfg, out):
         out / "traces.csv",
     )
     rows = [
+        # |tr g| <= r for a unitary r x r holonomy
         report.check_row("trace_unitarity_bound",
-                         max(abs(z) for z in traces), float(A.algebra.rep_dim),
+                         max(abs(z) for z in traces), float(hols.shape[-1]),
                          1e-8)
     ]
     results = {"traces": [[z.real, z.imag] for z in traces]}

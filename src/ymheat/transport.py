@@ -5,8 +5,10 @@ paths, interpolating A trilinearly off the grid and re-projecting g to the
 group after every RK4 step (polar decomposition).  One kernel,
 `transport_many`, advances every (path, field) pair of a run as one
 stacked array of group elements, read off one interpolator of all the
-run's fields; `transport` is that kernel on a single pair.  The flow-time
-convergence probe takes the Wilson traces of its holonomies.
+run's fields; `transport` is that kernel on a single pair.  Holonomies
+are r x r unitary matrices (r = 1 for U(1), 2 for SU(2)), driven by
+closed-form generator matrices of A<gamma'>.  The flow-time convergence
+probe takes the Wilson traces of its holonomies.
 """
 
 from __future__ import annotations
@@ -197,6 +199,25 @@ def check_paths(grid: GridSpec, paths, n_steps: int) -> list:
     return checked
 
 
+def _generators(coeffs) -> np.ndarray:
+    """Generator matrices (..., r, r) of coefficient vectors (..., dim):
+    i a for u(1), (i/2)(a0 sigma1 + a1 sigma2 + a2 sigma3) for su(2).
+    Each part is one exact product plus 0.0 in an array of zeros: the bits
+    of an einsum over the basis matrices, whose sums start at +0.0 (``1j *
+    a`` would leave -0.0 real parts where a < 0)."""
+    a = np.asarray(coeffs, dtype=float)
+    if a.shape[-1] == 1:
+        m = np.zeros(a.shape + (1,), dtype=complex)
+        m.imag[..., 0, 0] = a[..., 0] + 0.0
+        return m
+    half, neg = 0.5 * a + 0.0, -0.5 * a + 0.0
+    m = np.zeros(a.shape[:-1] + (2, 2), dtype=complex)
+    m.imag[..., 0, 0], m.imag[..., 1, 1] = half[..., 2], neg[..., 2]
+    m.real[..., 0, 1], m.real[..., 1, 0] = half[..., 1], neg[..., 1]
+    m.imag[..., 0, 1] = m.imag[..., 1, 0] = half[..., 0]
+    return m
+
+
 def _project_group(g: np.ndarray) -> np.ndarray:
     """Nearest unitary to each matrix of a (P, r, r) stack, by polar
     decomposition; SU(2) elements are also scaled to unit determinant."""
@@ -245,12 +266,12 @@ def transport_many(fields, paths, n_steps: int = 256) -> np.ndarray:
     slice of the stack.  The fields share one grid and algebra (snapshots
     of one run); every path passes `check_paths` before the first step.
     """
-    alg = fields[0].algebra
     check_paths(fields[0].grid, paths, n_steps)
     interp = _FieldInterpolator(fields)
 
     order = sorted(range(len(paths)), key=lambda p: -len(paths[p].segments))
-    n_fields, r = len(fields), alg.rep_dim
+    n_fields = len(fields)
+    r = 1 if fields[0].algebra.group_id == "U1" else 2
     g = np.broadcast_to(np.eye(r, dtype=complex),
                         (len(paths) * n_fields, r, r)).copy()
     s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
@@ -268,7 +289,7 @@ def transport_many(fields, paths, n_steps: int = 256) -> np.ndarray:
                 pts = np.asarray(seg.position(sc), dtype=float)
                 vels = np.asarray(seg.velocity(sc), dtype=float)
                 mats[k * n_fields:(k + 1) * n_fields, :len(sc)] = \
-                    alg.to_matrices(interp.along(pts, vels))
+                    _generators(interp.along(pts, vels))
             G = g[:rows]
             for i in range(i1 - i0):
                 a0 = mats[:rows, 2 * i]

@@ -9,6 +9,9 @@ say whose) and library functions are called as module attributes
 (``neumann._add_duhamel``), so a test that patches one reaches them.
 ``gauge_transform`` differentiates its complex group field into an
 interior-shaped buffer with a strided central difference of its own.
+The algebras' basis matrices live here too: the library holds algebra
+elements as coefficients alone, and ``to_matrices`` (an einsum over the
+basis) is the oracle of ``transport``'s closed-form generators.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import math
 
 import numpy as np
 
-from ymheat import algebra, calculus, flow, neumann, transport
+from ymheat import calculus, flow, neumann, transport
 from ymheat.algebra import LieAlgebraSpec
 from ymheat.flow import FlowTrajectory
 from ymheat.grid import BoundarySpec, GridSpec, KForm
@@ -26,16 +29,41 @@ from ymheat.transport import Loop, Path, Segment
 
 # -- algebra ------------------------------------------------------------------
 
+PAULI = np.array(
+    [
+        [[0, 1], [1, 0]],
+        [[0, -1j], [1j, 0]],
+        [[1, 0], [0, -1]],
+    ],
+    dtype=complex,
+)
+
+# each group's generators, orthonormal under the inner product
+# <m1, m2> = -scale * Re tr(m1 m2), and that scale
+_BASES = {"U1": (np.array([[[1j]]]), 1.0), "SU2": (0.5j * PAULI, 2.0)}
+
+
+def basis(alg: LieAlgebraSpec) -> np.ndarray:
+    """Anti-hermitian basis matrices of the algebra, shape (dim, r, r)."""
+    return _BASES[alg.group_id][0]
+
+
+def to_matrices(alg: LieAlgebraSpec, coeffs):
+    """Coefficient vectors (..., dim) -> matrices (..., r, r), an einsum
+    over the basis: the oracle of `transport`'s closed-form generators."""
+    return np.einsum("...i,iab->...ab", np.asarray(coeffs), basis(alg))
+
 
 def inner(alg: LieAlgebraSpec, m1, m2):
     """Ad-invariant inner product of two algebra matrices."""
-    return -alg.trace_scale * np.real(np.einsum("...ij,...ji->...", m1, m2))
+    scale = _BASES[alg.group_id][1]
+    return -scale * np.real(np.einsum("...ij,...ji->...", m1, m2))
 
 
 def to_coeffs(alg: LieAlgebraSpec, mats):
-    """Matrices (..., rep_dim, rep_dim) -> coefficient vectors (..., dim)."""
+    """Matrices (..., r, r) -> coefficient vectors (..., dim)."""
     mats = np.asarray(mats, dtype=complex)
-    return np.stack([inner(alg, mats, b) for b in alg.basis], axis=-1)
+    return np.stack([inner(alg, mats, b) for b in basis(alg)], axis=-1)
 
 
 def algebra_norm(alg: LieAlgebraSpec, coeffs):
@@ -57,7 +85,7 @@ def group_exp(alg: LieAlgebraSpec, coeffs):
     with np.errstate(invalid="ignore"):
         ahat = np.where(pos, a / np.where(pos, theta[..., None], 1.0), 0.0)
     eye = np.eye(2, dtype=complex)
-    sig = np.einsum("...k,kab->...ab", ahat, algebra._PAULI)
+    sig = np.einsum("...k,kab->...ab", ahat, PAULI)
     half = 0.5 * theta
     return (
         np.cos(half)[..., None, None] * eye
@@ -115,7 +143,7 @@ def gauge_transform(A: KForm, k: np.ndarray) -> KForm:
     Parameters
     ----------
     A : KForm of degree 1
-    k : complex ndarray, shape grid.padded_shape + (rep_dim, rep_dim)
+    k : complex ndarray, shape grid.padded_shape + (r, r)
         Group-valued 0-form sampled on all nodes including ghosts.
 
     The result has unfilled ghosts (bc is None).
@@ -124,19 +152,20 @@ def gauge_transform(A: KForm, k: np.ndarray) -> KForm:
         raise ValueError("gauge_transform expects a 1-form")
     alg = A.algebra
     k = np.asarray(k, dtype=complex)
-    expected = A.grid.padded_shape + (alg.rep_dim, alg.rep_dim)
+    r = basis(alg).shape[-1]
+    expected = A.grid.padded_shape + (r, r)
     if k.shape != expected:
         raise ValueError(f"group field shape {k.shape} != {expected}")
     kh = np.conj(np.swapaxes(k, -1, -2))
     dev = np.max(np.abs(np.einsum("...ab,...bc->...ac", kh, k)
-                        - np.eye(alg.rep_dim)))
+                        - np.eye(r)))
     if dev > 1e-10:
         raise ValueError(f"group field not unitary (deviation {dev:.3e})")
     h = A.grid.spacing
     out = KForm(1, A.grid, alg)
     dk = np.empty(A.grid.shape + k.shape[-2:], dtype=complex)
     for j in range(3):
-        M = alg.to_matrices(A.values[j])
+        M = to_matrices(alg, A.values[j])
         conj = _conjugate(kh, k, M)
         # the Maurer-Cartan term at the interior nodes
         conj[_INTERIOR] += np.einsum(
@@ -153,7 +182,7 @@ def gauge_transform_form(omega: KForm, k: np.ndarray) -> KForm:
     kh = np.conj(np.swapaxes(k, -1, -2))
     out = KForm(omega.degree, omega.grid, alg)
     for ci in range(omega.values.shape[0]):
-        M = alg.to_matrices(omega.values[ci])
+        M = to_matrices(alg, omega.values[ci])
         out.values[ci] = to_coeffs(alg, _conjugate(kh, k, M))
     return out
 

@@ -29,6 +29,7 @@ from paper_checks import (
     group_exp,
     max_interior_norm,
     to_coeffs,
+    to_matrices,
 )
 
 
@@ -392,7 +393,7 @@ def _ref_gauge_transform(A, k):
     out = KForm(1, A.grid, alg)
     for j in range(3):
         conj = np.einsum("...ab,...bc,...cd->...ad", kh,
-                         alg.to_matrices(A.values[j]), k)
+                         to_matrices(alg, A.values[j]), k)
         maurer = np.einsum("...ab,...bc->...ac", kh, _ref_diff(k, j, h[j]))
         out.values[j] = to_coeffs(alg, conj + maurer)
     return out

@@ -746,6 +746,224 @@ def test_every_command_runs(tmp_path, command):
     assert doc["tol_scale"] == 1.0 and doc["seed"] is None
 
 
+def _late_bounds():
+    """The su2-bounds workload at tau = 0.01: its flow to t = 0.025 passes
+    t = 2 tau, so the late smoothing rows judge nonempty windows."""
+    cfg = json.loads((PERFBENCH / "workloads" / "su2-bounds.json")
+                     .read_text())
+    cfg["constants"]["tau"] = 0.01
+    return cfg
+
+
+def _bounds_rows(tmp_path, cfg):
+    code = cli.execute("verify-bounds", cfg, tmp_path)
+    doc = json.loads((tmp_path / "report.json").read_text())
+    return code, {r["name"]: r for r in doc["checks"]}
+
+
+def test_late_smoothing_rows_are_applicable_and_pass(tmp_path):
+    """An empty window reads lhs = rhs = 0; at tau = 0.01 both late rows
+    judge the flow after t = tau (B) and t = 2 tau (A')."""
+    code, rows = _bounds_rows(tmp_path, _late_bounds())
+    assert code == 0
+    for name, lhs, rhs in [("B_linf_late", 6.31e-2, 2.89),
+                           ("Ap_linf_late", 9.45e-4, 0.202)]:
+        assert rows[name]["verdict"] == "pass"
+        assert rows[name]["lhs"] == pytest.approx(lhs, rel=0.01)
+        assert rows[name]["rhs"] == pytest.approx(rhs, rel=0.01)
+
+
+def _plant_c_N(monkeypatch, factor):
+    estimate = cli.NeumannSemigroup.c_N_estimate
+    monkeypatch.setattr(cli.NeumannSemigroup, "c_N_estimate",
+                        lambda sg: estimate(sg) * factor)
+
+
+def _plant_monitor(monkeypatch, name, factor, after_start=False):
+    """Scale the monitored norm `name` by `factor` as the flow records it,
+    at every time or only after t = 0."""
+    record = flow.MonitorSeries.record
+    i = flow.MonitorSeries.FIELDS.index(name) - 1  # record's norms follow t
+
+    def planted(self, t, *norms):
+        norms = list(norms)
+        if t > 0 or not after_start:
+            norms[i] *= factor
+        return record(self, t, *norms)
+
+    monkeypatch.setattr(flow.MonitorSeries, "record", planted)
+
+
+@pytest.mark.parametrize("plant, failing", [
+    (lambda mp: _plant_c_N(mp, 1e-3), {"B_linf_late", "Ap_linf_early"}),
+    (lambda mp: _plant_monitor(mp, "B_linf", 100.0),
+     {"B_linf_early", "B_linf_late"}),
+    (lambda mp: _plant_monitor(mp, "Ap_linf", 1e3),
+     {"Ap_linf_early", "Ap_linf_late"}),
+    (lambda mp: _plant_monitor(mp, "Bp_l2", 10.0), {"energy_dissipation"}),
+    (lambda mp: _plant_monitor(mp, "Ap_l2", 10.0), {"action_bound"}),
+    (lambda mp: _plant_monitor(mp, "Ap_l2", 2.0, after_start=True),
+     {"energy_dissipation", "Ap_l2_growth"}),
+], ids=["c_N_x1e-3", "B_linf_x100", "Ap_linf_x1e3", "Bp_l2_x10", "Ap_l2_x10",
+        "Ap_l2_x2_after_start"])
+def test_planted_constant_fails_its_bounds_rows(tmp_path, monkeypatch, plant,
+                                                failing):
+    """Controls of the verify-bounds rows at tau = 0.01: one wrong
+    constant, in c_N or in one monitored norm, fails exactly these rows.
+    The slack is absolute (1.78e-2 here), so gamma x 1e-3 cannot fail
+    Ap_linf_late, whose lhs is 9.45e-4: its control raises ||A'||_inf.
+    Ap_l2_growth follows from energy_dissipation under the early bound,
+    so no control fails it alone."""
+    plant(monkeypatch)
+    code, rows = _bounds_rows(tmp_path, _late_bounds())
+    assert code == 1
+    assert {n for n, r in rows.items() if r["verdict"] == "fail"} == failing
+
+
+def test_planted_A_prime_norm_fails_flow_action_bound(tmp_path, monkeypatch):
+    """Control: ||A'||_2 read 10x too large makes the action 100x too
+    large, past ||B_0||^2 on the cosine flow, and only that row fails."""
+    _plant_monitor(monkeypatch, "Ap_l2", 10.0)
+    assert cli.execute("flow", SMOKE["flow"], tmp_path) == 1
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    assert [r["name"] for r in checks if r["verdict"] == "fail"] \
+        == ["action_bound"]
+
+
+def test_divergent_current_fails_energy_cauchy_rel_gap(tmp_path,
+                                                       monkeypatch):
+    """Control: the energy kernel of the current 1/((1-r) log(1/(1-r))),
+    whose energy diverges (each weight u^-2 du becomes u^-1 du), keeps a
+    cutoff gap of one half; the total current does not see the kernel."""
+    kernel = washer._coplanar_kernel
+    monkeypatch.setattr(washer, "_coplanar_kernel",
+                        lambda u1, u2: kernel(u1, u2) * u1 * u2)
+    code, rows = _washer_energy_rows(tmp_path, SMOKE["washer-energy"])
+    assert code == 1
+    assert {n: r["verdict"] for n, r in rows.items()} == {
+        "energy_cauchy_rel_gap": "fail", "total_current": "pass",
+        "angular_kernel_sandwich": "pass"}
+
+
+def _washer_regularize_verdicts(tmp_path):
+    assert cli.execute("washer-regularize", SMOKE["washer-regularize"],
+                       tmp_path) == 1
+    doc = json.loads((tmp_path / "report.json").read_text())
+    return {r["name"]: r["verdict"] for r in doc["checks"]}
+
+
+def test_unflowed_rim_fluxes_fail_flowed_flux_ladder_converges(tmp_path,
+                                                               monkeypatch):
+    """Control: the washer's own rim fluxes, which grow like
+    log log(1/eps), in place of the flowed field's line integrals."""
+    reg = SMOKE["washer-regularize"]
+    loops = iter(cli._rim_loops(reg["regularize"]))
+    wc = washer.WasherConfig(**reg["washer"])
+    monkeypatch.setattr(cli, "line_integral", lambda A, path: np.array(
+        [cli.flux_probe(next(loops), wc)]))
+    assert _washer_regularize_verdicts(tmp_path) == {
+        "flowed_flux_ladder_converges": "fail",
+        "initial_flux_ladder_diverges": "pass"}
+
+
+def test_falling_rim_fluxes_fail_initial_flux_ladder_diverges(tmp_path,
+                                                              monkeypatch):
+    """Control: t = 0 fluxes that fall toward the rim (flux = eps)."""
+    monkeypatch.setattr(cli, "flux_probe", lambda lp, wc: lp.eps)
+    assert _washer_regularize_verdicts(tmp_path) == {
+        "flowed_flux_ladder_converges": "pass",
+        "initial_flux_ladder_diverges": "fail"}
+
+
+# Each (command, report row): the test whose control makes the row read
+# "fail", or the ROADMAP item that says why no control can
+ROW_CONTROLS = {
+    ("flow", "B_l2_nonincreasing"):
+        "test_cli.py::test_ascent_fails_B_l2_nonincreasing",
+    ("flow", "action_bound"):
+        "test_cli.py::test_planted_A_prime_norm_fails_flow_action_bound",
+    ("flow", "abelian_spectral_equivalence"):
+        "test_cli.py::test_stencil_off_by_1e_3_fails_abelian_spectral_"
+        "equivalence",
+    ("verify-domination", "domination_B"):
+        "test_cli.py::test_domination_B_fails_on_the_cosine_mode_at_"
+        "amplitude_one",
+    ("verify-domination", "domination_Ap"):
+        "test_cli.py::test_u1_domination_workload_matches_reference",
+    ("verify-diamagnetic", "diamagnetic_neumann"): "ROADMAP 21",
+    ("verify-diamagnetic", "diamagnetic_dirichlet"): "ROADMAP 21",
+    ("verify-bounds", "small_data_gate"):
+        "test_flow.py::test_verify_bounds_not_applicable_when_gate_fails",
+    ("verify-bounds", "B_linf_early"):
+        "test_cli.py::test_planted_constant_fails_its_bounds_rows"
+        "[B_linf_x100]",
+    ("verify-bounds", "B_linf_late"):
+        "test_cli.py::test_planted_constant_fails_its_bounds_rows"
+        "[c_N_x1e-3]",
+    ("verify-bounds", "Ap_linf_early"):
+        "test_cli.py::test_planted_constant_fails_its_bounds_rows"
+        "[c_N_x1e-3]",
+    ("verify-bounds", "Ap_linf_late"):
+        "test_cli.py::test_planted_constant_fails_its_bounds_rows"
+        "[Ap_linf_x1e3]",
+    ("verify-bounds", "energy_dissipation"):
+        "test_cli.py::test_planted_constant_fails_its_bounds_rows[Bp_l2_x10]",
+    ("verify-bounds", "Ap_l2_growth"):
+        "test_cli.py::test_planted_constant_fails_its_bounds_rows"
+        "[Ap_l2_x2_after_start]",
+    ("verify-bounds", "action_bound"):
+        "test_cli.py::test_planted_constant_fails_its_bounds_rows[Ap_l2_x10]",
+    ("constants", "a4_quadrature_vs_gamma"):
+        "test_cli.py::test_a4_row_fails_on_a_wrong_closed_form",
+    ("constants", "c_N_constant_mode_lower_bound"):
+        "test_cli.py::test_c_N_lower_bound_fails_without_the_constant_mode",
+    ("wilson", "trace_unitarity_bound"): "ROADMAP 27",
+    ("wilson", "trace_diffs_nonincreasing_tail"):
+        "test_cli.py::test_reversed_ladder_fails_trace_diffs_nonincreasing_"
+        "tail",
+    ("washer-energy", "energy_cauchy_rel_gap"):
+        "test_cli.py::test_divergent_current_fails_energy_cauchy_rel_gap",
+    ("washer-energy", "total_current"):
+        "test_cli.py::test_total_current_fails_on_misweighted_u_nodes",
+    ("washer-energy", "angular_kernel_sandwich"): "ROADMAP 13",
+    ("washer-flux", "flux_strictly_increasing"):
+        "test_cli.py::test_falling_loglog_line_fails_flux_strictly_increasing",
+    ("washer-flux", "loglog_fit_residual"):
+        "test_cli.py::test_power_law_growth_fails_loglog_fit_residual",
+    ("washer-regularize", "flowed_flux_ladder_converges"):
+        "test_cli.py::test_unflowed_rim_fluxes_fail_flowed_flux_ladder_"
+        "converges",
+    ("washer-regularize", "initial_flux_ladder_diverges"):
+        "test_cli.py::test_falling_rim_fluxes_fail_initial_flux_ladder_"
+        "diverges",
+}
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_every_report_row_has_a_control(tmp_path, command):
+    """Every row the command emits on its SMOKE config has a ROW_CONTROLS
+    entry, and every entry names a test or ROADMAP item that exists."""
+    assert cli.execute(command, SMOKE[command], tmp_path) == 0
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    missing = [r["name"] for r in checks
+               if (command, r["name"]) not in ROW_CONTROLS]
+    assert missing == [], f"{command} rows with no control: {missing}"
+    root = PERFBENCH.parent
+    roadmap = (root / "ROADMAP.md").read_text()
+    for (cmd, row), control in ROW_CONTROLS.items():
+        if cmd != command:
+            continue
+        if control.startswith("ROADMAP "):
+            item = control.split()[1]
+            assert re.search(rf"^{item}\. \*\*", roadmap, re.M), control
+            continue
+        path, name = control.split("::")
+        test, _, case = name.partition("[")
+        text = (root / "tests" / path).read_text()
+        assert f"def {test}(" in text, (row, control)
+        assert not case or f'"{case[:-1]}"' in text, (row, control)
+
+
 @pytest.mark.parametrize("amplitude, status", [(0.04, 0), (1.0, 1)])
 def test_verify_bounds_report_holds_the_library_rows(tmp_path, monkeypatch,
                                                      amplitude, status):

@@ -24,16 +24,19 @@ from ymheat.transport import (
     transport,
     transport_many,
     _FieldInterpolator,
+    _generators,
 )
 
 from paper_checks import (
     PathPerturbation,
+    basis,
     deriv_bound_check,
     gauge_transform,
     group_exp,
     loops_to_paths,
     path_length,
     reversed_path,
+    to_matrices,
     wilson_trace,
 )
 
@@ -272,15 +275,30 @@ def test_deriv_bound_zero_perturbation(field):
     assert res["margin"] >= 0.0
 
 
+@pytest.mark.parametrize("algebra", [su2, u1], ids=["SU2", "U1"])
+def test_closed_form_generators_equal_the_einsum_oracle(algebra, rng):
+    """`transport_many`'s closed-form generators equal the einsum over the
+    basis matrices, value for value and bit for bit (signed zeros too),
+    on random coefficients and on every mix of exact zeros of either sign
+    with nonzero entries."""
+    alg = algebra()
+    mixed = list(itertools.product([0.0, -0.0, 0.75, -1.25], repeat=alg.dim))
+    for x in (np.array(mixed), rng.standard_normal((3, 40, alg.dim))):
+        got, want = _generators(x), to_matrices(alg, x)
+        assert got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def _reference_transport(A, path, n_steps):
     """Unchunked per-pair RK4 with per-matrix polar projection: the loop
     `transport_many` batches, kept here to pin its bits."""
     interp = _FieldInterpolator([A])
-    g = np.eye(A.algebra.rep_dim, dtype=complex)
+    g = np.eye(basis(A.algebra).shape[-1], dtype=complex)
     ds = 1.0 / n_steps
     s = np.linspace(0.0, 1.0, 2 * n_steps + 1)
     for seg in path.segments:
-        mats = A.algebra.to_matrices(interp.along(
+        mats = to_matrices(A.algebra, interp.along(
             np.asarray(seg.position(s), dtype=float),
             np.asarray(seg.velocity(s), dtype=float))[0])
         for i in range(n_steps):
@@ -310,7 +328,7 @@ def test_transport_many_equals_per_pair_reference(algebra, n_fields):
     # one full and one partial chunk of steps per segment
     n_steps = CHUNK_STEPS + 72
     hols = transport_many(fields, loops, n_steps=n_steps)
-    r = fields[0].algebra.rep_dim
+    r = basis(fields[0].algebra).shape[-1]
     assert hols.shape == (len(loops), n_fields, r, r)
     expected = [[_reference_transport(A, lp, n_steps) for A in fields]
                 for lp in loops]
