@@ -46,14 +46,10 @@ from .transport import (
     transport_many,
 )
 from .washer import (
-    SANDWICH_THETA0,
-    SANDWICH_U,
-    SANDWICH_V,
     LoopCEpsilon,
     WasherConfig,
     energy,
     flux_probe,
-    theta_bounds_check,
     total_current,
     vector_potential,
     washer_to_grid,
@@ -144,7 +140,7 @@ _SECTIONS = {
                     {"center": _numbers(2), "z": _NUMBER,
                      "radius": _POSITIVE, "phi0": _NUMBER,
                      "phi1": _NUMBER})})}},
-    "wilson": _strict(n_steps={"type": "integer", "minimum": 8},
+    "wilson": _strict(["ladder"], n_steps={"type": "integer", "minimum": 8},
                       ladder=_unique(_POSITIVE, 4)),
     "washer": _strict(u_max=_POSITIVE, n_u={"type": "integer", "minimum": 8}),
     "flux": _strict(**_RIM_LADDER),
@@ -380,6 +376,22 @@ def _rim_loops(sec: dict) -> list:
     return [LoopCEpsilon(eps, **shape) for eps in ladder]
 
 
+# the largest residual of a rim ladder's fit, as a share of its fluxes' range
+_LOGLOG_FIT_TOL = 0.05
+
+
+def _loglog_fit(eps_ladder, fluxes):
+    """A rim ladder against the conjectural growth law flux ~ a +
+    b log log(1/eps): whether its fluxes increase strictly toward the rim,
+    the fit's (b, a), and its largest residual over the fluxes' range."""
+    increasing = all(b > a for a, b in zip(fluxes, fluxes[1:]))
+    x = np.log(np.log(1.0 / np.asarray(eps_ladder)))
+    coef = np.polyfit(x, fluxes, 1)
+    resid = np.max(np.abs(np.polyval(coef, x) - fluxes)) / (
+        max(fluxes) - min(fluxes))
+    return increasing, coef, float(resid)
+
+
 # ---------------------------------------------------------------------------
 # Subcommand implementations (each returns (results dict, check rows))
 # ---------------------------------------------------------------------------
@@ -500,44 +512,38 @@ def _cmd_wilson(cfg, out):
     grid = _grid_from(cfg)
     loops = [Loop([segment_from_json(s) for s in spec])
              for spec in cfg["loops"]]
-    opts = cfg.get("wilson", {})
-    n_steps = opts.get("n_steps", 256)
-    ladder = opts.get("ladder")
+    n_steps = cfg["wilson"].get("n_steps", 256)
+    ladder = sorted(cfg["wilson"]["ladder"])
     bc = _boundary_from(cfg)
     check_paths(grid, loops, n_steps)
-    if ladder is not None:
-        check_ladder(sorted(ladder))
-        fc = _flow_config({"dt": dt_ceiling(grid), **cfg.get("flow", {}),
-                           "t_end": max(ladder),
-                           "snapshot_times": sorted(ladder)}, bc, grid)
+    check_ladder(ladder)
+    fc = _flow_config({"dt": dt_ceiling(grid), **cfg.get("flow", {}),
+                       "t_end": ladder[-1], "snapshot_times": ladder},
+                      bc, grid)
     A = apply_boundary(_field_from(cfg, grid), bc)
-    fields = [A]
-    if ladder is not None:
-        traj = integrate(A, fc)
-        fields += traj.fields
+    traj = integrate(A, fc)
     # every (loop, field) pair in one call; column 0 is the t = 0 field
-    hols = transport_many(fields, loops, n_steps)
+    hols = transport_many([A, *traj.fields], loops, n_steps)
     traces = [complex(z) for z in np.trace(hols[:, 0], axis1=-2, axis2=-1)]
     report.emit_csv(
         ("loop", "re_trace", "im_trace"),
         [(i, z.real, z.imag) for i, z in enumerate(traces)],
         out / "traces.csv",
     )
+    probe = convergence_probe(traj, hols[:, 1:])
     rows = [
         # |tr g| <= r for a unitary r x r holonomy
         report.check_row("trace_unitarity_bound",
                          max(abs(z) for z in traces), float(hols.shape[-1]),
-                         1e-8)
+                         1e-8),
+        report.check_row("trace_diffs_nonincreasing_tail",
+                         0.0 if probe["diffs_nonincreasing_tail"] else 1.0,
+                         0.0, 0.0),
     ]
-    results = {"traces": [[z.real, z.imag] for z in traces]}
-    if ladder is not None:
-        probe = convergence_probe(traj, hols[:, 1:])
-        rows.append(report.check_row(
-            "trace_diffs_nonincreasing_tail",
-            0.0 if probe["diffs_nonincreasing_tail"] else 1.0, 0.0, 0.0))
-        results["ladder"] = sorted(ladder)
-        results["ladder_diffs"] = [list(map(float, d))
-                                   for d in probe["trace_diffs"]]
+    results = {"traces": [[z.real, z.imag] for z in traces],
+               "ladder": ladder,
+               "ladder_diffs": [list(map(float, d))
+                                for d in probe["trace_diffs"]]}
     return results, rows
 
 
@@ -556,12 +562,6 @@ def _cmd_washer_energy(cfg, out):
         report.check_row("energy_cauchy_rel_gap", res["rel_gaps"][-1], 0.0,
                          1e-3),
         report.check_row("total_current", cur["difference"], 0.0, 1e-10),
-        report.check_row(
-            "angular_kernel_sandwich",
-            0.0 if all(
-                theta_bounds_check(u, v, SANDWICH_THETA0)["passed"]
-                for u in SANDWICH_U for v in SANDWICH_V
-            ) else 1.0, 0.0, 0.0),
     ]
     results = {
         "W": res["W"],
@@ -584,16 +584,11 @@ def _cmd_washer_flux(cfg, out):
         tails.append(tail * lp.phi_span * (1.0 + lp.eps))
     report.emit_csv(("eps", "flux", "tail_bound"),
                     zip(eps_ladder, fluxes, tails), out / "flux.csv")
-    increasing = all(b > a for a, b in zip(fluxes, fluxes[1:]))
-    # conjectural growth law: flux ~ a + b log log(1/eps)
-    x = np.log(np.log(1.0 / np.asarray(eps_ladder)))
-    coef = np.polyfit(x, fluxes, 1)
-    resid = np.max(np.abs(np.polyval(coef, x) - fluxes)) / (
-        max(fluxes) - min(fluxes))
+    increasing, coef, resid = _loglog_fit(eps_ladder, fluxes)
     rows = [
         report.check_row("flux_strictly_increasing",
                          0.0 if increasing else 1.0, 0.0, 0.0),
-        report.check_row("loglog_fit_residual", float(resid), 0.0, 0.05),
+        report.check_row("loglog_fit_residual", resid, 0.0, _LOGLOG_FIT_TOL),
     ]
     results = {
         "eps_ladder": eps_ladder,
@@ -627,7 +622,10 @@ def _cmd_washer_regularize(cfg, out):
 
     f_a, f_b = flux_t[-2], flux_t[-1]
     conv = abs(f_b - f_a) / max(abs(f_a), 1e-300)
-    diverging = all(b > a for a, b in zip(flux0, flux0[1:]))
+    # the t = 0 ladder diverges as washer-flux's does: strictly increasing,
+    # on the log log(1/eps) law
+    increasing, _, resid0 = _loglog_fit(eps_ladder, flux0)
+    diverging = increasing and resid0 <= _LOGLOG_FIT_TOL
     rows = [
         report.check_row("flowed_flux_ladder_converges", conv, 0.0, 1e-3),
         report.check_row("initial_flux_ladder_diverges",
@@ -664,11 +662,9 @@ _DISPATCH = {
     "verify-bounds": (_cmd_verify_bounds, _config(
         ["grid", "field", "flow"], ["boundary", "constants"])),
     "constants": (_cmd_constants, _config([], ["grid", "constants"])),
-    # a ladder sets the flow's end and snapshot times, so only a ladder flows
+    # the ladder sets the flow's end and snapshot times
     "wilson": (_cmd_wilson, _config(
-        ["grid", "field", "loops"], ["boundary", "flow", "wilson"],
-        premise=("flow", {"required": ["wilson"], "properties": {
-            "wilson": {"required": ["ladder"]}}}),
+        ["grid", "field", "loops", "wilson"], ["boundary", "flow"],
         flow=_strict(dt=_POSITIVE, variant=_FLOW["variant"]))),
     "washer-energy": (_cmd_washer_energy, _config([], ["washer"])),
     "washer-flux": (_cmd_washer_flux, _config([], ["washer", "flux"])),

@@ -11,6 +11,13 @@ from .grid import COMPONENT_AXES, GridSpec, KForm
 __all__ = ["coulomb_cosine", "random_smooth", "edge_bump"]
 
 
+def _open_mesh(grid: GridSpec):
+    """Each axis's ghosted node coordinates, shaped to broadcast along that
+    axis: a function of one coordinate is evaluated once per node of its
+    axis, and a product over the three spans the padded grid."""
+    return np.ix_(*(grid.axis_coords(a, ghosts=True) for a in range(3)))
+
+
 def coulomb_cosine(grid: GridSpec, amplitude: float = 1.0) -> KForm:
     """Divergence-free abelian 1-form built from a cosine stream function.
 
@@ -21,7 +28,7 @@ def coulomb_cosine(grid: GridSpec, amplitude: float = 1.0) -> KForm:
     """
     alg = u1()
     A = KForm(1, grid, alg)
-    X, Y, _ = grid.meshgrid(ghosts=True)
+    X, Y, _ = _open_mesh(grid)
     L1, L2, _ = grid.extents
     k1, k2 = np.pi / L1, np.pi / L2
     A.values[0, ..., 0] = amplitude * k2 * np.sin(k1 * X) * np.cos(k2 * Y)
@@ -31,9 +38,8 @@ def coulomb_cosine(grid: GridSpec, amplitude: float = 1.0) -> KForm:
 
 def edge_bump(grid: GridSpec):
     """Separable window prod_i sin(pi x_i / L_i)^3, vanishing at every face."""
-    X, Y, Z = grid.meshgrid(ghosts=True)
-    w = np.ones_like(X)
-    for coord, L in zip((X, Y, Z), grid.extents):
+    w = 1.0
+    for coord, L in zip(_open_mesh(grid), grid.extents):
         w = w * np.sin(np.pi * np.clip(coord, 0.0, L) / L) ** 3
     return w
 
@@ -51,12 +57,12 @@ def random_smooth(grid: GridSpec, algebra: LieAlgebraSpec | None = None,
     alg = algebra or su2()
     rng = np.random.default_rng(seed)
     f = KForm(degree, grid, alg)
-    X, Y, Z = grid.meshgrid(ghosts=True)
+    X, Y, Z = _open_mesh(grid)
     w = edge_bump(grid)
     ncomp = len(COMPONENT_AXES[degree])
     for ci in range(ncomp):
         for d in range(alg.dim):
-            acc = np.zeros_like(X)
+            acc = np.zeros(grid.padded_shape)
             for _ in range(n_modes):
                 k = rng.uniform(0.5, 1.5, 3) * np.pi
                 ph = rng.uniform(0, 2 * np.pi, 3)

@@ -63,10 +63,6 @@ class GridSpec:
             return np.linspace(-h, self.extents[axis] + h, n + 2)
         return np.linspace(0.0, self.extents[axis], n)
 
-    def meshgrid(self, ghosts=False):
-        axes = [self.axis_coords(a, ghosts) for a in range(3)]
-        return np.meshgrid(*axes, indexing="ij")
-
     @cached_property
     def trapezoid_weights(self):
         """Volume quadrature weights on the non-ghost nodes, shape self.shape;

@@ -35,7 +35,6 @@ __all__ = [
     "total_current",
     "vector_potential",
     "energy",
-    "theta_bounds_check",
     "flux_probe",
     "washer_to_grid",
 ]
@@ -43,11 +42,6 @@ __all__ = [
 R_INNER = 0.5
 R_OUTER = 1.0
 U_MIN = math.log(2.0)  # u at the inner radius
-
-# the (u, v) grid at theta0 on which the angular sandwich is checked
-SANDWICH_U = (0.001, 0.01, 0.1, 0.5)
-SANDWICH_V = (0.5, 1.0, 2.0)
-SANDWICH_THETA0 = math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -328,35 +322,6 @@ def energy(cfg: WasherConfig = WasherConfig()) -> dict:
         "values": values,
         "rel_gaps": gaps,
         "cauchy": bool(gaps and gaps[-1] <= 1e-3),
-    }
-
-
-def theta_bounds_check(u: float, v: float, theta0: float) -> dict:
-    """Sandwich bounds for the angular kernel integral.
-
-    (1/v) log(1 + v theta0/u) <= int_0^{theta0} dtheta /
-    sqrt(u^2 + 2 v^2 (1-cos theta)) <= (sqrt2/(v a)) log(1 + v a theta0/u)
-    with a^2 = sin(theta0)/theta0; parameters restricted to 0 < u < 1,
-    1/2 <= v <= 2, 0 < theta0 < pi/2.  The integral is taken after
-    sin(theta/2) = k sinh s with k = u/(2v), which turns it into
-    (1/v) int_0^S ds / sqrt(1 - k^2 sinh^2 s), S = asinh(sin(theta0/2)/k):
-    smooth for every u, so a 64-node Gauss-Legendre rule resolves it.
-    """
-    if not (0 < u < 1 and 0.5 <= v <= 2 and 0 < theta0 < math.pi / 2):
-        raise ValueError("parameters outside the validated range")
-    a = math.sqrt(math.sin(theta0) / theta0)
-    lower = (1.0 / v) * math.log(1.0 + v * theta0 / u)
-    upper = (math.sqrt(2.0) / (v * a)) * math.log(1.0 + v * a * theta0 / u)
-    k = u / (2.0 * v)
-    half = 0.5 * math.asinh(math.sin(0.5 * theta0) / k)
-    x, w = _leggauss(64)
-    ks = k * np.sinh(half * (x + 1.0))
-    mid = half * float(np.sum(w / np.sqrt(1.0 - ks * ks))) / v
-    return {
-        "lower": lower,
-        "integral": mid,
-        "upper": upper,
-        "passed": lower <= mid + 1e-8 and mid <= upper + 1e-8,
     }
 
 

@@ -1,8 +1,9 @@
 """Checks of the paper's lemmas and the helpers they need, run only by tests.
 
 The Neumann composition and monotonicity lemmas, the evolution
-identities of B and A', gauge covariance and the holonomy derivative
-bound: no command, demo or benchmark calls them.  Each keeps its library
+identities of B and A', gauge covariance, the holonomy derivative bound
+and the sandwich bounds of the washer's angular kernel integral: no
+command, demo or benchmark calls them.  Each keeps its library
 text, except that a method is a function taking its object first
 (``group_exp``, ``algebra_norm``, ``reversed_path`` and ``path_length``
 say whose) and library functions are called as module attributes
@@ -11,7 +12,9 @@ say whose) and library functions are called as module attributes
 interior-shaped buffer with a strided central difference of its own.
 The algebras' basis matrices live here too: the library holds algebra
 elements as coefficients alone, and ``to_matrices`` (an einsum over the
-basis) is the oracle of ``transport``'s closed-form generators.
+basis) is the oracle of ``transport``'s closed-form generators, as
+``meshgrid`` (every node's coordinates at full shape) is of the fields'
+per-axis factors.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from ymheat import calculus, flow, neumann, transport
+from ymheat import calculus, flow, neumann, transport, washer
 from ymheat.algebra import LieAlgebraSpec
 from ymheat.flow import FlowTrajectory
 from ymheat.grid import BoundarySpec, GridSpec, KForm
@@ -97,6 +100,15 @@ def group_exp(alg: LieAlgebraSpec, coeffs):
 
 DIRICHLET = BoundarySpec("dirichlet")
 MARINI = BoundarySpec("marini")
+
+
+def meshgrid(grid: GridSpec, ghosts=False):
+    """The three coordinate arrays of the grid's nodes (optionally with
+    ghosts), each of the full shape: the fields' per-axis factors are
+    pinned against evaluations on these."""
+    axes = [grid.axis_coords(a, ghosts) for a in range(3)]
+    return np.meshgrid(*axes, indexing="ij")
+
 
 # slack constant for one-sided face-stencil quantities (normal
 # derivatives, face Laplacians): tol = C_FACE * h^2
@@ -486,3 +498,32 @@ def lambda_profile(r):
     r = np.asarray(r, dtype=float)
     one_minus = 1.0 - r
     return 1.0 / (one_minus * np.log(1.0 / one_minus) ** 2)
+
+
+def theta_bounds_check(u: float, v: float, theta0: float) -> dict:
+    """Sandwich bounds for the angular kernel integral.
+
+    (1/v) log(1 + v theta0/u) <= int_0^{theta0} dtheta /
+    sqrt(u^2 + 2 v^2 (1-cos theta)) <= (sqrt2/(v a)) log(1 + v a theta0/u)
+    with a^2 = sin(theta0)/theta0; parameters restricted to 0 < u < 1,
+    1/2 <= v <= 2, 0 < theta0 < pi/2.  The integral is taken after
+    sin(theta/2) = k sinh s with k = u/(2v), which turns it into
+    (1/v) int_0^S ds / sqrt(1 - k^2 sinh^2 s), S = asinh(sin(theta0/2)/k):
+    smooth for every u, so a 64-node Gauss-Legendre rule resolves it.
+    """
+    if not (0 < u < 1 and 0.5 <= v <= 2 and 0 < theta0 < math.pi / 2):
+        raise ValueError("parameters outside the validated range")
+    a = math.sqrt(math.sin(theta0) / theta0)
+    lower = (1.0 / v) * math.log(1.0 + v * theta0 / u)
+    upper = (math.sqrt(2.0) / (v * a)) * math.log(1.0 + v * a * theta0 / u)
+    k = u / (2.0 * v)
+    half = 0.5 * math.asinh(math.sin(0.5 * theta0) / k)
+    x, w = washer._leggauss(64)
+    ks = k * np.sinh(half * (x + 1.0))
+    mid = half * float(np.sum(w / np.sqrt(1.0 - ks * ks))) / v
+    return {
+        "lower": lower,
+        "integral": mid,
+        "upper": upper,
+        "passed": lower <= mid + 1e-8 and mid <= upper + 1e-8,
+    }

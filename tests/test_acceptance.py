@@ -35,7 +35,6 @@ from ymheat.washer import (
     LoopCEpsilon,
     energy,
     flux_probe,
-    theta_bounds_check,
     total_current,
 )
 
@@ -47,8 +46,10 @@ from paper_checks import (
     face_tol,
     gauge_transform,
     group_exp,
+    meshgrid,
     monotone_lemma_check,
     reversed_path,
+    theta_bounds_check,
     wilson_trace,
 )
 
@@ -185,7 +186,7 @@ def test_criterion_06_smoothing_and_energy_bounds(small_data_run,
 
 def test_criterion_07_monotone_and_composition_lemmas(sg16, rng):
     h = min(sg16.grid.spacing)
-    X, Y, Z = sg16.grid.meshgrid()
+    X, Y, Z = meshgrid(sg16.grid)
 
     ok = monotone_lemma_check(
         sg16, np.ones(sg16.grid.shape), 0.05)["min_margin"] >= -1e-10

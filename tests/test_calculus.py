@@ -28,6 +28,7 @@ from paper_checks import (
     gauge_transform_form,
     group_exp,
     max_interior_norm,
+    meshgrid,
     to_coeffs,
     to_matrices,
 )
@@ -47,7 +48,7 @@ def test_requires_ghost_fill(unit_grid, su2_alg):
 def test_abelian_linear_field_curvature_exact(unit_grid, u1_alg):
     # A = (0, x, 0): B_12 = dA_2/dx = 1 at every node, other planes zero
     A = KForm(1, unit_grid, u1_alg)
-    X, _, _ = unit_grid.meshgrid(ghosts=True)
+    X, _, _ = meshgrid(unit_grid, ghosts=True)
     A.values[1, ..., 0] = X
     B = curvature(apply_boundary(A, MARINI))
     inner = B.values[:, 2:-2, 2:-2, 2:-2, 0]
@@ -111,7 +112,7 @@ def test_bochner_eigenmode_exact(unit_grid, u1_alg):
     k = np.pi
     A = apply_boundary(KForm(1, unit_grid, u1_alg), NEUMANN)
     w = KForm(1, unit_grid, u1_alg)
-    X, Y, _ = unit_grid.meshgrid(ghosts=True)
+    X, Y, _ = meshgrid(unit_grid, ghosts=True)
     # component 1 must vanish on the y faces (normal) and be even in x
     w.values[1, ..., 0] = np.cos(k * X) * np.sin(k * Y)
     wf = apply_boundary(w, NEUMANN)

@@ -268,8 +268,7 @@ def test_total_current_fails_on_misweighted_u_nodes(tmp_path, monkeypatch):
     code, rows = _washer_energy_rows(tmp_path, SMOKE["washer-energy"])
     assert code == 1
     assert {n: r["verdict"] for n, r in rows.items()} == {
-        "energy_cauchy_rel_gap": "pass", "total_current": "fail",
-        "angular_kernel_sandwich": "pass"}
+        "energy_cauchy_rel_gap": "pass", "total_current": "fail"}
     assert rows["total_current"]["lhs"] == pytest.approx(1.39e-9, rel=0.01)
 
 
@@ -295,7 +294,7 @@ def test_wilson_command(tmp_path):
                   "algebra": "SU2"},
         "loops": [[{"kind": "arc", "center": [0.5, 0.5], "radius": 0.2,
                     "phi0": 0.0, "phi1": 6.283185307179586, "z": 0.5}]],
-        "wilson": {"n_steps": 64},
+        "wilson": {"n_steps": 64, "ladder": [0.005, 0.01, 0.02, 0.04]},
     }
     out = tmp_path / "out"
     assert _run(["wilson", "--config", _write(tmp_path, cfg),
@@ -548,7 +547,7 @@ def test_u1_domination_workload_matches_reference(tmp_path):
     assert [c["name"] for c in new["checks"] if c["verdict"] == "fail"] \
         == ["domination_Ap"]
     ref = PERFBENCH / "references" / "u1-domination.seed0.json"
-    assert drift(json.loads(ref.read_text()), new) == []
+    assert new == json.loads(ref.read_text())
 
 
 def test_domination_B_fails_on_the_cosine_mode_at_amplitude_one(tmp_path):
@@ -575,8 +574,8 @@ def test_washer_regularize_workload_matches_reference(tmp_path):
                      .read_text())
     assert cli.execute("washer-regularize", cfg, tmp_path) == 0
     ref = PERFBENCH / "references" / "washer-regularize.json"
-    new = json.loads((tmp_path / "report.json").read_text())
-    assert drift(json.loads(ref.read_text()), new) == []
+    assert json.loads((tmp_path / "report.json").read_text()) == \
+        json.loads(ref.read_text())
 
 
 WASHER_REGULARIZE = {
@@ -728,7 +727,7 @@ SMOKE = {
         "diamagnetic": {"t": 0.004},
     },
     "constants": {"constants": {"kernel_modes": 128}},
-    "wilson": dict(WILSON, wilson={"n_steps": 16}),
+    "wilson": WILSON,
     "washer-energy": {"washer": {"n_u": 32, "u_max": 20.0}},
     "washer-flux": {"flux": {"eps_ladder": [1e-1, 1e-2, 1e-3]}},
     "washer-regularize": WASHER_REGULARIZE,
@@ -841,13 +840,11 @@ def test_divergent_current_fails_energy_cauchy_rel_gap(tmp_path,
     code, rows = _washer_energy_rows(tmp_path, SMOKE["washer-energy"])
     assert code == 1
     assert {n: r["verdict"] for n, r in rows.items()} == {
-        "energy_cauchy_rel_gap": "fail", "total_current": "pass",
-        "angular_kernel_sandwich": "pass"}
+        "energy_cauchy_rel_gap": "fail", "total_current": "pass"}
 
 
-def _washer_regularize_verdicts(tmp_path):
-    assert cli.execute("washer-regularize", SMOKE["washer-regularize"],
-                       tmp_path) == 1
+def _washer_regularize_verdicts(tmp_path, cfg=SMOKE["washer-regularize"]):
+    assert cli.execute("washer-regularize", cfg, tmp_path) == 1
     doc = json.loads((tmp_path / "report.json").read_text())
     return {r["name"]: r["verdict"] for r in doc["checks"]}
 
@@ -871,6 +868,25 @@ def test_falling_rim_fluxes_fail_initial_flux_ladder_diverges(tmp_path,
     """Control: t = 0 fluxes that fall toward the rim (flux = eps)."""
     monkeypatch.setattr(cli, "flux_probe", lambda lp, wc: lp.eps)
     assert _washer_regularize_verdicts(tmp_path) == {
+        "flowed_flux_ladder_converges": "pass",
+        "initial_flux_ladder_diverges": "fail"}
+
+
+def test_converging_rim_fluxes_fail_initial_flux_ladder_diverges(
+        tmp_path, monkeypatch):
+    """Control: t = 0 fluxes 1 - eps, which increase toward the rim but
+    converge to 1, lie off the log log(1/eps) law (residual 0.283)."""
+    monkeypatch.setattr(cli, "flux_probe", lambda lp, wc: 1.0 - lp.eps)
+    assert _washer_regularize_verdicts(tmp_path) == {
+        "flowed_flux_ladder_converges": "pass",
+        "initial_flux_ladder_diverges": "fail"}
+
+
+def test_bounded_potential_fails_initial_flux_ladder_diverges(tmp_path):
+    """Control: a current cut off at u_max = 1 (r = 1 - 1/e) has a bounded
+    potential, whose rim fluxes increase and converge (residual 0.273)."""
+    cfg = dict(SMOKE["washer-regularize"], washer={"n_u": 32, "u_max": 1.0})
+    assert _washer_regularize_verdicts(tmp_path, cfg) == {
         "flowed_flux_ladder_converges": "pass",
         "initial_flux_ladder_diverges": "fail"}
 
@@ -925,7 +941,6 @@ ROW_CONTROLS = {
         "test_cli.py::test_divergent_current_fails_energy_cauchy_rel_gap",
     ("washer-energy", "total_current"):
         "test_cli.py::test_total_current_fails_on_misweighted_u_nodes",
-    ("washer-energy", "angular_kernel_sandwich"): "ROADMAP 13",
     ("washer-flux", "flux_strictly_increasing"):
         "test_cli.py::test_falling_loglog_line_fails_flux_strictly_increasing",
     ("washer-flux", "loglog_fit_residual"):
@@ -934,7 +949,7 @@ ROW_CONTROLS = {
         "test_cli.py::test_unflowed_rim_fluxes_fail_flowed_flux_ladder_"
         "converges",
     ("washer-regularize", "initial_flux_ladder_diverges"):
-        "test_cli.py::test_falling_rim_fluxes_fail_initial_flux_ladder_"
+        "test_cli.py::test_converging_rim_fluxes_fail_initial_flux_ladder_"
         "diverges",
 }
 
@@ -1054,6 +1069,17 @@ def _assert_rejected_before_computing(tmp_path, capsys, monkeypatch,
     assert "config error" in err
     assert not out.exists()
     return err
+
+
+def test_wilson_without_a_ladder_is_config_error(tmp_path, capsys,
+                                                 monkeypatch):
+    """The wilson command flows its ladder: a config without one exits 2
+    before any computation, and the refusal names the ladder."""
+    err = _assert_rejected_before_computing(
+        tmp_path, capsys, monkeypatch, "wilson",
+        dict(WILSON, wilson={"n_steps": 16}))
+    assert ("config schema violation at $.wilson: 'ladder' is a required "
+            "property") in err
 
 
 @pytest.mark.parametrize("command, cfg, where, keys", [
@@ -1204,7 +1230,7 @@ REQUIRED = {
     "verify-bounds": ("grid", "field", "flow"),
     "verify-domination": ("grid", "field", "flow"),
     "verify-diamagnetic": ("grid", "field", "diamagnetic"),
-    "wilson": ("grid", "field", "loops"),
+    "wilson": ("grid", "field", "loops", "wilson"),
     "washer-regularize": ("grid", "flow", "regularize"),
 }
 
@@ -1523,8 +1549,8 @@ def _fuzz_case(draw, command):
     sections["loops"] = loops
     t0 = ceiling * draw(st.floats(0.05, 0.5))
     ladder = [t0, 2 * t0, 4 * t0, 8 * t0]
-    sections["wilson"] = _section(draw, {}, {
-        "n_steps": draw(st.integers(8, 32)), "ladder": ladder})
+    sections["wilson"] = _section(draw, {"ladder": ladder}, {
+        "n_steps": draw(st.integers(8, 32))})
     # only verify-domination reads snapshot times
     if command == "verify-domination":
         sections["flow"]["snapshot_times"] = [0.0, t_end / 2, t_end]
@@ -1533,15 +1559,11 @@ def _fuzz_case(draw, command):
             or sections["boundary"] == "dirichlet":
         optional = optional - {"oracle"}
     if command == "wilson":
-        # only a ladder flows, and it sets the end and the snapshot times
+        # the ladder sets the flow's end and snapshot times
         sections["flow"] = {"dt": dt} if draw(st.booleans()) else {}
-        if "ladder" not in sections["wilson"]:
-            optional = optional - {"flow"}
     cfg = {k: sections[k] for k in sorted(required)}
     cfg.update({k: sections[k] for k in sorted(optional)
                 if draw(st.booleans())})
-    if command == "wilson" and "flow" in cfg:
-        cfg["wilson"] = sections["wilson"]
     return cfg
 
 

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ymheat.algebra import su2, u1
-from ymheat.fields import random_smooth
+from ymheat.fields import coulomb_cosine, edge_bump, random_smooth
 from ymheat.grid import (
     COMPONENT_AXES,
     NEUMANN,
@@ -14,7 +14,7 @@ from ymheat.grid import (
     apply_boundary,
 )
 
-from paper_checks import DIRICHLET, MARINI
+from paper_checks import DIRICHLET, MARINI, meshgrid
 
 
 def test_spacing_and_volume():
@@ -166,3 +166,55 @@ def test_pointwise_norm_has_the_bits_of_the_numpy_sum(degree, algebra, shape,
     w.values[...] = v
     reference = np.sqrt(np.sum(np.square(w.interior), axis=(0, -1)))
     assert np.array_equal(w.pointwise_norm(), reference)
+
+
+def _on_the_meshgrid(grid, alg, seed, degree, amplitude=0.3):
+    """edge_bump, then random_smooth's values with three modes, evaluated
+    with every sin and cos taken at every padded node."""
+    X, Y, Z = meshgrid(grid, ghosts=True)
+    w = np.ones_like(X)
+    for coord, L in zip((X, Y, Z), grid.extents):
+        w = w * np.sin(np.pi * np.clip(coord, 0.0, L) / L) ** 3
+    rng = np.random.default_rng(seed)
+    values = np.zeros((len(COMPONENT_AXES[degree]), *X.shape, alg.dim))
+    for ci in range(len(values)):
+        for d in range(alg.dim):
+            acc = np.zeros_like(X)
+            for _ in range(3):
+                k = rng.uniform(0.5, 1.5, 3) * np.pi
+                ph = rng.uniform(0, 2 * np.pi, 3)
+                c = rng.standard_normal()
+                acc += c * np.cos(k[0] * X + ph[0]) * np.cos(
+                    k[1] * Y + ph[1]) * np.cos(k[2] * Z + ph[2])
+            values[ci, ..., d] = acc * w
+    values *= amplitude / np.max(np.sqrt(np.sum(values ** 2, axis=(0, -1))))
+    return w, values
+
+
+@pytest.mark.parametrize("extents, shape", [
+    ((1.0, 1.0, 1.0), (12, 12, 12)),
+    ((1.0, 1.3, 0.8), (16, 18, 14)),
+    ((np.pi, np.pi, np.pi), (10, 10, 10)),
+], ids=["unit", "16x18x14", "pi"])
+def test_fields_from_axis_factors_have_the_meshgrid_bits(extents, shape):
+    """Each field takes its sines and cosines on one axis's coordinates
+    and broadcasts the products: the same bits as evaluating them on the
+    full meshgrid, for the window, the random modes and the cosine mode."""
+    grid = GridSpec(extents, shape)
+    for alg in (u1(), su2()):
+        for degree in (1, 2):
+            for seed in range(3):
+                w, values = _on_the_meshgrid(grid, alg, seed, degree)
+                got = random_smooth(grid, alg, seed=seed, amplitude=0.3,
+                                    degree=degree).values
+                assert got.tobytes() == values.tobytes(), \
+                    (alg.group_id, degree, seed)
+    assert edge_bump(grid).tobytes() == w.tobytes()
+    X, Y, _ = meshgrid(grid, ghosts=True)
+    (L1, L2, _), a = grid.extents, 0.7
+    k1, k2 = np.pi / L1, np.pi / L2
+    A = coulomb_cosine(grid, amplitude=a).values
+    assert A[0, ..., 0].tobytes() == (
+        a * k2 * np.sin(k1 * X) * np.cos(k2 * Y)).tobytes()
+    assert A[1, ..., 0].tobytes() == (
+        -a * k1 * np.cos(k1 * X) * np.sin(k2 * Y)).tobytes()

@@ -16,6 +16,7 @@ from paper_checks import (
     compose_lemma_check,
     face_tol,
     laplacian_apply,
+    meshgrid,
     monotone_lemma_check,
 )
 
@@ -27,7 +28,7 @@ def sg():
 
 
 def _cos_mode(grid, kx=1, ky=0, kz=0):
-    X, Y, Z = grid.meshgrid()
+    X, Y, Z = meshgrid(grid)
     L = grid.extents
     return (np.cos(kx * np.pi * X / L[0])
             * np.cos(ky * np.pi * Y / L[1])
@@ -287,7 +288,7 @@ def test_monotone_lemma_cosine_mode(sg):
 
 
 def test_monotone_lemma_inward_sloped(sg):
-    X, Y, Z = sg.grid.meshgrid()
+    X, Y, Z = meshgrid(sg.grid)
     # paraboloid: outward normal derivative is exactly -1 on every face
     psi = -((X - 0.5) ** 2 + (Y - 0.5) ** 2 + (Z - 0.5) ** 2)
     res = monotone_lemma_check(sg, psi, 0.05)
@@ -296,7 +297,7 @@ def test_monotone_lemma_inward_sloped(sg):
 
 
 def test_monotone_lemma_rejects_outward_slope(sg):
-    X, _, _ = sg.grid.meshgrid()
+    X, _, _ = meshgrid(sg.grid)
     psi = X * X  # outward derivative +2 at the high-x face
     with pytest.raises(ValueError, match="normal derivative"):
         monotone_lemma_check(sg, psi, 0.05)

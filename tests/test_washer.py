@@ -13,13 +13,12 @@ from ymheat.washer import (
     WasherConfig,
     energy,
     flux_probe,
-    theta_bounds_check,
     total_current,
     vector_potential,
     washer_to_grid,
 )
 
-from paper_checks import lambda_profile
+from paper_checks import lambda_profile, meshgrid, theta_bounds_check
 
 
 def test_current_profile_unbounded_at_rim():
@@ -239,7 +238,7 @@ def _per_node_washer_to_grid(cfg, grid, origin, cap_u_max=None):
     """The kernel evaluated at every padded node, split by `close`."""
     origin = np.asarray(origin, dtype=float)
     A = KForm(1, grid, u1())
-    Xg, Yg, Zg = grid.meshgrid(ghosts=True)
+    Xg, Yg, Zg = meshgrid(grid, ghosts=True)
     pts = np.stack([Xg, Yg, Zg], axis=-1).reshape(-1, 3) + origin
     rho = np.hypot(pts[:, 0], pts[:, 1])
     z = pts[:, 2]
