@@ -383,13 +383,15 @@ _LOGLOG_FIT_TOL = 0.05
 def _loglog_fit(eps_ladder, fluxes):
     """A rim ladder against the conjectural growth law flux ~ a +
     b log log(1/eps): whether its fluxes increase strictly toward the rim,
-    the fit's (b, a), and its largest residual over the fluxes' range."""
+    the least-squares line's (b, a) in closed form, and its largest
+    residual over the fluxes' range."""
     increasing = all(b > a for a, b in zip(fluxes, fluxes[1:]))
     x = np.log(np.log(1.0 / np.asarray(eps_ladder)))
-    coef = np.polyfit(x, fluxes, 1)
-    resid = np.max(np.abs(np.polyval(coef, x) - fluxes)) / (
-        max(fluxes) - min(fluxes))
-    return increasing, coef, float(resid)
+    y = np.asarray(fluxes)
+    dx, dy = x - x.mean(), y - y.mean()
+    b = np.sum(dx * dy) / np.sum(dx * dx)
+    resid = np.max(np.abs(b * dx - dy)) / (max(fluxes) - min(fluxes))
+    return increasing, (b, y.mean() - b * x.mean()), float(resid)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ __all__ = [
     "FlowConstants",
     "FlowAbortError",
     "dt_ceiling",
-    "check_dt",
     "ym_rhs",
     "zds_rhs",
     "integrate",
@@ -44,16 +43,6 @@ def dt_ceiling(grid) -> float:
     smallest grid spacing."""
     h = min(grid.spacing)
     return h * h / 8
-
-
-def check_dt(dt: float, grid) -> None:
-    """Raise ValueError when dt exceeds dt_ceiling(grid) by more than
-    round-off (1e-12 relative)."""
-    ceiling = dt_ceiling(grid)
-    if dt > ceiling * (1 + 1e-12):
-        raise ValueError(
-            f"dt = {dt:g} exceeds the stability ceiling h^2/8 = {ceiling:g}"
-        )
 
 
 class FlowAbortError(RuntimeError):
@@ -82,7 +71,11 @@ class FlowConfig:
             raise ValueError("ZDS variant is offered for Neumann/Dirichlet only")
         if not self.t_end > 0:
             raise ValueError("t_end must be positive")
-        check_dt(self.dt, grid)
+        # dt may exceed the ceiling by round-off (1e-12 relative)
+        ceiling = dt_ceiling(grid)
+        if self.dt > ceiling * (1 + 1e-12):
+            raise ValueError(f"dt = {self.dt:g} exceeds the stability "
+                             f"ceiling h^2/8 = {ceiling:g}")
         if any(t < 0 or t > self.t_end + TIME_TOL
                for t in self.snapshot_times):
             raise ValueError("snapshot times must lie in [0, t_end]")
@@ -210,10 +203,12 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
     five padded forms allocated once per call: the state A, the stage
     state, A' (k1), k2 and the curvature B.  A step writes its end state
     into the stage state, swaps the two, spends k1, k2 and B on its stages
-    and overwrites A' and B with the end state's; the monitors fill A' in
-    place and write B' into k2's buffer.  A0 is never written, nor held
-    after the first fill.  Each snapshot stores ``on_snapshot(t, A, Ap,
-    B)`` (by default a copy of A) at its time t in ``times``, with the
+    and overwrites A' and B with the end state's, filling it in place; the
+    monitors fill A' in place and write B' into k2's buffer.  A non-finite
+    value of the filled state reaches B at a neighbour, so the monitors
+    raise FlowAbortError at the step that made it.  A0 is never written,
+    nor held after the first fill.  Each snapshot stores ``on_snapshot(t,
+    A, Ap, B)`` (by default a copy of A) at its time t in ``times``, with the
     filled A, A' and B.  The hook runs on this thread and must not modify
     them; the next step overwrites them, so a hook copies what it keeps.
     ``final`` is the filled A at t_end, the flow's own state buffer.
@@ -237,7 +232,6 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
         rhs(Y, bc, (k, B))
 
     t = 0.0
-    step = 0
     rhs(A, bc, (k1, B))
     while True:
         _record(monitors, t, A, k1, B, bc, Bp)
@@ -252,10 +246,9 @@ def integrate(A0: KForm, cfg: FlowConfig, on_snapshot=None) -> FlowTrajectory:
         if snap_queue:
             target = min(target, snap_queue[0])
         dt_step = min(cfg.dt, target - t)
-        A, X = _rk4_step(A, dt_step, stage_rhs, k1, (X, k2), bc, step, t), A
+        A, X = _rk4_step(A, dt_step, stage_rhs, k1, (X, k2)), A
         rhs(A, bc, (k1, B))
         t += dt_step
-        step += 1
 
     return FlowTrajectory(times, fields, monitors.finalize(), cfg, A)
 
@@ -267,14 +260,16 @@ def _axpy(A, s, k, out):
     return out
 
 
-def _rk4_step(A, dt, rhs, k1, stages, bc, step, t):
+def _rk4_step(A, dt, rhs, k1, stages):
     """One classical RK4 step from the filled state A with direction k1.
 
     ``rhs(Y, k)`` fills the stage state Y in place and writes its
     direction into k; ``stages = (Y, k2)`` are forms the caller owns.
     A + (dt/6)(((2 k2 + k1) + 2 k3) + k4) is summed in that order in k2's
     buffer, k1 as soon as k2 exists, and k3 and k4 are written into k1's.
-    Writes the filled end state into Y and returns Y; A stays untouched.
+    Writes the end state, unfilled, into Y and returns Y; A stays
+    untouched.  The caller fills Y before it reads it (the next ``rhs``
+    does) and judges whether it is finite.
     """
     Y, k2 = stages
     rhs(_axpy(A, 0.5 * dt, k1, Y), k2)
@@ -288,18 +283,16 @@ def _rk4_step(A, dt, rhs, k1, stages, bc, step, t):
     total += k1.values
     rhs(Y, k1)  # k4
     total += k1.values
-    apply_boundary(_axpy(A, dt / 6.0, k2, Y), bc, out=Y)
-    if not np.all(np.isfinite(Y.values)):
-        raise FlowAbortError(step, t)
-    return Y
+    return _axpy(A, dt / 6.0, k2, Y)
 
 
 def _record(monitors, t, A, Ap, B, bc, Bp):
     """Append the monitors of the filled state A with flow direction Ap and
     filled curvature B, writing B' = d_A A' into Bp, k2's buffer between
     steps.  Ap is filled in place: the fill rewrites only ghosts and
-    odd-parity face nodes, which the stage fills and the end-of-step fill
-    of `_rk4_step` overwrite, so the step taken from Ap keeps its bits."""
+    odd-parity face nodes, which the stage fills and the next ``rhs`` call's
+    fill of the end state overwrite before they are read, so the step taken
+    from Ap keeps its bits."""
     apply_boundary(Ap, bc, out=Ap)
     d_cov(A, Ap, out=Bp)
     monitors.record(t, *B.l2_linf(), *Ap.l2_linf(), Bp.norm("L2"))

@@ -152,7 +152,7 @@ class KForm:
     def copy(self):
         return KForm(self.degree, self.grid, self.algebra, self.values.copy(), self.bc)
 
-    # -- arithmetic (used by the time steppers) --------------------------------
+    # -- arithmetic (the flow oracle, the abelian demo and the tests) ----------
 
     def _like(self, values):
         return KForm(self.degree, self.grid, self.algebra, values)

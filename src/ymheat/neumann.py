@@ -26,9 +26,9 @@ from .calculus import (
 )
 from .flow import (
     TIME_TOL,
+    FlowAbortError,
     FlowTrajectory,
     _rk4_step,
-    check_dt,
     dt_ceiling,
 )
 from .grid import GridSpec, KForm, apply_boundary
@@ -296,16 +296,15 @@ def domination_check(traj: FlowTrajectory, omega_kind: str = "B") -> dict:
 
 
 def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
-                      t: float, dt: float | None = None) -> dict:
+                      t: float) -> dict:
     """Compare the covariant Bochner heat evolution of omega0 against the
     scalar Neumann evolution of |omega0| (pointwise domination).
 
     A is held fixed; omega evolves by d omega/dt = sum_j (grad_j^A)^2 omega
-    under RK4 with the same step ceiling as the flow.
+    under RK4 at the flow's step ceiling, shortened only to land on t.
+    Raises FlowAbortError when the evolved omega is not finite.
     """
-    if dt is None:
-        dt = dt_ceiling(omega0.grid)
-    check_dt(dt, omega0.grid)
+    dt = dt_ceiling(omega0.grid)
     bc = omega0.bc
     if bc is None:
         raise ValueError("omega0 needs a boundary fill")
@@ -324,10 +323,12 @@ def diamagnetic_check(sg: NeumannSemigroup, A: KForm, omega0: KForm,
     step = 0
     while s < t - TIME_TOL:
         h_step = min(dt, t - s)
-        w, Y = _rk4_step(w, h_step, rhs, rhs(w, k1), (Y, k2), bc, step,
-                         s), w
+        w, Y = _rk4_step(w, h_step, rhs, rhs(w, k1), (Y, k2)), w
         s += h_step
         step += 1
+    apply_boundary(w, bc, out=w)
+    if not np.all(np.isfinite(w.values)):
+        raise FlowAbortError(step, s)
     scalar = sg.heat_apply(t, omega0.pointwise_norm())
     margin = scalar - w.pointwise_norm()
     return {"min_margin": float(np.min(margin))}

@@ -387,13 +387,13 @@ def flux_probe(loop: LoopCEpsilon, cfg: WasherConfig = WasherConfig(),
 
 
 def washer_to_grid(cfg: WasherConfig, grid: GridSpec, origin,
-                   cap_u_max: float | None = None) -> dict:
+                   cap_u_max: float) -> dict:
     """Sample the washer potential onto a box grid as a U(1) 1-form.
 
     The box occupies origin + [0, L1] x [0, L2] x [0, L3] in washer
     coordinates.  Nodes closer than one spacing to the closed washer
     surface are evaluated with the u-cutoff capped at `cap_u_max` and
-    recorded; without a cap policy such nodes are an error.
+    counted.
 
     A_phi depends on a node only through rho = hypot(x, y) and z**2, and
     each node's value is elementwise work plus a sum over its own row of
@@ -401,7 +401,7 @@ def washer_to_grid(cfg: WasherConfig, grid: GridSpec, origin,
     pair of the padded grid and gathered back onto the nodes; every node
     gets the same bits as evaluating it on its own.
     """
-    if cap_u_max is not None and cap_u_max <= U_MIN:
+    if cap_u_max <= U_MIN:
         raise ValueError("cap_u_max must exceed log 2")
     origin = np.asarray(origin, dtype=float)
     A = KForm(1, grid, u1())
@@ -417,12 +417,6 @@ def washer_to_grid(cfg: WasherConfig, grid: GridSpec, origin,
     h = min(grid.spacing)
     close_t = dist < h
     node = (rho_idx.reshape(rho_xy.shape)[:, :, None], z_idx[None, None, :])
-    close = close_t[node]
-    if np.any(close) and cap_u_max is None:
-        raise ValueError(
-            f"{int(close.sum())} nodes lie within one spacing of the washer "
-            "and no cap policy is set"
-        )
     a_t = np.empty(rho_t.shape)
     a_t[~close_t] = _a_phi(rho_t[~close_t], z_t[~close_t], cfg.n_u,
                            cfg.u_max)
@@ -434,4 +428,4 @@ def washer_to_grid(cfg: WasherConfig, grid: GridSpec, origin,
     vec = phi_hat[:, :, None, :] * a_phi[..., None]
     vec[rho_xy == 0] = 0.0
     A.values[..., 0] = np.moveaxis(vec, -1, 0)
-    return {"field": A, "capped_nodes": int(close.sum())}
+    return {"field": A, "capped_nodes": int(close_t[node].sum())}

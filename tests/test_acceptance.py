@@ -13,7 +13,8 @@ import pytest
 from ymheat import cli
 from ymheat.algebra import su2
 from ymheat.fields import coulomb_cosine, random_smooth
-from ymheat.flow import FlowConfig, FlowConstants, integrate, verify_bounds
+from ymheat.flow import (FlowConfig, FlowConstants, dt_ceiling, integrate,
+                         verify_bounds)
 from ymheat.grid import GridSpec, NEUMANN, apply_boundary
 from ymheat.neumann import (
     DominationStream,
@@ -158,7 +159,7 @@ def test_criterion_04_heat_kernel_domination(small_data_run):
 
 def test_criterion_05_diamagnetic(grid12, sg12):
     h = min(grid12.spacing)
-    dt = h * h / 8
+    dt = dt_ceiling(grid12)
     A = random_smooth(grid12, su2(), seed=5, amplitude=0.3)
     worst = math.inf
     for bc in (NEUMANN, DIRICHLET):

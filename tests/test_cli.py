@@ -274,16 +274,27 @@ def test_total_current_fails_on_misweighted_u_nodes(tmp_path, monkeypatch):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numerical_abort_exits_3(tmp_path, capsys):
-    cfg = {
+    """A blow-up of the flow, caught by its monitors at the first step's
+    record, and of the diamagnetic evolution, caught once at its end,
+    exits 3 and writes no report."""
+    flow_cfg = {
         "grid": {"extents": [1, 1, 1], "shape": [12, 12, 12]},
         "boundary": "neumann",
         "field": {"kind": "random-smooth", "seed": 1, "amplitude": 1e6},
         "flow": {"dt": 0.0008, "t_end": 0.004},
     }
-    code = _run(["flow", "--config", _write(tmp_path, cfg),
-                 "--out", str(tmp_path / "o")])
-    assert code == 3
-    assert "numerical abort" in capsys.readouterr().err
+    dia_cfg = _with(_with(SMOKE["verify-diamagnetic"], "field", "amplitude",
+                          1e8), "diamagnetic", "t", 0.02)
+    for command, cfg, where in [("flow", flow_cfg, "step 1, t = 0.0008"),
+                                ("verify-diamagnetic", dia_cfg,
+                                 "step 13, t = 0.02")]:
+        out = tmp_path / command
+        code = _run([command, "--config", _write(tmp_path, cfg),
+                     "--out", str(out)])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "numerical abort" in err and where in err
+        assert not (out / "report.json").exists()
 
 
 def test_wilson_command(tmp_path):

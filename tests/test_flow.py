@@ -14,6 +14,7 @@ from ymheat.flow import (
     FlowConfig,
     FlowConstants,
     MonitorSeries,
+    dt_ceiling,
     integrate,
     verify_bounds,
     ym_rhs,
@@ -32,11 +33,6 @@ from paper_checks import (
 
 SU2_BOUNDS = (Path(__file__).resolve().parents[1] / "perfbench" / "workloads"
               / "su2-bounds.json")
-
-
-def _dt_max(grid):
-    h = min(grid.spacing)
-    return h * h / 8
 
 
 def test_config_rejects_large_dt(unit_grid):
@@ -59,7 +55,7 @@ def test_config_rejects_bad_snapshot_times(unit_grid):
 
 def test_abelian_flow_matches_spectral_solution(unit_grid):
     A0 = coulomb_cosine(unit_grid)
-    dt = _dt_max(unit_grid) * 0.9
+    dt = dt_ceiling(unit_grid) * 0.9
     traj = integrate(
         A0, FlowConfig(NEUMANN, dt, 0.01, snapshot_times=(0.01,))
     )
@@ -90,7 +86,7 @@ def test_rk4_time_order_at_least_3_5(unit_grid):
 @pytest.mark.parametrize("bc", [NEUMANN, DIRICHLET, MARINI])
 def test_curvature_energy_nonincreasing(unit_grid, su2_alg, bc):
     A0 = random_smooth(unit_grid, su2_alg, seed=21, amplitude=0.1)
-    dt = _dt_max(unit_grid) * 0.9
+    dt = dt_ceiling(unit_grid) * 0.9
     traj = integrate(A0, FlowConfig(bc, dt, 0.005))
     B = traj.monitors.B_l2
     assert np.all(B[1:] <= B[:-1] * (1 + 1e-12))
@@ -98,7 +94,7 @@ def test_curvature_energy_nonincreasing(unit_grid, su2_alg, bc):
 
 def test_action_bounded_by_initial_energy(unit_grid, su2_alg):
     A0 = random_smooth(unit_grid, su2_alg, seed=22, amplitude=0.1)
-    dt = _dt_max(unit_grid) * 0.9
+    dt = dt_ceiling(unit_grid) * 0.9
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 0.02))
     m = traj.monitors
     assert m.action[-1] <= m.B_l2[0] ** 2 * (1 + 1e-3)
@@ -106,7 +102,7 @@ def test_action_bounded_by_initial_energy(unit_grid, su2_alg):
 
 def test_monitor_series_fields(unit_grid, su2_alg):
     A0 = random_smooth(unit_grid, su2_alg, seed=23, amplitude=0.05)
-    dt = _dt_max(unit_grid) * 0.9
+    dt = dt_ceiling(unit_grid) * 0.9
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 0.002))
     m = traj.monitors
     for name in m.FIELDS:
@@ -121,7 +117,7 @@ def test_monitor_series_fields(unit_grid, su2_alg):
 
 def test_snapshot_times_are_hit_exactly(unit_grid, su2_alg):
     A0 = random_smooth(unit_grid, su2_alg, seed=24, amplitude=0.05)
-    dt = _dt_max(unit_grid) * 0.9
+    dt = dt_ceiling(unit_grid) * 0.9
     snaps = (0.0, 0.001, 0.0025, 0.004)
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 0.004,
                                     snapshot_times=snaps))
@@ -135,7 +131,7 @@ def test_snapshot_times_are_hit_exactly(unit_grid, su2_alg):
 def test_every_validated_snapshot_time_is_recorded(coarse_grid, su2_alg,
                                                    snaps):
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
-    cfg = FlowConfig(NEUMANN, _dt_max(coarse_grid) * 0.9, 0.004,
+    cfg = FlowConfig(NEUMANN, dt_ceiling(coarse_grid) * 0.9, 0.004,
                      snapshot_times=snaps)
     cfg.validate(coarse_grid)
     traj = integrate(A0, cfg)
@@ -146,7 +142,7 @@ def test_every_validated_snapshot_time_is_recorded(coarse_grid, su2_alg,
 @pytest.mark.parametrize("algebra", [su2, u1], ids=["SU2", "U1"])
 def test_final_is_the_state_at_t_end(coarse_grid, algebra):
     A0 = random_smooth(coarse_grid, algebra(), seed=24, amplitude=0.05)
-    dt = _dt_max(coarse_grid) * 0.9
+    dt = dt_ceiling(coarse_grid) * 0.9
     snapped = integrate(A0, FlowConfig(NEUMANN, dt, 0.004,
                                        snapshot_times=(0.0, 0.004)))
     assert np.array_equal(snapped.final.values, snapped.fields[-1].values)
@@ -166,7 +162,7 @@ def test_flow_keeps_the_edge_ghosts_of_its_initial_state(algebra):
     on_ghost = sum((i == 0) | (i == n + 1) for i, n in zip(axes, grid.shape))
     noise = np.random.default_rng(6).standard_normal(A0.values.shape)
     A0.values[:, on_ghost > 0] = noise[:, on_ghost > 0]
-    dt = _dt_max(grid)
+    dt = dt_ceiling(grid)
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 400 * dt))
     assert len(traj.monitors) == 401
     edges = on_ghost > 1
@@ -179,7 +175,7 @@ def test_default_snapshot_at_t_end_is_final(coarse_grid, su2_alg):
     # stores a copy: the snapshot at t_end holds final's values in a form
     # of its own
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
-    traj = integrate(A0, FlowConfig(NEUMANN, _dt_max(coarse_grid) * 0.9, 0.004,
+    traj = integrate(A0, FlowConfig(NEUMANN, dt_ceiling(coarse_grid) * 0.9, 0.004,
                                     snapshot_times=(0.0, 0.004)))
     assert traj.fields[-1] is not traj.final
     assert np.array_equal(traj.fields[-1].values, traj.final.values)
@@ -196,7 +192,7 @@ def test_integrate_never_writes_its_initial_data(coarse_grid, su2_alg,
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
     A0.values[:, 0] = 0.5  # ghosts that a fill would rewrite
     values = A0.values.copy()
-    cfg = FlowConfig(NEUMANN, 0.9 * _dt_max(coarse_grid), 0.004,
+    cfg = FlowConfig(NEUMANN, 0.9 * dt_ceiling(coarse_grid), 0.004,
                      variant=variant)
     first, second = integrate(A0, cfg), integrate(A0, cfg)
     assert np.array_equal(A0.values, values)
@@ -211,7 +207,7 @@ def test_integrate_never_writes_its_initial_data(coarse_grid, su2_alg,
 def test_snapshot_hook_gets_the_filled_state(coarse_grid, su2_alg, variant,
                                              rhs):
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
-    cfg = FlowConfig(NEUMANN, _dt_max(coarse_grid) * 0.9, 0.004,
+    cfg = FlowConfig(NEUMANN, dt_ceiling(coarse_grid) * 0.9, 0.004,
                      variant=variant, snapshot_times=(0.0, 0.002, 0.004))
     seen = []
 
@@ -238,7 +234,7 @@ def test_config_rejects_snapshot_time_past_tolerance(unit_grid):
 def test_nan_initial_data_aborts(unit_grid, su2_alg):
     A0 = random_smooth(unit_grid, su2_alg, seed=25, amplitude=0.05)
     A0.values[1, 5, 5, 5, 0] = np.nan
-    dt = _dt_max(unit_grid) * 0.9
+    dt = dt_ceiling(unit_grid) * 0.9
     with pytest.raises(FlowAbortError) as exc:
         integrate(A0, FlowConfig(NEUMANN, dt, 0.01))
     assert exc.value.step == 0
@@ -260,7 +256,7 @@ def _ym_zds_gap(alg, n, t=0.01):
     from ymheat.calculus import curvature
 
     grid = GridSpec((1.0, 1.0, 1.0), (n, n, n))
-    dt = t / math.ceil(t / _dt_max(grid))
+    dt = t / math.ceil(t / dt_ceiling(grid))
     A0 = random_smooth(grid, alg, seed=0, amplitude=0.3)
     B_ym, B_zds = (
         curvature(integrate(A0, FlowConfig(NEUMANN, dt, t, variant=v)).final)
@@ -316,10 +312,44 @@ def test_integrate_evaluates_curvature_once_per_stage(monkeypatch, su2_alg):
 
     monkeypatch.setattr(ymheat.flow, "curvature", counting)
     A0 = random_smooth(grid, su2_alg, seed=29, amplitude=0.05)
-    dt = 0.9 * _dt_max(grid)
+    dt = 0.9 * dt_ceiling(grid)
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 5 * dt))
     assert len(traj.monitors) - 1 == 5
     assert len(calls) == 1 + 4 * 5
+
+
+def test_rk4_step_neither_fills_nor_scans_its_end_state(monkeypatch,
+                                                         coarse_grid,
+                                                         su2_alg):
+    """`_rk4_step` writes A + (dt/6) total and leaves the fill to the next
+    rhs, so a YM flow fills A0 once, then each state and curvature in its
+    rhs and each A' in its record: 4 fills at t = 0 and 9 per step.  A
+    non-finite end state is returned, not raised: the monitors judge it."""
+    import ymheat.flow
+
+    fills, real = [], ymheat.flow.apply_boundary
+
+    def counting(*args, **kwargs):
+        fills.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(ymheat.flow, "apply_boundary", counting)
+    A0 = random_smooth(coarse_grid, su2_alg, seed=29, amplitude=0.05)
+    dt = 0.9 * dt_ceiling(coarse_grid)
+    integrate(A0, FlowConfig(NEUMANN, dt, 5 * dt))
+    assert len(fills) == 4 + 9 * 5
+
+    A = apply_boundary(A0, NEUMANN)
+    A.values[1, 5, 5, 5, 0] = np.nan
+    Y, k1, k2 = (KForm(1, coarse_grid, su2_alg) for _ in range(3))
+    k1.values.fill(1.0)
+    fills.clear()
+    # every direction is 1, so the end state is A + dt, ghosts included
+    end = ymheat.flow._rk4_step(A, dt, lambda Y, k: k.values.fill(1.0), k1,
+                                (Y, k2))
+    assert end is Y and not fills
+    assert np.isnan(end.values[1, 5, 5, 5, 0])
+    assert np.array_equal(end.values[:, 0], A.values[:, 0] + 6.0 * (dt / 6))
 
 
 def test_integrate_steps_build_only_the_forms_they_hand_on(monkeypatch,
@@ -338,7 +368,7 @@ def test_integrate_steps_build_only_the_forms_they_hand_on(monkeypatch,
 
     monkeypatch.setattr(KForm, "__init__", counting)
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
-    dt = 0.9 * _dt_max(coarse_grid)
+    dt = 0.9 * dt_ceiling(coarse_grid)
     seen = []
     integrate(A0, FlowConfig(NEUMANN, dt, 6 * dt,
                              snapshot_times=tuple(np.arange(7) * dt)),
@@ -368,7 +398,7 @@ def test_gauge_term_builds_no_zero_connection(monkeypatch, coarse_grid,
 
     monkeypatch.setattr(KForm, "__init__", counting)
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
-    dt = 0.9 * _dt_max(coarse_grid)
+    dt = 0.9 * dt_ceiling(coarse_grid)
     seen = []
     integrate(A0, FlowConfig(NEUMANN, dt, 6 * dt, variant=variant,
                              snapshot_times=tuple(np.arange(7) * dt)),
@@ -390,7 +420,7 @@ def test_hook_keeps_what_it_is_handed(coarse_grid, su2_alg, variant):
     keeps them sees them change, while the default hook's copies keep the
     values A had at their time."""
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
-    dt = 0.9 * _dt_max(coarse_grid)
+    dt = 0.9 * dt_ceiling(coarse_grid)
     cfg = FlowConfig(NEUMANN, dt, 4 * dt, variant=variant,
                      snapshot_times=tuple(np.arange(5) * dt))
     kept = []
@@ -421,7 +451,7 @@ def test_diamagnetic_steps_keep_what_they_are_handed(monkeypatch, coarse_grid,
 
     step, calls = neumann._rk4_step, []
 
-    def keep(A, dt, rhs, k1, stages, *args):
+    def keep(A, dt, rhs, k1, stages):
         handed, last = [(A, A.values.copy())], []
 
         def seen(Y, k):
@@ -429,7 +459,7 @@ def test_diamagnetic_steps_keep_what_they_are_handed(monkeypatch, coarse_grid,
             last[:] = [k, k.values.copy()]
             return out
 
-        A_new = step(A, dt, seen, k1, stages, *args)
+        A_new = step(A, dt, seen, k1, stages)
         assert A_new is stages[0]
         assert _kept_unchanged(handed)
         assert last[0] is k1 and _kept_unchanged([last])
@@ -442,7 +472,7 @@ def test_diamagnetic_steps_keep_what_they_are_handed(monkeypatch, coarse_grid,
     w0 = apply_boundary(random_smooth(coarse_grid, su2_alg, seed=34,
                                       degree=2, amplitude=0.3), NEUMANN)
     neumann.diamagnetic_check(NeumannSemigroup(coarse_grid), A, w0,
-                              4 * 0.9 * _dt_max(coarse_grid))
+                              4 * 0.9 * dt_ceiling(coarse_grid))
     assert len(calls) == 4
     assert all(prev[2] is nxt[0] for prev, nxt in zip(calls, calls[1:]))
     assert len({id(A) for A, _, _ in calls}) == 2
@@ -489,7 +519,7 @@ def _flow_buffers(monkeypatch, coarse_grid, su2_alg, variant,
     monkeypatch.setattr(ymheat.flow, name, writing)
     monkeypatch.setattr(ymheat.flow, "_record", recording)
     A0 = random_smooth(coarse_grid, su2_alg, seed=24, amplitude=0.05)
-    dt = 0.9 * _dt_max(coarse_grid)
+    dt = 0.9 * dt_ceiling(coarse_grid)
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 4 * dt, variant=variant,
                                     snapshot_times=tuple(np.arange(5) * dt)),
                      on_snapshot=lambda t, A, Ap, B: written.extend(
@@ -531,7 +561,7 @@ def test_diamagnetic_check_runs_in_four_forms(monkeypatch, coarse_grid,
     w0 = apply_boundary(random_smooth(coarse_grid, su2_alg, seed=34,
                                       degree=2, amplitude=0.3), NEUMANN)
     neumann.diamagnetic_check(NeumannSemigroup(coarse_grid), A, w0,
-                              4 * 0.9 * _dt_max(coarse_grid))
+                              4 * 0.9 * dt_ceiling(coarse_grid))
     assert len(written) == 2 * 4 * 4
     assert _buffers(written) == 4
 
@@ -540,7 +570,7 @@ def test_integrate_lets_go_of_its_initial_data(coarse_grid, su2_alg):
     """`integrate` drops A0 after its first fill, so an A0 the caller
     does not keep is freed before the first snapshot; control: one the
     caller keeps is alive there."""
-    cfg = FlowConfig(NEUMANN, 0.9 * _dt_max(coarse_grid), 0.002,
+    cfg = FlowConfig(NEUMANN, 0.9 * dt_ceiling(coarse_grid), 0.002,
                      snapshot_times=(0.0,))
     refs, alive = [], []
 
@@ -609,7 +639,7 @@ def test_identities_same_bits_as_recomputed_neighbours(algebra, variant, bc,
     grid = GridSpec((1.0, 1.0, 1.0), (9, 10, 8))
     alg = su2_alg if algebra == "SU2" else u1_alg
     A0 = random_smooth(grid, alg, seed=28, amplitude=0.2)
-    dt = 0.9 * _dt_max(grid)
+    dt = 0.9 * dt_ceiling(grid)
     snaps = tuple(np.arange(4) * dt)
     traj = integrate(A0, FlowConfig(bc, dt, snaps[-1], variant=variant,
                                     snapshot_times=snaps))
@@ -618,7 +648,7 @@ def test_identities_same_bits_as_recomputed_neighbours(algebra, variant, bc,
 
 def test_verify_bounds_rows_and_gate(unit_grid, su2_alg):
     A0 = random_smooth(unit_grid, su2_alg, seed=27, amplitude=0.05)
-    dt = _dt_max(unit_grid) * 0.9
+    dt = dt_ceiling(unit_grid) * 0.9
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 0.02))
     k = FlowConstants(c_N=1.0000001, a4=7.41630, tau=0.5)
     rows = verify_bounds(traj, k, 1e-3)
@@ -635,7 +665,7 @@ def test_verify_bounds_rows_and_gate(unit_grid, su2_alg):
 
 def test_verify_bounds_not_applicable_when_gate_fails(unit_grid, su2_alg):
     A0 = random_smooth(unit_grid, su2_alg, seed=28, amplitude=20.0)
-    dt = _dt_max(unit_grid) * 0.2
+    dt = dt_ceiling(unit_grid) * 0.2
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 3 * dt))
     k = FlowConstants(c_N=1.0000001, a4=7.41630)
     rows = {r["name"]: r for r in verify_bounds(traj, k, 1e-3)}
@@ -673,7 +703,7 @@ def _five_steps(monkeypatch, alg, owner, attr):
 
     monkeypatch.setattr(owner, attr, counting)
     A0 = random_smooth(grid, alg, seed=29, amplitude=0.05)
-    dt = 0.9 * _dt_max(grid)
+    dt = 0.9 * dt_ceiling(grid)
     traj = integrate(A0, FlowConfig(NEUMANN, dt, 5 * dt))
     assert len(traj.monitors) - 1 == 5
     return len(calls)

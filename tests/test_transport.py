@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from ymheat.algebra import su2, u1
 from ymheat.fields import random_smooth
-from ymheat.flow import FlowConfig, integrate
+from ymheat.flow import FlowConfig, dt_ceiling, integrate
 from ymheat.grid import GridSpec, KForm, NEUMANN, apply_boundary
 from ymheat import transport as transport_module
 from ymheat.transport import (
@@ -341,8 +341,7 @@ def test_transport_many_equals_per_pair_reference(algebra, n_fields):
 def test_convergence_probe_traces_match_wilson_trace():
     grid = GridSpec((1.0, 1.0, 1.0), (10, 10, 10))
     A0 = random_smooth(grid, su2(), seed=11, amplitude=0.3)
-    h = min(grid.spacing)
-    traj = integrate(A0, FlowConfig(NEUMANN, h * h / 8, 0.04,
+    traj = integrate(A0, FlowConfig(NEUMANN, dt_ceiling(grid), 0.04,
                                     snapshot_times=(0.005, 0.01, 0.02, 0.04)))
     loops = [_circle(0.2), _square(0.2)]
     probe = convergence_probe(traj, transport_many(traj.fields, loops, 32))

@@ -206,13 +206,6 @@ def test_loop_geometry_validation():
         LoopCEpsilon(0.1, r_out=1.05)
 
 
-def test_washer_to_grid_requires_cap_near_surface():
-    grid = GridSpec((4.0, 4.0, 4.0), (16, 16, 16))
-    cfg = WasherConfig()
-    with pytest.raises(ValueError, match="cap"):
-        washer_to_grid(cfg, grid, (-2.0, -2.0, -2.0))
-
-
 def test_washer_to_grid_samples_field():
     grid = GridSpec((4.0, 4.0, 4.0), (16, 16, 16))
     cfg = WasherConfig(n_u=64)
@@ -234,7 +227,7 @@ def test_washer_to_grid_rejects_cap_at_or_below_log2():
                            cap_u_max=cap)
 
 
-def _per_node_washer_to_grid(cfg, grid, origin, cap_u_max=None):
+def _per_node_washer_to_grid(cfg, grid, origin, cap_u_max):
     """The kernel evaluated at every padded node, split by `close`."""
     origin = np.asarray(origin, dtype=float)
     A = KForm(1, grid, u1())
@@ -245,11 +238,6 @@ def _per_node_washer_to_grid(cfg, grid, origin, cap_u_max=None):
     radial_excess = np.maximum(np.maximum(rho - washer.R_OUTER,
                                           washer.R_INNER - rho), 0.0)
     close = np.hypot(z, radial_excess) < min(grid.spacing)
-    if np.any(close) and cap_u_max is None:
-        raise ValueError(
-            f"{int(close.sum())} nodes lie within one spacing of the washer "
-            "and no cap policy is set"
-        )
     a_phi = np.empty(len(pts))
     a_phi[~close] = washer._a_phi(rho[~close], z[~close], cfg.n_u, cfg.u_max)
     if np.any(close):
@@ -284,17 +272,6 @@ def test_washer_to_grid_matches_per_node_evaluation(cfg, grid, origin, cap):
     # bit for bit, signs of zeros included
     assert new["field"].values.tobytes() == ref["field"].values.tobytes()
     assert np.all(np.isfinite(new["field"].values))
-
-
-def test_washer_to_grid_uncapped_error_counts_nodes():
-    grid = GridSpec((3.0, 2.6, 2.2), (12, 10, 9))
-    origin = (-1.3, -1.1, -0.75)
-    cfg = WasherConfig(n_u=16)
-    with pytest.raises(ValueError, match="cap policy") as ref:
-        _per_node_washer_to_grid(cfg, grid, origin)
-    with pytest.raises(ValueError, match="cap policy") as new:
-        washer_to_grid(cfg, grid, origin)
-    assert str(new.value) == str(ref.value)
 
 
 def test_washer_to_grid_evaluates_each_rho_z_pair_once(monkeypatch):
@@ -333,8 +310,9 @@ def test_washer_to_grid_evaluates_no_tail_bound(monkeypatch):
 
 
 def test_washer_to_grid_peak_memory_is_small():
+    # builds the cached nodes outside the trace
     washer_to_grid(WasherConfig(n_u=8), GridSpec((1, 1, 1), (8, 8, 8)),
-                   (2.0, 2.0, 2.0))  # builds the cached nodes outside the trace
+                   (2.0, 2.0, 2.0), cap_u_max=12.0)
     tracemalloc.start()
     try:
         washer_to_grid(WasherConfig(), WORKLOAD_GRID, (-2.0, -2.0, -2.0),
